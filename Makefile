@@ -40,7 +40,9 @@ race:
 # fuzz gives the serialization, lint, call-graph, and remote-cache wire
 # fuzzers a short budget each. FuzzRemoteFrame attacks the client half of
 # the cache protocol (hostile server responses), FuzzRemoteRequest the
-# server half (hostile client requests).
+# server half (hostile client requests). FuzzCallGraph also debloats every
+# image it parses (refusal, or a valid output that debloats again to the
+# same bytes), and FuzzLift does the same for the re-outliner.
 fuzz:
 	$(GO) test ./internal/oat -run xxx -fuzz FuzzUnmarshal -fuzztime 20s
 	$(GO) test ./internal/oat -run xxx -fuzz FuzzUnmarshalLint -fuzztime 20s

@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"bytes"
 	"io"
 	"testing"
 
@@ -15,7 +16,10 @@ import (
 // construction and reachability must process without panicking, and the
 // graph they produce must stay internally consistent — every edge within
 // its node, every target within the tables. Structural garbage surfaces
-// as findings and conservative nodes, never as a crash.
+// as findings and conservative nodes, never as a crash. Every parsed
+// image also goes through debloat under the default roots, which must
+// either refuse it or emit an image that validates and debloats again to
+// the same bytes.
 func FuzzCallGraph(f *testing.F) {
 	app, _, err := workload.Generate(workload.Profile{
 		Name: "fuzz", Seed: 11, Methods: 25,
@@ -83,6 +87,29 @@ func FuzzCallGraph(f *testing.F) {
 		}
 		if err := cg.WriteDump(io.Discard); err != nil {
 			t.Fatal(err)
+		}
+
+		out, _, err := analysis.Debloat(img, analysis.DefaultRoots())
+		if err != nil {
+			return // refused
+		}
+		if err := out.Validate(); err != nil {
+			t.Fatalf("admitted image debloated into an invalid one: %v", err)
+		}
+		out2, _, err := analysis.Debloat(out, analysis.DefaultRoots())
+		if err != nil {
+			t.Fatalf("debloat refused its own output: %v", err)
+		}
+		b1, err := out.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b2, err := out2.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("debloat of a debloated image is not byte-identical (%d vs %d bytes)", len(b1), len(b2))
 		}
 	})
 }

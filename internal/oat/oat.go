@@ -66,19 +66,23 @@ func (img *Image) MethodCode(id dex.MethodID) []uint32 {
 	if int(id) < 0 || int(id) >= len(img.Methods) {
 		return nil
 	}
-	r := img.Methods[id]
-	if r.Offset < 0 || r.Size < 0 || r.Offset%a64.WordSize != 0 || r.Size%a64.WordSize != 0 ||
-		r.Offset+r.Size > img.TextBytes() {
+	return img.code(img.Methods[id].Offset, img.Methods[id].Size)
+}
+
+// code returns the text words of the byte range [off, off+size), or nil
+// when the range is not word-aligned inside the text segment.
+func (img *Image) code(off, size int) []uint32 {
+	if off < 0 || size < 0 || off%a64.WordSize != 0 || size%a64.WordSize != 0 || off+size > img.TextBytes() {
 		return nil
 	}
-	return img.Text[r.Offset/a64.WordSize : (r.Offset+r.Size)/a64.WordSize]
+	return img.Text[off/a64.WordSize : (off+size)/a64.WordSize]
 }
 
 // Link lays out the text segment — thunks first, then outlined functions,
-// then method code — and binds every symbolic call site to its target.
+// then method code — and binds every symbolic call site to its target: an
+// edit list that places every object over an image with empty method
+// slots (see Rewrite).
 func Link(methods []*codegen.CompiledMethod, extras []Blob) (*Image, error) {
-	img := &Image{}
-
 	// Collect the thunk symbols referenced anywhere.
 	thunkSyms := map[int]bool{}
 	for _, cm := range methods {
@@ -88,7 +92,7 @@ func Link(methods []*codegen.CompiledMethod, extras []Blob) (*Image, error) {
 			case codegen.SymKindJavaEntry, codegen.SymKindNativeEP, codegen.SymKindStackCheck:
 				thunkSyms[ref.Symbol] = true
 			case codegen.SymKindOutlined:
-				// bound against extras below
+				// bound against extras
 			default:
 				return nil, fmt.Errorf("oat: unknown symbol kind %d", kind)
 			}
@@ -100,62 +104,24 @@ func Link(methods []*codegen.CompiledMethod, extras []Blob) (*Image, error) {
 	}
 	sort.Ints(ordered)
 
-	symAddr := map[int]int64{}
-	emit := func(words []uint32) (off, size int) {
-		off = len(img.Text) * a64.WordSize
-		img.Text = append(img.Text, words...)
-		return off, len(words) * a64.WordSize
-	}
-
+	edits := make([]Edit, 0, len(ordered)+len(extras)+len(methods))
 	for _, sym := range ordered {
 		words, err := codegen.ThunkWords(sym)
 		if err != nil {
 			return nil, err
 		}
-		off, size := emit(words)
-		img.Thunks = append(img.Thunks, FuncRecord{Sym: sym, Offset: off, Size: size})
-		symAddr[sym] = abi.TextBase + int64(off)
+		edits = append(edits, Edit{Kind: EditThunk, Sym: sym, Code: words})
 	}
 	for _, b := range extras {
-		if _, dup := symAddr[b.Sym]; dup {
-			return nil, fmt.Errorf("oat: duplicate symbol %s", codegen.SymName(b.Sym))
-		}
-		off, size := emit(b.Code)
-		img.Outlined = append(img.Outlined, FuncRecord{Sym: b.Sym, Offset: off, Size: size})
-		symAddr[b.Sym] = abi.TextBase + int64(off)
+		edits = append(edits, Edit{Kind: EditOutlined, Sym: b.Sym, Code: b.Code})
 	}
-
-	img.Methods = make([]MethodRecord, len(methods))
 	for i, cm := range methods {
 		if cm.M.ID != dex.MethodID(i) {
 			return nil, fmt.Errorf("oat: method table out of order at %d", i)
 		}
-		off, size := emit(cm.Code)
-		img.Methods[i] = MethodRecord{
-			ID: cm.M.ID, Offset: off, Size: size,
-			Meta: cm.Meta, StackMap: cm.StackMap,
-		}
+		edits = append(edits, Edit{Kind: EditMethod, ID: cm.M.ID, Method: cm})
 	}
-
-	// Bind symbolic call sites now that layout is fixed.
-	for i, cm := range methods {
-		base := abi.TextBase + int64(img.Methods[i].Offset)
-		for _, ref := range cm.Ext {
-			target, ok := symAddr[ref.Symbol]
-			if !ok {
-				return nil, fmt.Errorf("oat: %s: unresolved symbol %s",
-					cm.M.FullName(), codegen.SymName(ref.Symbol))
-			}
-			wordIdx := (img.Methods[i].Offset + ref.InstOff) / a64.WordSize
-			patched, err := a64.PatchRel(img.Text[wordIdx], target-(base+int64(ref.InstOff)))
-			if err != nil {
-				return nil, fmt.Errorf("oat: %s: binding %s: %w",
-					cm.M.FullName(), codegen.SymName(ref.Symbol), err)
-			}
-			img.Text[wordIdx] = patched
-		}
-	}
-	return img, nil
+	return Rewrite(&Image{Methods: make([]MethodRecord, len(methods))}, edits)
 }
 
 // Validate checks the internal consistency of an image, the checks a

@@ -14,23 +14,22 @@
 //     the exact link-time machine) runs over the lifted bodies and
 //     rewrites them, minting SymKindReoutlined functions so dumps and
 //     lint rules can tell post-hoc outlining from link-time outlining.
-//  3. Extract and relink. The text segment is rebuilt in region order:
-//     thunks and frozen methods keep their bytes, original outlined
-//     functions survive only while a frozen caller still needs them, new
-//     bodies are appended at the end, and every call site — symbolic in
-//     lifted methods, physical bl displacements in frozen ones — is
-//     re-bound to the new layout.
+//  3. Extract and relink. The shared image editor (oat.Rewrite) rebuilds
+//     the text segment in region order: thunks and frozen methods keep
+//     their bytes, original outlined functions survive only while a
+//     frozen caller still needs them, new bodies are appended at the end,
+//     and every call site — symbolic in lifted methods, physical bl
+//     displacements in frozen ones — is re-bound to the new layout.
 //  4. Re-verify. The output must pass the loader checks (oat.Validate)
 //     and the full lint — the legacy per-method rules plus the paired
 //     interprocedural rules (reoutlined-body-equivalent,
 //     lift-frozen-untouched) against the input image — with zero
 //     findings, or the pass fails rather than return the image.
 //
-// The pass refuses unsound inputs the same way debloat does (any
-// error-severity finding at admission), plus one refusal of its own: an
-// indirect call through a materialized absolute text address pins its
-// target in place, and no freeze mask can make relocation sound, so the
-// whole image is rejected (analysis.PinnedIndirect).
+// The pass shares its admission check with debloat (analysis.Admit): any
+// error-severity finding refuses the image, and so does an indirect call
+// through a materialized absolute text address, which pins its target in
+// place where no freeze mask can make relocation sound.
 package reoutline
 
 import (
@@ -121,33 +120,11 @@ func RunCtx(ctx context.Context, img *oat.Image, cfg Config) (*oat.Image, *Stats
 	// Admission: refuse anything the static verifier grades an error, and
 	// images whose layout is pinned by a materialized code address.
 	sp := cfg.Tracer.Start("stage", "reoutline.admit").Arg("methods", int64(len(img.Methods)))
-	lintFs, err := analysis.LintCtx(ctx, img, cfg.Workers, cfg.Tracer)
+	cg, err := analysis.Admit(ctx, img, cfg.Workers, cfg.Tracer)
+	sp.End()
 	if err != nil {
-		sp.End()
 		return nil, st, err
 	}
-	for _, f := range lintFs {
-		if f.Severity >= analysis.SevError {
-			sp.End()
-			return nil, st, fmt.Errorf("reoutline: refusing unsound image: %s", f)
-		}
-	}
-	cg, cgFs := analysis.BuildCallGraphCtx(ctx, img, cfg.Workers)
-	if cg == nil {
-		sp.End()
-		return nil, st, ctx.Err()
-	}
-	for _, f := range cgFs {
-		if f.Severity >= analysis.SevError {
-			sp.End()
-			return nil, st, fmt.Errorf("reoutline: refusing unsound image: %s", f)
-		}
-	}
-	if id, off, pinned := analysis.PinnedIndirect(img, cg); pinned {
-		sp.End()
-		return nil, st, fmt.Errorf("reoutline: m%d+%#x: indirect call through a materialized text address pins the layout", id, off)
-	}
-	sp.End()
 
 	// Stage 1: lift.
 	t0 := time.Now()
@@ -232,10 +209,10 @@ func RunCtx(ctx context.Context, img *oat.Image, cfg Config) (*oat.Image, *Stats
 	blobs = dedupAgainstRetained(img, retained, blobs, lifted, st)
 	st.BlobsCreated = len(blobs)
 	st.BlobsRetained = len(retained)
-	out, err := relink(img, lifted, blobs, retained)
+	out, err := oat.Rewrite(img, relinkEdits(img, lifted, blobs, retained))
 	sp.End()
 	if err != nil {
-		return nil, st, err
+		return nil, st, fmt.Errorf("reoutline: relink: %w", err)
 	}
 	st.RelinkTime = time.Since(t2)
 	st.TextAfter = out.TextBytes()
@@ -270,6 +247,32 @@ func RunCtx(ctx context.Context, img *oat.Image, cfg Config) (*oat.Image, *Stats
 		cfg.Tracer.Count("reoutline.bytes_saved", int64(st.Saved()))
 	}
 	return out, st, nil
+}
+
+// relinkEdits describes the relinked text segment to the image editor. It
+// keeps the input's region order — the property that makes the whole pass
+// idempotent — replacing each lifted method's bytes with its rewritten
+// code, dropping outlined functions no frozen method calls anymore, and
+// appending the newly created bodies at the end. Lifted methods carry
+// symbolic call sites the editor binds; frozen methods carry physical bl
+// displacements it repatches.
+func relinkEdits(img *oat.Image, lifted []*codegen.CompiledMethod, blobs []oat.Blob, retained map[int]bool) []oat.Edit {
+	var edits []oat.Edit
+	for _, e := range oat.KeepAll(img) {
+		switch e.Kind {
+		case oat.EditOutlined:
+			if !retained[e.Sym] {
+				continue
+			}
+		case oat.EditMethod:
+			e.Method = lifted[e.ID]
+		}
+		edits = append(edits, e)
+	}
+	for _, b := range blobs {
+		edits = append(edits, oat.Edit{Kind: oat.EditOutlined, Sym: b.Sym, Code: b.Code})
+	}
+	return edits
 }
 
 // retainedBlobs computes which existing outlined functions must survive:

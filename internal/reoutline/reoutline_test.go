@@ -2,9 +2,12 @@ package reoutline_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/dex"
 	"repro/internal/emu"
@@ -241,4 +244,64 @@ func TestReoutlineDeterministic(t *testing.T) {
 			t.Errorf("workers=%d produced a different image", workers)
 		}
 	}
+}
+
+// TestReoutlineRetainsFrozenCallees drives the paths no generated input
+// reaches: link-time outlining never outlines from a method the lift mask
+// freezes, so on a stock CTO+LTBO build no frozen method calls an
+// outlined function. Flagging three of the callers HasIndirectJump (which
+// lint accepts on a method without a computed branch) freezes them while
+// their outlined callees stay live: those blobs must be retained, the
+// detector's re-creations of them must fold back into the retained
+// survivors, and the result must lint clean, run the script unchanged,
+// and be idempotent. The output hash was pinned before the relink moved
+// into the shared image editor.
+func TestReoutlineRetainsFrozenCallees(t *testing.T) {
+	prof, ok := workload.AppByName("Taobao", 0.03)
+	if !ok {
+		t.Fatal("Taobao profile missing")
+	}
+	app, man, err := workload.Generate(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Build(app, core.CTOLTBO())
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := res.Image
+	cg, _ := analysis.BuildCallGraph(img)
+	flagged := 0
+	for i := range img.Methods {
+		for _, e := range cg.Nodes[i].Edges {
+			if e.Kind == analysis.EdgeOutlined && flagged < 3 {
+				img.Methods[i].Meta.HasIndirectJump = true
+				flagged++
+				break
+			}
+		}
+	}
+	if fs := analysis.Lint(img); len(fs) > 0 {
+		t.Fatalf("flagged input does not lint clean: %s", fs[0])
+	}
+	out, st, err := reoutline.Run(img, reoutline.Config{})
+	if err != nil {
+		t.Fatalf("reoutline: %v", err)
+	}
+	if st.BlobsRetained != 14 || st.BlobsDeduped != 9 {
+		t.Errorf("retained=%d deduped=%d, want 14 and 9", st.BlobsRetained, st.BlobsDeduped)
+	}
+	if fs := analysis.Lint(out); len(fs) > 0 {
+		t.Errorf("output does not lint clean: %s", fs[0])
+	}
+	data, err := out.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "f7b95226494c305a9d3aee0cdb309a943ce61374abda0965e0536ee8e7a9a98a"
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("output hash %x, want %s", sum, want)
+	}
+	requireIdempotent(t, prof.Name, out, reoutline.Config{})
+	diffRuns(t, prof.Name, app, out, workload.Script(man, 2, 1))
 }

@@ -111,7 +111,7 @@ func verifyMethod(cm *codegen.CompiledMethod, mi int, before *Snapshot, bodyBySy
 		}
 	}
 	var rebuilt []uint32
-	newToOld := make(map[int]int) // new word index -> rebuilt (old) word index
+	newToOld := make([]int, len(cm.Code)) // new word index -> rebuilt (old) word index
 	for w := 0; w < len(cm.Code); w++ {
 		newToOld[w] = len(rebuilt)
 		if sym, ok := outlinedAt[w]; ok {
@@ -129,9 +129,13 @@ func verifyMethod(cm *codegen.CompiledMethod, mi int, before *Snapshot, bodyBySy
 		return fmt.Errorf("outline: %s reconstructs to %d words, original %d", name, len(rebuilt), len(orig))
 	}
 	// Identify positions whose displacement was legitimately patched.
-	patched := map[int]bool{}
+	patched := make([]bool, len(rebuilt))
 	for _, r := range cm.Meta.PCRel {
-		patched[newToOld[r.InstOff/a64.WordSize]] = true
+		// An outlined call to an empty body at the method's end maps to
+		// len(rebuilt), past every word the loop below reads.
+		if w := wordAt(newToOld, r.InstOff/a64.WordSize); w < len(patched) {
+			patched[w] = true
+		}
 	}
 	for w := range rebuilt {
 		if rebuilt[w] == orig[w] {
@@ -164,8 +168,8 @@ func verifyMethod(cm *codegen.CompiledMethod, mi int, before *Snapshot, bodyBySy
 		origTarget[orr.InstOff/a64.WordSize] = orr.TargetOff / a64.WordSize
 	}
 	for _, r := range cm.Meta.PCRel {
-		oldInst := newToOld[r.InstOff/a64.WordSize]
-		oldTarget := newToOld[r.TargetOff/a64.WordSize]
+		oldInst := wordAt(newToOld, r.InstOff/a64.WordSize)
+		oldTarget := wordAt(newToOld, r.TargetOff/a64.WordSize)
 		want, found := origTarget[oldInst]
 		if !found {
 			return fmt.Errorf("outline: %s has a PC-relative at new offset %#x with no pre-state counterpart",
@@ -206,6 +210,16 @@ func RunVerifiedCtx(ctx context.Context, methods []*codegen.CompiledMethod, opts
 		return nil, stats, err
 	}
 	return blobs, stats, nil
+}
+
+// wordAt maps a new word index through newToOld. An index outside the
+// method (a corrupt or out-of-range offset) maps to word 0, so the checks
+// that follow report it as a mismatch instead of panicking.
+func wordAt(newToOld []int, w int) int {
+	if w < 0 || w >= len(newToOld) {
+		return 0
+	}
+	return newToOld[w]
 }
 
 func wordsEqual(a, b []uint32) bool {

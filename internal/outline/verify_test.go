@@ -119,4 +119,34 @@ func TestVerifyRewriteCatchesCorruption(t *testing.T) {
 			t.Fatal("retargeted branch accepted")
 		}
 	})
+
+	t.Run("target past the method end", func(t *testing.T) {
+		methods, snap, blobs, _ := setup()
+		// Point a PC-relative record whose original target is not word 0
+		// past the end of its method. The verifier must report the
+		// retarget (the out-of-range word reads as word 0), not panic.
+		bent := false
+		for _, cm := range methods {
+			if cm.Meta.IsNative || cm.Meta.HasIndirectJump {
+				continue
+			}
+			for k, r := range cm.Meta.PCRel {
+				if r.TargetOff/a64.WordSize > 0 {
+					cm.Meta.PCRel[k].TargetOff = (len(cm.Code) + 16) * a64.WordSize
+					bent = true
+					break
+				}
+			}
+			if bent {
+				break
+			}
+		}
+		if !bent {
+			t.Fatal("no PC-relative record with a nonzero target")
+		}
+		err := VerifyRewrite(methods, snap, blobs)
+		if err == nil || !strings.Contains(err.Error(), "retargeted") {
+			t.Fatalf("out-of-range target not reported as a retarget: %v", err)
+		}
+	})
 }

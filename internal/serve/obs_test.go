@@ -8,6 +8,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -191,7 +192,7 @@ func TestLoggingDeterminism(t *testing.T) {
 	req := JobRequest{App: "Fanqie", Scale: 0.05, Config: "plopti", Trees: 4}
 
 	var logged bytes.Buffer
-	_, tsOn := newTestServer(t, Config{Scale: 0.05, Log: NewEventLogger(&logged)})
+	sOn, tsOn := newTestServer(t, Config{Scale: 0.05, Log: NewEventLogger(&logged)})
 	resp, st := postJob(t, tsOn, req)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", resp.StatusCode, st.Error)
@@ -211,6 +212,14 @@ func TestLoggingDeterminism(t *testing.T) {
 
 	if !bytes.Equal(imgOn, imgOff) {
 		t.Error("image with logging differs from image without")
+	}
+
+	// The worker logs job_finish after the job turns terminal, and the
+	// HTTP handlers log http_access after answering, so stop both before
+	// reading the buffer they write.
+	tsOn.Close()
+	if err := sOn.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 
 	// The log itself is JSON lines with the expected lifecycle events.

@@ -10,36 +10,51 @@
 // separators yields one tree over the whole program.
 package suffixtree
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // node is one suffix-tree node. The edge leading into the node is labeled
 // seq[start:end]; leaves use end == -1 meaning "to the end of the sequence"
-// (Ukkonen's global end).
+// (Ukkonen's global end). Positions are int32 like node indices; a tree
+// over n symbols has 2n+2 nodes at most, so int32 positions add no limit
+// that the node indices do not already impose.
 //
-// Children are kept two ways: a first-child/next-sibling list on the nodes
-// themselves for iteration, and a single tree-level map (Tree.children)
-// for by-symbol lookup. The per-node map this replaces dominated the
-// build's allocation profile — two heap objects per node — where the
-// sibling list costs nothing and the shared map amortizes to a handful of
-// allocations for the whole tree.
+// Children are kept two ways: a doubly linked first-child/sibling list on
+// the nodes themselves for iteration, and one flat tree-level hash table
+// (Tree.children) for by-symbol lookup. The back link makes an Ukkonen
+// split O(1): the split node takes over the replaced child's list position
+// without a walk of the parent's list, which under the root is one entry
+// per unique separator symbol and so grows with the input.
 type node struct {
-	start       int
-	end         int
+	start       int32
+	end         int32
 	link        int32
 	firstChild  int32 // head of the child list, -1 for leaves
 	nextSibling int32 // next child of this node's parent, -1 at the end
+	prevSibling int32 // previous child of this node's parent, -1 at the head
+	parent      int32 // set when the node is bound as a child
 
 	// Filled by finish():
 	leafCount int32
 	depth     int32 // symbols from the root to the end of this node's edge
-	parent    int32
 }
 
 // Tree is a built suffix tree.
 type Tree struct {
-	seq      []uint32
-	nodes    []node
-	children map[uint64]int32 // (parent, edge first symbol) -> child
+	seq   []uint32
+	nodes []node
+	// children is an open-addressing (linear probing) hash table from
+	// (parent, edge first symbol) to child. A slot holds only the child's
+	// index plus one (0 marks an empty slot): the key is read back from
+	// the child itself, whose parent and edge start the build keeps
+	// current for every bound child, so a slot costs four bytes. Build
+	// sizes it once for the largest tree the sequence can produce, and
+	// nothing is ever deleted, so it needs neither growth nor tombstones;
+	// a split rebinds an existing key in place.
+	children []int32
+	shift    uint // 64 - log2(len(children)), for Fibonacci hashing
 	// internal build state
 	activeNode   int32
 	activeEdge   int
@@ -50,53 +65,75 @@ type Tree struct {
 
 const root int32 = 0
 
-// childKey packs a parent node index and an edge's first symbol into the
-// children map key.
-func childKey(n int32, sym uint32) uint64 {
-	return uint64(uint32(n))<<32 | uint64(sym)
+// slot returns the children slot bound to (parent, sym), or the empty
+// slot where that binding belongs.
+func (t *Tree) slot(parent int32, sym uint32) *int32 {
+	mask := uint64(len(t.children) - 1)
+	i := ((uint64(uint32(parent))<<32 | uint64(sym)) * 0x9E3779B97F4A7C15) >> t.shift
+	for {
+		s := &t.children[i]
+		if *s == 0 {
+			return s
+		}
+		if c := &t.nodes[*s-1]; c.parent == parent && t.seq[c.start] == sym {
+			return s
+		}
+		i = (i + 1) & mask
+	}
 }
 
 // childOf looks up the child of n whose edge starts with sym.
 func (t *Tree) childOf(n int32, sym uint32) (int32, bool) {
-	c, ok := t.children[childKey(n, sym)]
-	return c, ok
+	s := t.slot(n, sym)
+	return *s - 1, *s != 0
 }
 
 // setChild binds c as the child of parent under edge symbol sym, either
-// adding it to the child list or substituting it for the previous holder
-// (an Ukkonen split), which keeps the list position and hands the old
-// child's sibling pointer to the new one.
+// prepending it to the child list or substituting it for the previous
+// holder (an Ukkonen split), which keeps the list position: c inherits
+// the old child's sibling links and its neighbours point at c. The caller
+// has already set c's edge to start with sym.
 func (t *Tree) setChild(parent int32, sym uint32, c int32) {
-	key := childKey(parent, sym)
-	if old, ok := t.children[key]; ok {
-		next := t.nodes[old].nextSibling
-		if t.nodes[parent].firstChild == old {
+	s := t.slot(parent, sym)
+	nc := &t.nodes[c]
+	nc.parent = parent
+	if *s != 0 {
+		old := &t.nodes[*s-1]
+		nc.prevSibling, nc.nextSibling = old.prevSibling, old.nextSibling
+		if nc.prevSibling == -1 {
 			t.nodes[parent].firstChild = c
 		} else {
-			p := t.nodes[parent].firstChild
-			for t.nodes[p].nextSibling != old {
-				p = t.nodes[p].nextSibling
-			}
-			t.nodes[p].nextSibling = c
+			t.nodes[nc.prevSibling].nextSibling = c
 		}
-		t.nodes[c].nextSibling = next
+		if nc.nextSibling != -1 {
+			t.nodes[nc.nextSibling].prevSibling = c
+		}
 	} else {
-		t.nodes[c].nextSibling = t.nodes[parent].firstChild
+		head := t.nodes[parent].firstChild
+		nc.prevSibling, nc.nextSibling = -1, head
+		if head != -1 {
+			t.nodes[head].prevSibling = c
+		}
 		t.nodes[parent].firstChild = c
 	}
-	t.children[key] = c
+	*s = c + 1
 }
 
 // Build constructs the suffix tree of seq. The caller must guarantee that
 // the final symbol of seq terminates every intended suffix (the outliner's
 // per-position separator symbols provide this); Build appends nothing.
 func Build(seq []uint32) *Tree {
+	// At most 2n+2 nodes means at most 2n+1 child bindings; a table of
+	// the next power of two at or above twice that keeps the load at or
+	// below one half.
+	logSize := bits.Len(uint(4*len(seq) + 3))
 	t := &Tree{
 		seq:      seq,
 		nodes:    make([]node, 1, 2*len(seq)+2),
-		children: make(map[uint64]int32, len(seq)),
+		children: make([]int32, 1<<logSize),
+		shift:    uint(64 - logSize),
 	}
-	t.nodes[0] = node{start: -1, end: -1, firstChild: -1, nextSibling: -1}
+	t.nodes[0] = node{start: -1, end: -1, firstChild: -1, nextSibling: -1, prevSibling: -1}
 	for i := range seq {
 		t.extend(i)
 	}
@@ -106,7 +143,7 @@ func Build(seq []uint32) *Tree {
 
 // newNode appends a node and returns its index.
 func (t *Tree) newNode(start, end int) int32 {
-	t.nodes = append(t.nodes, node{start: start, end: end, firstChild: -1, nextSibling: -1})
+	t.nodes = append(t.nodes, node{start: int32(start), end: int32(end), firstChild: -1, nextSibling: -1, prevSibling: -1})
 	return int32(len(t.nodes) - 1)
 }
 
@@ -115,7 +152,7 @@ func (t *Tree) edgeEnd(n int32, pos int) int {
 	if t.nodes[n].end == -1 {
 		return pos
 	}
-	return t.nodes[n].end
+	return int(t.nodes[n].end)
 }
 
 // extend runs one Ukkonen phase for seq[i].
@@ -139,23 +176,23 @@ func (t *Tree) extend(i int) {
 			t.setChild(t.activeNode, edgeSym, leaf)
 			addLink(t.activeNode)
 		} else {
-			edgeLen := t.edgeEnd(child, i+1) - t.nodes[child].start
+			edgeLen := t.edgeEnd(child, i+1) - int(t.nodes[child].start)
 			if t.activeLength >= edgeLen {
 				t.activeEdge += edgeLen
 				t.activeLength -= edgeLen
 				t.activeNode = child
 				continue
 			}
-			if t.seq[t.nodes[child].start+t.activeLength] == t.seq[i] {
+			if t.seq[int(t.nodes[child].start)+t.activeLength] == t.seq[i] {
 				t.activeLength++
 				addLink(t.activeNode)
 				break
 			}
-			split := t.newNode(t.nodes[child].start, t.nodes[child].start+t.activeLength)
+			split := t.newNode(int(t.nodes[child].start), int(t.nodes[child].start)+t.activeLength)
 			t.setChild(t.activeNode, edgeSym, split)
 			leaf := t.newNode(i, -1)
 			t.setChild(split, t.seq[i], leaf)
-			t.nodes[child].start += t.activeLength
+			t.nodes[child].start += int32(t.activeLength)
 			t.setChild(split, t.seq[t.nodes[child].start], child)
 			addLink(split)
 		}
@@ -169,13 +206,13 @@ func (t *Tree) extend(i int) {
 	}
 }
 
-// finish computes leaf counts, depths, and parents bottom-up.
+// finish computes leaf counts and depths bottom-up.
 func (t *Tree) finish() {
 	if t.finished {
 		return
 	}
 	t.finished = true
-	n := len(t.seq)
+	n := int32(len(t.seq))
 	// Iterative post-order.
 	type frame struct {
 		node  int32
@@ -193,16 +230,14 @@ func (t *Tree) finish() {
 				if end == -1 {
 					end = n
 				}
-				nd.depth = parentDepth + int32(end-nd.start)
+				nd.depth = parentDepth + end - nd.start
 			}
 			if nd.firstChild == -1 {
 				nd.leafCount = 1
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			id := f.node
 			for c := nd.firstChild; c != -1; c = t.nodes[c].nextSibling {
-				t.nodes[c].parent = id
 				stack = append(stack, frame{node: c})
 			}
 			continue
@@ -250,8 +285,9 @@ func (t *Tree) Repeats(minLen, minCount int) []Repeat {
 }
 
 // Occurrences returns the start positions (in seq) of the repeat rooted at
-// the given node, one per descendant leaf, in increasing order is NOT
-// guaranteed; callers sort as needed.
+// the given node, one per descendant leaf. The order is deterministic (a
+// depth-first walk, last child first) but not increasing; callers sort as
+// needed.
 func (t *Tree) Occurrences(nodeIdx int) []int {
 	n := len(t.seq)
 	var occ []int
@@ -278,10 +314,6 @@ func (t *Tree) Occurrences(nodeIdx int) []int {
 // Label returns the subsequence represented by a node (the path label).
 func (t *Tree) Label(nodeIdx int) []uint32 {
 	nd := &t.nodes[nodeIdx]
-	end := nd.end
-	if end == -1 {
-		end = len(t.seq)
-	}
 	// Walk one occurrence instead of composing edges: the repeat is
 	// seq[occ : occ+depth] for any occurrence.
 	occ := t.firstLeafSuffix(int32(nodeIdx))

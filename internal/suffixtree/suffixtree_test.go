@@ -1,11 +1,14 @@
 package suffixtree
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // sym converts a string to the symbol sequence used in tests; '$', '#'
@@ -227,20 +230,69 @@ func TestBenefitProperties(t *testing.T) {
 	}
 }
 
+// TestTreeScalesLinearly bounds the node count (<= 2n+2) on a random
+// 16-symbol sequence and on an outliner-shaped one. Outside -short it also
+// times both shapes at the same length: the outliner-shaped root holds one
+// child per unique separator, tens of thousands here, against 16, so a
+// build that walks a sibling list on every split (quadratic in the list
+// length) is several times slower on it, while a linear build is not.
+// Comparing equal lengths keeps cache effects out of the ratio.
 func TestTreeScalesLinearly(t *testing.T) {
-	// A structural sanity bound: node count <= 2n.
-	r := rand.New(rand.NewSource(2))
-	n := 20000
-	seq := make([]uint32, n)
-	for i := range seq {
-		seq[i] = uint32(r.Intn(16))
+	const n = 200000
+	random, outliner := random16(n-1), outlinerShaped(n, 1)
+	for _, c := range []struct {
+		name string
+		seq  []uint32
+	}{
+		{"random16", random16(20000)},
+		{"random16", random},
+		{"outliner", outliner},
+	} {
+		tr := Build(c.seq)
+		if tr.NumNodes() > 2*len(c.seq)+2 {
+			t.Errorf("%s: nodes = %d for n = %d", c.name, tr.NumNodes(), len(c.seq))
+		}
+		if tr.NumLeaves() != len(c.seq) {
+			t.Errorf("%s: leaves = %d, want %d", c.name, tr.NumLeaves(), len(c.seq))
+		}
 	}
-	seq = append(seq, 0xFFFFFFFF)
-	tr := Build(seq)
-	if tr.NumNodes() > 2*len(seq)+2 {
-		t.Errorf("nodes = %d for n = %d", tr.NumNodes(), len(seq))
+	if testing.Short() {
+		return
 	}
-	if tr.NumLeaves() != len(seq) {
-		t.Errorf("leaves = %d", tr.NumLeaves())
+	// Best of three builds each, so one descheduled run cannot decide.
+	best := func(seq []uint32) time.Duration {
+		fastest := time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			Build(seq)
+			if d := time.Since(start); d < fastest {
+				fastest = d
+			}
+		}
+		return fastest
+	}
+	r, o := best(random), best(outliner)
+	// On a 2-CPU Xeon host a linear build reads 0.8x, the sibling walk 4.9x.
+	if ratio := float64(o) / float64(r); ratio > 2.5 {
+		t.Errorf("%d symbols: random16 built in %v, outliner-shaped in %v (%.1fx)", n, r, o, ratio)
+	}
+}
+
+// benchTree keeps BenchmarkBuild's result live.
+var benchTree *Tree
+
+// BenchmarkBuild times Build on outliner-shaped sequences (see
+// outlinerShaped) at three sizes. A linear build's ns/symbol grows only
+// with cache misses as n doubles; a quadratic one doubles.
+func BenchmarkBuild(b *testing.B) {
+	for _, n := range []int{50000, 100000, 200000} {
+		seq := outlinerShaped(n, 1)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchTree = Build(seq)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/symbol")
+		})
 	}
 }

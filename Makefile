@@ -78,10 +78,12 @@ bench-cache:
 # j=8 compile stops beating j=1 by at least 1.5x. The assertion
 # self-skips on hosts with fewer than 4 CPUs, where the ladder is
 # legitimately flat. The suffix-tree construction benchmark runs once per
-# size so it keeps compiling.
+# size, and the image-only analysis benchmark once per ladder app, so
+# they keep compiling.
 bench-smoke:
 	$(GO) test -short -run xxx -bench 'BenchmarkCompileWorkers|BenchmarkCompileScalingSmoke|BenchmarkBuildTraced|BenchmarkBuildColdVsWarm' -benchtime 1x . >/dev/null
 	$(GO) test -run xxx -bench BenchmarkBuild -benchtime 1x ./internal/suffixtree >/dev/null
+	$(GO) test -short -run xxx -bench BenchmarkAnalyze -benchtime 1x -benchmem ./internal/analysis >/dev/null
 
 # serve-smoke boots calibrod on a random port, drives one job end to end
 # via calibroctl, checks /healthz and /metrics, and requires a clean

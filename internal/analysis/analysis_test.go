@@ -64,10 +64,29 @@ func wantFinding(t *testing.T, img *oat.Image, rule string, m dex.MethodID, off 
 	}
 }
 
-// TestCorruptBranch flips a conditional branch to a displacement that
-// escapes the method: the acceptance criterion's "deliberately corrupted
-// image" case. The finding must name the method and the offset.
-func TestCorruptBranch(t *testing.T) {
+// The corrupt* helpers each build the corruption-test app and plant one
+// deliberate defect, returning the mutated image together with the
+// method index and method-relative byte offset the defect sits at (-1
+// where the defect is not positional). The TestCorrupt* tests assert
+// the finding each defect must raise; TestAnalyzeReportPin pins the
+// full report over the same mutated images.
+var corruptions = []struct {
+	name  string
+	build func(*testing.T) (*oat.Image, int, int)
+}{
+	{"branch", corruptBranch},
+	{"branch-metadata", corruptBranchMetadata},
+	{"blob-exit", corruptBlobExit},
+	{"call-into-blob-interior", corruptCallIntoBlobInterior},
+	{"epilogue", corruptEpilogue},
+	{"callee-saved", corruptCalleeSaved},
+	{"record", corruptRecord},
+	{"undecodable", corruptUndecodable},
+}
+
+// corruptBranch flips a conditional branch to a displacement that
+// escapes the method.
+func corruptBranch(t *testing.T) (*oat.Image, int, int) {
 	img := buildApp(t, core.CTOLTBO())
 	m := findMethodWith(img, func(i a64.Inst) bool { return i.Op == a64.OpBCond })
 	if m < 0 {
@@ -80,18 +99,14 @@ func TestCorruptBranch(t *testing.T) {
 		t.Fatal(err)
 	}
 	setWord(img, m, off, patched)
-	wantFinding(t, img, analysis.RuleBranchTarget, dex.MethodID(m), off)
+	return img, m, off
 }
 
-// TestCorruptBranchMisaligned points a branch displacement such that the
-// recorded metadata and the code disagree — the single-bit-flip case:
-// even when the flipped target still lands on some instruction boundary,
-// the metadata cross-check catches it.
-func TestCorruptBranchMetadata(t *testing.T) {
+// corruptBranchMetadata moves a recorded unconditional branch's target by
+// one word: still in-method, still aligned, but no longer what the
+// metadata promises.
+func corruptBranchMetadata(t *testing.T) (*oat.Image, int, int) {
 	img := buildApp(t, core.CTOLTBO())
-	// Find a method with a recorded local branch and move its target by
-	// one word: still in-method, still aligned, but no longer what the
-	// metadata promises.
 	for m, rec := range img.Methods {
 		for _, rel := range rec.Meta.PCRel {
 			w := (rec.Offset + rel.InstOff) / a64.WordSize
@@ -108,17 +123,16 @@ func TestCorruptBranchMetadata(t *testing.T) {
 				continue
 			}
 			img.Text[w] = patched
-			wantFinding(t, img, analysis.RuleMetadata, dex.MethodID(m), rel.InstOff)
-			return
+			return img, m, rel.InstOff
 		}
 	}
 	t.Fatal("no recorded unconditional branch found")
+	return nil, -1, -1
 }
 
-// TestCorruptBlobExit replaces an outlined function's br x30 exit with a
-// ret: the blob no longer returns through the canonical exit and must be
-// flagged, and every method is still analyzed without the replay.
-func TestCorruptBlobExit(t *testing.T) {
+// corruptBlobExit replaces the first outlined function's br x30 exit with
+// a ret.
+func corruptBlobExit(t *testing.T) (*oat.Image, int, int) {
 	img := buildApp(t, core.CTOLTBO())
 	if len(img.Outlined) == 0 {
 		t.Fatal("build produced no outlined functions")
@@ -126,20 +140,12 @@ func TestCorruptBlobExit(t *testing.T) {
 	f := img.Outlined[0]
 	last := (f.Offset + f.Size - a64.WordSize) / a64.WordSize
 	img.Text[last] = a64.MustEncode(a64.Inst{Op: a64.OpRet, Rn: a64.LR})
-	var hit bool
-	for _, fd := range analysis.Lint(img) {
-		if fd.Rule == analysis.RuleBlobShape && fd.Method == analysis.NoMethod {
-			hit = true
-		}
-	}
-	if !hit {
-		t.Error("corrupted outlined-function exit produced no blob-shape finding")
-	}
+	return img, -1, -1
 }
 
-// TestCorruptCallIntoBlobInterior retargets a bl so it lands in the
-// middle of an outlined function.
-func TestCorruptCallIntoBlobInterior(t *testing.T) {
+// corruptCallIntoBlobInterior retargets a bl so it lands in the middle of
+// an outlined function.
+func corruptCallIntoBlobInterior(t *testing.T) (*oat.Image, int, int) {
 	img := buildApp(t, core.CTOLTBO())
 	var blob *oat.FuncRecord
 	for i := range img.Outlined {
@@ -160,12 +166,12 @@ func TestCorruptCallIntoBlobInterior(t *testing.T) {
 		t.Fatal(err)
 	}
 	setWord(img, m, off, patched)
-	wantFinding(t, img, analysis.RuleBlobEntry, dex.MethodID(m), off)
+	return img, m, off
 }
 
-// TestCorruptEpilogue shrinks the frame-release of one method's
-// epilogue, leaving sp unbalanced at ret.
-func TestCorruptEpilogue(t *testing.T) {
+// corruptEpilogue shrinks the frame release of one method's epilogue,
+// leaving sp unbalanced at ret.
+func corruptEpilogue(t *testing.T) (*oat.Image, int, int) {
 	img := buildApp(t, core.Baseline())
 	isRelease := func(i a64.Inst) bool {
 		return i.Op == a64.OpLdp && i.Index == a64.IndexPost && i.Rn == 31 && i.Imm > 16
@@ -179,20 +185,12 @@ func TestCorruptEpilogue(t *testing.T) {
 	inst, _ := a64.Decode(word)
 	inst.Imm -= 16
 	setWord(img, m, off, a64.MustEncode(inst))
-	var hit bool
-	for _, f := range analysis.Lint(img) {
-		if f.Rule == analysis.RuleSPBalance && f.Method == dex.MethodID(m) {
-			hit = true
-		}
-	}
-	if !hit {
-		t.Error("unbalanced epilogue produced no sp-balance finding")
-	}
+	return img, m, off
 }
 
-// TestCorruptCalleeSaved turns a callee-saved restore into a restore of
-// the wrong register, so x20's entry value never comes back.
-func TestCorruptCalleeSaved(t *testing.T) {
+// corruptCalleeSaved turns a callee-saved restore into a restore of the
+// wrong register, so x20's entry value never comes back.
+func corruptCalleeSaved(t *testing.T) (*oat.Image, int, int) {
 	img := buildApp(t, core.Baseline())
 	isRestore := func(i a64.Inst) bool {
 		return i.Op == a64.OpLdp && i.Index == a64.IndexOffset && i.Rn == 31 &&
@@ -207,6 +205,81 @@ func TestCorruptCalleeSaved(t *testing.T) {
 	inst, _ := a64.Decode(word)
 	inst.Rd = a64.Reg(9) // restore into a scratch reg instead
 	setWord(img, m, off, a64.MustEncode(inst))
+	return img, m, off
+}
+
+// corruptRecord pushes a method record past the text end.
+func corruptRecord(t *testing.T) (*oat.Image, int, int) {
+	img := buildApp(t, core.Baseline())
+	img.Methods[3].Size = img.TextBytes() // extends past the end
+	return img, 3, -1
+}
+
+// corruptUndecodable stomps method 5's prologue stp (offset 0, never
+// embedded data) with garbage.
+func corruptUndecodable(t *testing.T) (*oat.Image, int, int) {
+	img := buildApp(t, core.CTOOnly())
+	setWord(img, 5, 0, 0xFFFFFFFF)
+	return img, 5, 0
+}
+
+// TestCorruptBranch: a conditional branch escaping its method is the
+// acceptance criterion's "deliberately corrupted image" case. The
+// finding must name the method and the offset.
+func TestCorruptBranch(t *testing.T) {
+	img, m, off := corruptBranch(t)
+	wantFinding(t, img, analysis.RuleBranchTarget, dex.MethodID(m), off)
+}
+
+// TestCorruptBranchMetadata is the single-bit-flip case: even when the
+// flipped target still lands on some instruction boundary, the metadata
+// cross-check catches it.
+func TestCorruptBranchMetadata(t *testing.T) {
+	img, m, off := corruptBranchMetadata(t)
+	wantFinding(t, img, analysis.RuleMetadata, dex.MethodID(m), off)
+}
+
+// TestCorruptBlobExit: the blob no longer returns through the canonical
+// exit and must be flagged, and every method is still analyzed without
+// the replay.
+func TestCorruptBlobExit(t *testing.T) {
+	img, _, _ := corruptBlobExit(t)
+	var hit bool
+	for _, fd := range analysis.Lint(img) {
+		if fd.Rule == analysis.RuleBlobShape && fd.Method == analysis.NoMethod {
+			hit = true
+		}
+	}
+	if !hit {
+		t.Error("corrupted outlined-function exit produced no blob-shape finding")
+	}
+}
+
+// TestCorruptCallIntoBlobInterior: a bl into the middle of an outlined
+// function is a blob-entry error at the call site.
+func TestCorruptCallIntoBlobInterior(t *testing.T) {
+	img, m, off := corruptCallIntoBlobInterior(t)
+	wantFinding(t, img, analysis.RuleBlobEntry, dex.MethodID(m), off)
+}
+
+// TestCorruptEpilogue: an unbalanced epilogue is an sp-balance error.
+func TestCorruptEpilogue(t *testing.T) {
+	img, m, _ := corruptEpilogue(t)
+	var hit bool
+	for _, f := range analysis.Lint(img) {
+		if f.Rule == analysis.RuleSPBalance && f.Method == dex.MethodID(m) {
+			hit = true
+		}
+	}
+	if !hit {
+		t.Error("unbalanced epilogue produced no sp-balance finding")
+	}
+}
+
+// TestCorruptCalleeSaved: a restore into the wrong register leaves a
+// callee-saved register dirty at ret.
+func TestCorruptCalleeSaved(t *testing.T) {
+	img, m, _ := corruptCalleeSaved(t)
 	var hit bool
 	for _, f := range analysis.Lint(img) {
 		if f.Rule == analysis.RuleCalleeSaved && f.Method == dex.MethodID(m) {
@@ -218,10 +291,9 @@ func TestCorruptCalleeSaved(t *testing.T) {
 	}
 }
 
-// TestCorruptRecord pushes a method record past the text end.
+// TestCorruptRecord: an oversized method record is a record error.
 func TestCorruptRecord(t *testing.T) {
-	img := buildApp(t, core.Baseline())
-	img.Methods[3].Size = img.TextBytes() // extends past the end
+	img, _, _ := corruptRecord(t)
 	var hit bool
 	for _, f := range analysis.Lint(img) {
 		if f.Rule == analysis.RuleRecord {
@@ -233,14 +305,10 @@ func TestCorruptRecord(t *testing.T) {
 	}
 }
 
-// TestCorruptUndecodable stomps an instruction word with garbage.
+// TestCorruptUndecodable: a garbage word is a decode error at its offset.
 func TestCorruptUndecodable(t *testing.T) {
-	img := buildApp(t, core.CTOOnly())
-	rec := img.Methods[5]
-	// Offset 0 is the prologue stp: never embedded data.
-	setWord(img, 5, 0, 0xFFFFFFFF)
-	_ = rec
-	wantFinding(t, img, analysis.RuleDecode, dex.MethodID(5), 0)
+	img, m, off := corruptUndecodable(t)
+	wantFinding(t, img, analysis.RuleDecode, dex.MethodID(m), off)
 }
 
 // TestMethodCFG exercises the public per-method CFG entry point.

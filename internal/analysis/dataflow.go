@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"sort"
-
 	"repro/internal/a64"
 	"repro/internal/codegen"
 )
@@ -21,12 +19,12 @@ import (
 //
 // The abstraction is deliberately small: sp is an exact byte delta from
 // entry, each register is either clean (still holds its entry value) or
-// dirty, and the only memory modeled is the method's own frame, as a map
-// from entry-relative sp offsets to the callee-saved register whose entry
-// value was spilled there. Calls clobber the AAPCS caller-saved set;
-// calls into outlined functions replay the blob body inline, because an
-// outlined prologue/epilogue fragment saves or restores registers on the
-// caller's behalf.
+// dirty, and the only memory modeled is the method's own frame, as a
+// short vector of (entry-relative sp offset, callee-saved register whose
+// entry value was spilled there) pairs sorted by offset. Calls clobber
+// the AAPCS caller-saved set; calls into outlined functions replay the
+// blob body inline, because an outlined prologue/epilogue fragment saves
+// or restores registers on the caller's behalf.
 
 // spUnknown poisons the sp delta after an untracked sp write.
 const spUnknown = int64(-1) << 62
@@ -39,27 +37,66 @@ const calleeSavedMask = 0x3FF8_0000
 // callerSavedMask covers x0..x17, clobbered by any real call.
 const callerSavedMask = 0x0003_FFFF
 
+// slot is one tracked frame save: the callee-saved (or link) register
+// whose entry value was spilled at entry-relative sp offset off.
+type slot struct {
+	off int64
+	reg a64.Reg
+}
+
 // absState is the abstract machine state at one program point.
 type absState struct {
-	sp    int64             // sp delta from method entry, in bytes
-	dirty uint32            // bit r: xr no longer holds its entry value
-	slots map[int64]a64.Reg // entry-relative frame offset -> reg saved there
+	sp    int64  // sp delta from method entry, in bytes
+	dirty uint32 // bit r: xr no longer holds its entry value
+	slots []slot // tracked frame saves, sorted by off, one per offset
 }
 
-func newEntryState() *absState {
-	return &absState{slots: map[int64]a64.Reg{}}
-}
-
-func (s *absState) clone() *absState {
-	c := &absState{sp: s.sp, dirty: s.dirty, slots: make(map[int64]a64.Reg, len(s.slots))}
-	for k, v := range s.slots {
-		c.slots[k] = v
+// find returns the index of the first slot at or above off, and whether
+// it is exactly off. Frames save a handful of registers, so a linear scan
+// suffices.
+func (s *absState) find(off int64) (int, bool) {
+	for i := range s.slots {
+		if s.slots[i].off >= off {
+			return i, s.slots[i].off == off
+		}
 	}
-	return c
+	return len(s.slots), false
+}
+
+func (s *absState) get(off int64) (a64.Reg, bool) {
+	if i, ok := s.find(off); ok {
+		return s.slots[i].reg, true
+	}
+	return 0, false
+}
+
+func (s *absState) set(off int64, reg a64.Reg) {
+	i, ok := s.find(off)
+	if ok {
+		s.slots[i].reg = reg
+		return
+	}
+	s.slots = append(s.slots, slot{})
+	copy(s.slots[i+1:], s.slots[i:])
+	s.slots[i] = slot{off, reg}
+}
+
+func (s *absState) del(off int64) {
+	if i, ok := s.find(off); ok {
+		s.slots = append(s.slots[:i], s.slots[i+1:]...)
+	}
+}
+
+// copyFrom overwrites s with src, reusing s's slot storage.
+func (s *absState) copyFrom(src *absState) {
+	s.sp, s.dirty = src.sp, src.dirty
+	s.slots = append(s.slots[:0], src.slots...)
 }
 
 // mergeInto folds s into dst, reporting whether dst changed and whether
-// the stack deltas disagree (the caller turns that into a finding).
+// the stack deltas disagree (the caller turns that into a finding). A
+// slot of dst survives only when s holds the same register at the same
+// offset, so dst's slots only ever shrink, in place.
 func (s *absState) mergeInto(dst *absState) (changed, spConflict bool) {
 	if dst.sp != s.sp {
 		if dst.sp != spUnknown {
@@ -74,11 +111,18 @@ func (s *absState) mergeInto(dst *absState) (changed, spConflict bool) {
 		dst.dirty = d
 		changed = true
 	}
-	for k, v := range dst.slots {
-		if s.slots[k] != v {
-			delete(dst.slots, k)
-			changed = true
+	kept, j := dst.slots[:0], 0
+	for _, d := range dst.slots {
+		for j < len(s.slots) && s.slots[j].off < d.off {
+			j++
 		}
+		if j < len(s.slots) && s.slots[j] == d {
+			kept = append(kept, d)
+		}
+	}
+	if len(kept) != len(dst.slots) {
+		dst.slots = kept
+		changed = true
 	}
 	return changed, spConflict
 }
@@ -96,9 +140,9 @@ func (s *absState) isClean(r a64.Reg) bool { return r < 31 && s.dirty&(1<<r) == 
 // save; anything else kills whatever the slot held.
 func (s *absState) store(addr int64, reg a64.Reg) {
 	if reg < 31 && s.isClean(reg) && (calleeSavedMask|1<<a64.LR)&(1<<reg) != 0 {
-		s.slots[addr] = reg
+		s.set(addr, reg)
 	} else {
-		delete(s.slots, addr)
+		s.del(addr)
 	}
 }
 
@@ -108,7 +152,7 @@ func (s *absState) load(addr int64, reg a64.Reg) {
 	if reg >= 31 {
 		return
 	}
-	if saved, ok := s.slots[addr]; ok && saved == reg {
+	if saved, ok := s.get(addr); ok && saved == reg {
 		s.dirty &^= 1 << reg
 		return
 	}
@@ -168,7 +212,7 @@ func (mc *methodCtx) transfer(s *absState, off int, inst a64.Inst) bool {
 			if inst.Sf {
 				s.store(s.sp+inst.Imm, inst.Rd)
 			} else {
-				delete(s.slots, s.sp+inst.Imm)
+				s.del(s.sp + inst.Imm)
 			}
 		}
 
@@ -249,35 +293,59 @@ func (mc *methodCtx) checkRet(s *absState, off int, inst a64.Inst) {
 	}
 }
 
+// stateHeight is the height of the in-state lattice without its slots:
+// the first visit, sp going to unknown once, and 31 dirty bits. Merges
+// only descend (sp is poisoned once, dirty bits are added, slots are
+// deleted), so a block whose first in-state holds k slots is queued at
+// most stateHeight+k times.
+const stateHeight = 2 + 31
+
 // runDataflow drives the worklist to a fixpoint over the recovered CFG.
 // It requires a sound decode (checkCFI found every word an instruction)
-// and a recovered CFG.
+// and a recovered CFG. Visits are bounded by the lattice height summed
+// over the blocks reached so far, which a correct fixpoint never
+// exceeds; if it ever does, the method is refused rather than passed
+// with its invariants unproven.
 func (mc *methodCtx) runDataflow() {
 	if !mc.sound || mc.cfg == nil || len(mc.cfg.Blocks) == 0 {
 		return
 	}
 	mc.checkStackProbe()
 
+	const (
+		seen = 1 << iota
+		queued
+		spReported
+	)
 	n := len(mc.cfg.Blocks)
-	in := make([]*absState, n)
-	in[0] = newEntryState()
-	spReported := make([]bool, n)
-	work := []int{0}
-	queued := make([]bool, n)
-	queued[0] = true
-	steps := 0
-	for len(work) > 0 {
-		bi := work[0]
-		work = work[1:]
-		queued[bi] = false
-		if steps++; steps > 4*n+64 {
-			return // defensive bound; the lattice converges long before this
+	in := make([]absState, n) // in[0] is the entry state: sp 0, all clean, no slots
+	flags := make([]uint8, n)
+	var arena []slot       // backs the slots of every in-state
+	work := make([]int, n) // FIFO ring: a block is queued at most once at a time
+	head, size := 0, 0
+	push := func(b int) {
+		work[(head+size)%n] = b
+		size++
+		flags[b] |= queued
+	}
+	flags[0] = seen
+	push(0)
+	budget, steps := stateHeight, 0
+	var st absState // scratch state, refilled for every visit
+	for size > 0 {
+		bi := work[head]
+		head, size = (head+1)%n, size-1
+		flags[bi] &^= queued
+		if steps++; steps > budget {
+			mc.errf(mc.cfg.Blocks[bi].Start, RuleSPBalance,
+				"dataflow exceeded the lattice height (%d block visits); stack and register discipline unproven", budget)
+			return
 		}
-		st := in[bi].clone()
+		st.copyFrom(&in[bi])
 		b := mc.cfg.Blocks[bi]
 		okPath := true
 		for w := b.Start / a64.WordSize; w < b.End/a64.WordSize; w++ {
-			if !mc.transfer(st, w*a64.WordSize, mc.insts[w]) {
+			if !mc.transfer(&st, w*a64.WordSize, mc.insts[w]) {
 				okPath = false
 				break
 			}
@@ -286,23 +354,29 @@ func (mc *methodCtx) runDataflow() {
 			continue
 		}
 		for _, succ := range b.Succs {
-			if in[succ] == nil {
-				in[succ] = st.clone()
-				if !queued[succ] {
-					work = append(work, succ)
-					queued[succ] = true
+			if flags[succ]&seen == 0 {
+				// In-states only shrink under merge, so the capped arena
+				// window never has to grow. A full arena is replaced, not
+				// grown, with room for n more windows of this width.
+				k := len(st.slots)
+				if cap(arena)-len(arena) < k {
+					arena = make([]slot, 0, k*n)
 				}
+				arena = append(arena, st.slots...)
+				in[succ] = absState{sp: st.sp, dirty: st.dirty, slots: arena[len(arena)-k : len(arena) : len(arena)]}
+				flags[succ] |= seen
+				budget += stateHeight + k
+				push(succ)
 				continue
 			}
-			changed, conflict := st.mergeInto(in[succ])
-			if conflict && !spReported[succ] {
-				spReported[succ] = true
+			changed, conflict := st.mergeInto(&in[succ])
+			if conflict && flags[succ]&spReported == 0 {
+				flags[succ] |= spReported
 				mc.errf(mc.cfg.Blocks[succ].Start, RuleSPBalance,
 					"paths reach this block with different sp adjustments")
 			}
-			if changed && !queued[succ] {
-				work = append(work, succ)
-				queued[succ] = true
+			if changed && flags[succ]&queued == 0 {
+				push(succ)
 			}
 		}
 	}
@@ -369,19 +443,14 @@ func (mc *methodCtx) checkStackProbe() {
 
 // regList renders a register bitmask for diagnostics.
 func regList(mask uint32) string {
-	var regs []int
+	out := ""
 	for r := 0; r < 31; r++ {
 		if mask&(1<<r) != 0 {
-			regs = append(regs, r)
+			if out != "" {
+				out += ","
+			}
+			out += "x" + itoa(r)
 		}
-	}
-	sort.Ints(regs)
-	out := ""
-	for i, r := range regs {
-		if i > 0 {
-			out += ","
-		}
-		out += "x" + itoa(r)
 	}
 	return out
 }

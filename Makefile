@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci build vet lint test test-short race fuzz bench bench-obs bench-cache bench-smoke serve-smoke replay-smoke fleet-smoke bench-serve reoutline-smoke bench-reoutline
+.PHONY: ci build vet lint test test-short race layerbench-check fuzz bench bench-obs bench-cache bench-smoke serve-smoke replay-smoke fleet-smoke bench-serve reoutline-smoke bench-reoutline
 
 # ci is the gate every change must pass: compile everything, lint
 # everything (vet always, staticcheck when installed), run the full test
@@ -8,8 +8,9 @@ GO ?= go
 # fans out per-method work since -j), smoke the observability benchmarks,
 # smoke the serving daemon, replay the fixed-seed workload with its
 # asserted served/rejected counts, smoke the multi-daemon fleet against a
-# shared calibrocached, and smoke the post-hoc re-outlining pipeline.
-ci: build lint test race bench-smoke serve-smoke replay-smoke fleet-smoke reoutline-smoke
+# shared calibrocached, smoke the post-hoc re-outlining pipeline, and
+# compile the layer benchmark module against the current API.
+ci: build lint test race layerbench-check bench-smoke serve-smoke replay-smoke fleet-smoke reoutline-smoke
 
 build:
 	$(GO) build ./...
@@ -36,6 +37,13 @@ test-short:
 # breaker, cacheserver long-poll waiters, cross-daemon single-flight).
 race:
 	$(GO) test -race -short ./...
+
+# layerbench-check vets and unit-tests the layer benchmark. layerbench/ is
+# a separate module, so `go build ./...` at the root never compiles it and
+# an API change could break the benchmark silently. vet type-checks
+# without writing a binary into the tree.
+layerbench-check:
+	cd layerbench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz gives the serialization, lint, call-graph, and remote-cache wire
 # fuzzers a short budget each. FuzzRemoteFrame attacks the client half of

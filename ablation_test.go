@@ -7,6 +7,7 @@ package calibro
 // probe *why* the design is what it is.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -24,11 +25,11 @@ func ablationApp(b *testing.B) *appBundle {
 }
 
 func outlineWith(b *testing.B, ab *appBundle, opts outline.Options) (*oat.Image, *outline.Stats) {
-	methods, err := codegen.Compile(ab.app, codegen.Options{CTO: true, Optimize: true})
+	methods, err := codegen.CompileCtx(context.Background(), ab.app, codegen.Options{CTO: true, Optimize: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	blobs, stats, err := outline.Run(methods, opts)
+	blobs, stats, err := outline.RunCtx(context.Background(), methods, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func BenchmarkAblationHotFraction(b *testing.B) {
 				cfg.Profile = prof
 				cfg.HotFraction = frac
 			}
-			res, err := core.Build(ab.app, cfg)
+			res, err := core.BuildCtx(context.Background(), ab.app, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

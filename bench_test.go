@@ -12,6 +12,7 @@ package calibro
 // against the paper.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -529,7 +530,7 @@ func BenchmarkCompileWorkers(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				methods, err := codegen.Compile(wechat.app, codegen.Options{
+				methods, err := codegen.CompileCtx(context.Background(), wechat.app, codegen.Options{
 					CTO: true, Optimize: true, Workers: j,
 				})
 				if err != nil {
@@ -568,7 +569,7 @@ func BenchmarkCompileScalingSmoke(b *testing.B) {
 		best := math.MaxFloat64
 		for r := 0; r < 3; r++ {
 			t0 := time.Now()
-			if _, err := codegen.Compile(wechat.app, codegen.Options{
+			if _, err := codegen.CompileCtx(context.Background(), wechat.app, codegen.Options{
 				CTO: true, Optimize: true, Workers: j,
 			}); err != nil {
 				b.Fatal(err)

@@ -164,22 +164,14 @@ func Script(man *AppManifest, rounds int, seed int64) []ScriptRun {
 // per-method stages (compile, outline, rewrite verification, image lint)
 // fan out on Config.Workers goroutines — <= 0 selects GOMAXPROCS — and
 // the linked image is byte-identical for every width.
-func Build(app *App, cfg Config) (*BuildResult, error) { return core.Build(app, cfg) }
-
-// BuildCtx is Build with cooperative cancellation: every parallel stage
-// checks ctx before starting each per-method task, so a cancelled or
-// deadline-expired context stops the build promptly and returns ctx.Err().
-// A build that completes is byte-identical to Build's — the context
-// changes scheduling, never output. This is what calibrod threads each
-// job's deadline through.
-func BuildCtx(ctx context.Context, app *App, cfg Config) (*BuildResult, error) {
-	return core.BuildCtx(ctx, app, cfg)
+func Build(app *App, cfg Config) (*BuildResult, error) {
+	return core.BuildCtx(context.Background(), app, cfg)
 }
 
 // ProfileGuidedBuild runs the Figure 6 loop: build, profile the script,
 // rebuild with hot-function filtering.
 func ProfileGuidedBuild(app *App, cfg Config, script []ScriptRun) (*BuildResult, *Profile, error) {
-	return core.ProfileGuidedBuild(app, cfg, script)
+	return core.ProfileGuidedBuildCtx(context.Background(), app, cfg, script)
 }
 
 // Configuration constructors mirroring the paper's evaluation ladder.
@@ -254,23 +246,20 @@ func CountPatterns(res *BuildResult) PatternCounts {
 // control-flow integrity, and the stack/register dataflow checks — and
 // returns the findings that should block loading it (warnings and
 // errors). It needs nothing but the image, so it works on untrusted or
-// cached images long after the build that produced them.
-func LintImage(img *Image) []Finding { return analysis.Lint(img) }
-
-// LintImageParallel is LintImage with an explicit worker count (<= 0
-// selects GOMAXPROCS); findings and their order do not depend on it.
-func LintImageParallel(img *Image, workers int) []Finding {
-	return analysis.LintParallel(img, workers)
+// cached images long after the build that produced them. Findings and
+// their order do not depend on GOMAXPROCS.
+func LintImage(img *Image) []Finding {
+	// A background context never cancels, so the error is impossible.
+	findings, _ := analysis.LintCtx(context.Background(), img, 0, nil)
+	return findings
 }
 
 // AnalyzeImage runs the same verifier and returns the full report,
 // including advisory findings and per-method CFG statistics.
-func AnalyzeImage(img *Image) *LintReport { return analysis.Analyze(img) }
-
-// AnalyzeImageParallel is AnalyzeImage with an explicit worker count
-// (<= 0 selects GOMAXPROCS); the report does not depend on it.
-func AnalyzeImageParallel(img *Image, workers int) *LintReport {
-	return analysis.AnalyzeParallel(img, workers)
+func AnalyzeImage(img *Image) *LintReport {
+	// A background context never cancels, so the error is impossible.
+	rep, _ := analysis.AnalyzeCtx(context.Background(), img, 0, nil)
+	return rep
 }
 
 // RecoverCFG reconstructs one method's control-flow graph from a linked
@@ -285,7 +274,7 @@ func RecoverCFG(img *Image, id MethodID) (*CFG, []Finding) {
 // from the materialized ArtMethod constants. Unresolvable sites become
 // conservative unknown edges and advisory findings, never guesses.
 func BuildCallGraph(img *Image) (*CallGraph, []Finding) {
-	return analysis.BuildCallGraph(img)
+	return analysis.BuildCallGraphCtx(context.Background(), img, 0)
 }
 
 // DebloatImage rewrites a linked image, removing every method body,
@@ -294,7 +283,7 @@ func BuildCallGraph(img *Image) (*CallGraph, []Finding) {
 // imprecision, and re-verifies its output with the full lint. The pass is
 // idempotent: debloating a debloated image is byte-identical.
 func DebloatImage(img *Image, cfg DebloatConfig) (*Image, *DebloatStats, error) {
-	return core.DebloatImage(img, cfg)
+	return core.DebloatImageCtx(context.Background(), img, cfg)
 }
 
 // ReoutlineImage re-outlines an already-linked image with no access to
@@ -305,7 +294,7 @@ func DebloatImage(img *Image, cfg DebloatConfig) (*Image, *DebloatStats, error) 
 // are byte-preserved. The pass is idempotent: re-outlining a re-outlined
 // image is byte-identical.
 func ReoutlineImage(img *Image, cfg ReoutlineConfig) (*Image, *ReoutlineStats, error) {
-	return core.ReoutlineImage(img, cfg)
+	return core.ReoutlineImageCtx(context.Background(), img, cfg)
 }
 
 // LintRules lists the registered oatlint rules in registration order.

@@ -136,7 +136,8 @@ func run(args []string, out, errOut io.Writer) int {
 	sp := tracer.Start("stage", "lint").Arg("methods", int64(len(img.Methods)))
 	var rep *analysis.Report
 	if *rules == "" {
-		rep = analysis.AnalyzeTraced(img, *workers, tracer)
+		// A background context never cancels, so the error is impossible.
+		rep, _ = analysis.AnalyzeCtx(context.Background(), img, *workers, tracer)
 	} else {
 		spec, err := analysis.ParseRuleSpec(*rules)
 		if err != nil {
@@ -161,7 +162,7 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 
 	if *dumpCG || *dumpRch {
-		cg, _ := analysis.BuildCallGraph(img)
+		cg, _ := analysis.BuildCallGraphCtx(context.Background(), img, 0)
 		if *dumpCG {
 			if err := cg.WriteDump(out); err != nil {
 				fmt.Fprintln(errOut, "oatlint:", err)

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -50,7 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := core.Build(app, core.Baseline())
+	res, err := core.BuildCtx(context.Background(), app, core.Baseline())
 	if err != nil {
 		log.Fatal(err)
 	}

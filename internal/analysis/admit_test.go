@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func pinnedIndirectImage(t *testing.T) *oat.Image {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Build(app, core.Baseline())
+	res, err := core.BuildCtx(context.Background(), app, core.Baseline())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +49,10 @@ func pinnedIndirectImage(t *testing.T) *oat.Image {
 	img.Text[m0+12] = a64.MustEncode(a64.Inst{Op: a64.OpMovz, Sf: true, Rd: a64.LR, Imm: target & 0xffff})
 	img.Text[m0+13] = a64.MustEncode(a64.Inst{Op: a64.OpMovk, Sf: true, Rd: a64.LR, Imm: target >> 16, HW: 1})
 	img.Text[m0+14] = a64.MustEncode(a64.Inst{Op: a64.OpNop})
-	if fs := analysis.Lint(img); len(fs) > 0 {
+	if fs := lint(t, img); len(fs) > 0 {
 		t.Fatalf("pinned image does not lint clean: %s", fs[0])
 	}
-	cg, _ := analysis.BuildCallGraph(img)
+	cg, _ := analysis.BuildCallGraphCtx(context.Background(), img, 0)
 	if id, off, pinned := analysis.PinnedIndirect(img, cg); !pinned || id != 0 || off != 0x3c {
 		t.Fatalf("PinnedIndirect = m%d+%#x %v, want m0+0x3c true", id, off, pinned)
 	}
@@ -65,12 +66,12 @@ func pinnedIndirectImage(t *testing.T) *oat.Image {
 // re-verification runs only the per-method rules, which cannot see it.
 func TestPinnedIndirectRefused(t *testing.T) {
 	img := pinnedIndirectImage(t)
-	if _, _, err := analysis.Debloat(img, analysis.RootSet{Methods: []dex.MethodID{0}}); err == nil ||
+	if _, _, err := analysis.DebloatCtx(context.Background(), img, analysis.RootSet{Methods: []dex.MethodID{0}}, 0, nil); err == nil ||
 		!strings.Contains(err.Error(), "pins the layout") {
 		t.Errorf("Debloat: err = %v, want a pinned-layout refusal", err)
 	}
-	if _, _, err := reoutline.Run(img, reoutline.Config{}); err == nil ||
+	if _, _, err := reoutline.RunCtx(context.Background(), img, reoutline.Config{}); err == nil ||
 		!strings.Contains(err.Error(), "pins the layout") {
-		t.Errorf("reoutline.Run: err = %v, want a pinned-layout refusal", err)
+		t.Errorf("reoutline.RunCtx: err = %v, want a pinned-layout refusal", err)
 	}
 }

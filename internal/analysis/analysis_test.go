@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,6 +11,26 @@ import (
 	"repro/internal/dex"
 	"repro/internal/oat"
 )
+
+// lint returns the image's warnings and errors at GOMAXPROCS width.
+func lint(t testing.TB, img *oat.Image) []analysis.Finding {
+	t.Helper()
+	fs, err := analysis.LintCtx(context.Background(), img, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// analyze returns the image's full report at the given worker width.
+func analyze(t testing.TB, img *oat.Image, workers int) *analysis.Report {
+	t.Helper()
+	rep, err := analysis.AnalyzeCtx(context.Background(), img, workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
 
 // findInst locates the first instruction in method m matching pred,
 // returning its method-relative byte offset.
@@ -48,7 +69,7 @@ func setWord(img *oat.Image, m, off int, word uint32) {
 // finding under rule naming the given method and offset.
 func wantFinding(t *testing.T, img *oat.Image, rule string, m dex.MethodID, off int) {
 	t.Helper()
-	findings := analysis.Lint(img)
+	findings := lint(t, img)
 	for _, f := range findings {
 		if f.Rule == rule && f.Method == m && f.Off == off {
 			t.Logf("finding: %s", f)
@@ -245,7 +266,7 @@ func TestCorruptBranchMetadata(t *testing.T) {
 func TestCorruptBlobExit(t *testing.T) {
 	img, _, _ := corruptBlobExit(t)
 	var hit bool
-	for _, fd := range analysis.Lint(img) {
+	for _, fd := range lint(t, img) {
 		if fd.Rule == analysis.RuleBlobShape && fd.Method == analysis.NoMethod {
 			hit = true
 		}
@@ -266,7 +287,7 @@ func TestCorruptCallIntoBlobInterior(t *testing.T) {
 func TestCorruptEpilogue(t *testing.T) {
 	img, m, _ := corruptEpilogue(t)
 	var hit bool
-	for _, f := range analysis.Lint(img) {
+	for _, f := range lint(t, img) {
 		if f.Rule == analysis.RuleSPBalance && f.Method == dex.MethodID(m) {
 			hit = true
 		}
@@ -281,7 +302,7 @@ func TestCorruptEpilogue(t *testing.T) {
 func TestCorruptCalleeSaved(t *testing.T) {
 	img, m, _ := corruptCalleeSaved(t)
 	var hit bool
-	for _, f := range analysis.Lint(img) {
+	for _, f := range lint(t, img) {
 		if f.Rule == analysis.RuleCalleeSaved && f.Method == dex.MethodID(m) {
 			hit = true
 		}
@@ -295,7 +316,7 @@ func TestCorruptCalleeSaved(t *testing.T) {
 func TestCorruptRecord(t *testing.T) {
 	img, _, _ := corruptRecord(t)
 	var hit bool
-	for _, f := range analysis.Lint(img) {
+	for _, f := range lint(t, img) {
 		if f.Rule == analysis.RuleRecord {
 			hit = true
 		}

@@ -1,9 +1,9 @@
 package analysis_test
 
 import (
+	"context"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -24,14 +24,14 @@ func BenchmarkAnalyze(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := core.Build(app, core.CTOLTBO())
+			res, err := core.BuildCtx(context.Background(), app, core.CTOLTBO())
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if rep := analysis.Analyze(res.Image); rep.ErrorCount() != 0 {
+				if rep := analyze(b, res.Image, 0); rep.ErrorCount() != 0 {
 					b.Fatalf("clean build reports %d errors", rep.ErrorCount())
 				}
 			}

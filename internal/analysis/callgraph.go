@@ -125,18 +125,14 @@ func (cg *CallGraph) NumEdges() int {
 	return n
 }
 
-// BuildCallGraph recovers the whole-image call graph. It never panics on
+// BuildCallGraphCtx recovers the whole-image call graph on at most
+// workers goroutines (<= 0 selects GOMAXPROCS). It never panics on
 // malformed input: corrupt records degrade to findings plus conservative
 // (Corrupt/Unknown) nodes. The findings include the record-table and
 // blob-shape diagnostics the layout pass produces, so a standalone caller
-// sees every structural reason an edge is missing.
-func BuildCallGraph(img *oat.Image) (*CallGraph, []Finding) {
-	return BuildCallGraphCtx(context.Background(), img, 0)
-}
-
-// BuildCallGraphCtx is BuildCallGraph with cooperative cancellation and an
-// explicit worker count (<= 0 selects GOMAXPROCS). The graph and findings
-// are byte-identical for every width.
+// sees every structural reason an edge is missing. The graph and findings
+// are byte-identical for every width. When ctx is cancelled before the
+// walk completes it returns (nil, nil).
 func BuildCallGraphCtx(ctx context.Context, img *oat.Image, workers int) (*CallGraph, []Finding) {
 	var fs findings
 	l := buildLayout(img, &fs)

@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"testing"
 
@@ -28,7 +29,7 @@ func FuzzCallGraph(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	res, err := core.Build(app, core.CTOLTBO())
+	res, err := core.BuildCtx(context.Background(), app, core.CTOLTBO())
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func FuzzCallGraph(f *testing.F) {
 		if err != nil {
 			return
 		}
-		cg, findings := analysis.BuildCallGraph(img)
+		cg, findings := analysis.BuildCallGraphCtx(context.Background(), img, 0)
 		if len(cg.Nodes) != len(img.Methods) {
 			t.Fatalf("graph covers %d of %d methods", len(cg.Nodes), len(img.Methods))
 		}
@@ -89,14 +90,14 @@ func FuzzCallGraph(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		out, _, err := analysis.Debloat(img, analysis.DefaultRoots())
+		out, _, err := analysis.DebloatCtx(context.Background(), img, analysis.DefaultRoots(), 0, nil)
 		if err != nil {
 			return // refused
 		}
 		if err := out.Validate(); err != nil {
 			t.Fatalf("admitted image debloated into an invalid one: %v", err)
 		}
-		out2, _, err := analysis.Debloat(out, analysis.DefaultRoots())
+		out2, _, err := analysis.DebloatCtx(context.Background(), out, analysis.DefaultRoots(), 0, nil)
 		if err != nil {
 			t.Fatalf("debloat refused its own output: %v", err)
 		}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -69,7 +70,10 @@ func TestNestedLoopsConverge(t *testing.T) {
 	for _, depth := range []int{1, 12, 15, 19} {
 		t.Run(fmt.Sprint(depth), func(t *testing.T) {
 			img := nestedLoopImage(t, depth)
-			rep := Analyze(img)
+			rep, err := AnalyzeCtx(context.Background(), img, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			retOff := img.Methods[0].Size - a64.WordSize
 			var got []string
 			ok := len(rep.Findings) > 0

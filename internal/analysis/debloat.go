@@ -54,14 +54,11 @@ type DebloatStats struct {
 	DeadMethods []dex.MethodID
 }
 
-// Debloat rewrites an image keeping only code reachable from roots.
-func Debloat(img *oat.Image, roots RootSet) (*oat.Image, *DebloatStats, error) {
-	return DebloatCtx(context.Background(), img, roots, 0, nil)
-}
-
-// DebloatCtx is Debloat with cooperative cancellation, an explicit
-// analysis worker count, and telemetry. The output image is byte-
-// identical for every worker width.
+// DebloatCtx rewrites an image keeping only code reachable from roots,
+// running the analysis on at most workers goroutines (<= 0 selects
+// GOMAXPROCS) and recording telemetry on tracer (nil records nothing).
+// It honours ctx cancellation. The output image is byte-identical for
+// every worker width.
 func DebloatCtx(ctx context.Context, img *oat.Image, roots RootSet, workers int, tracer *obs.Tracer) (*oat.Image, *DebloatStats, error) {
 	if len(roots.Methods) == 0 && !roots.NoCallers {
 		roots = DefaultRoots()

@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestLintLadder(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, c := range ladderConfigs() {
-				res, err := core.Build(app, c.cfg)
+				res, err := core.BuildCtx(context.Background(), app, c.cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", c.name, err)
 				}
@@ -71,7 +72,7 @@ func TestLintLadder(t *testing.T) {
 
 func assertClean(t *testing.T, what string, img *oat.Image) {
 	t.Helper()
-	findings := analysis.Lint(img)
+	findings := lint(t, img)
 	for i, f := range findings {
 		if i == 12 {
 			t.Errorf("... and %d more", len(findings)-i)
@@ -84,7 +85,7 @@ func assertClean(t *testing.T, what string, img *oat.Image) {
 // TestAnalyzeReport sanity-checks the report statistics on one build.
 func TestAnalyzeReport(t *testing.T) {
 	img := buildApp(t, core.CTOLTBO())
-	rep := analysis.Analyze(img)
+	rep := analyze(t, img, 0)
 	if len(rep.Methods) != len(img.Methods) {
 		t.Fatalf("report covers %d methods, image has %d", len(rep.Methods), len(img.Methods))
 	}
@@ -123,22 +124,26 @@ func buildApp(t *testing.T, cfg core.Config) *oat.Image {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Build(app, cfg)
+	res, err := core.BuildCtx(context.Background(), app, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res.Image
 }
 
-func ExampleLint() {
+func ExampleLintCtx() {
 	app, _, err := workload.Generate(workload.Profile{Name: "ex", Seed: 7, Methods: 25})
 	if err != nil {
 		panic(err)
 	}
-	res, err := core.Build(app, core.CTOLTBO())
+	res, err := core.BuildCtx(context.Background(), app, core.CTOLTBO())
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(len(analysis.Lint(res.Image)))
+	findings, err := analysis.LintCtx(context.Background(), res.Image, 0, nil)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(len(findings))
 	// Output: 0
 }

@@ -153,7 +153,7 @@ func flattenMethod(lay *layout, mi int) ([]flatTok, bool) {
 // reoutlinedBodyRule proves flatten-equivalence of every method across a
 // paired run: expanding outlined calls and normalizing PC-relative
 // displacements must reproduce the original stream exactly. This is the
-// interprocedural analogue of outline.VerifyRewrite — it needs no
+// interprocedural analogue of outline.VerifyRewriteCtx — it needs no
 // compile-time snapshot, only the two images.
 type reoutlinedBodyRule struct{}
 

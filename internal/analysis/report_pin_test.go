@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -16,7 +17,7 @@ import (
 	"repro/internal/workload"
 )
 
-// TestAnalyzeReportPin pins the full Analyze report — every finding's
+// TestAnalyzeReportPin pins the full AnalyzeCtx report — every finding's
 // severity, method, offset, rule and message, every MethodSummary, and
 // the image-level counts — over the six ladder apps at scale 0.03 under
 // CTO-only and CTO+LTBO, their debloat (roots = the manifest's drivers)
@@ -27,7 +28,7 @@ import (
 func TestAnalyzeReportPin(t *testing.T) {
 	var sb strings.Builder
 	pin := func(name string, img *oat.Image) {
-		rep := analysis.Analyze(img)
+		rep := analyze(t, img, 0)
 		h := sha256.New()
 		fmt.Fprintf(h, "thunks=%d outlined=%d text=%d\n", rep.Thunks, rep.Outlined, rep.TextBytes)
 		for _, f := range rep.Findings {
@@ -51,17 +52,17 @@ func TestAnalyzeReportPin(t *testing.T) {
 			cfg  core.Config
 		}{{"cto", core.CTOOnly()}, {"ltbo", core.CTOLTBO()}} {
 			name := prof.Name + "-" + c.name
-			res, err := core.Build(app, c.cfg)
+			res, err := core.BuildCtx(context.Background(), app, c.cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			pin(name, res.Image)
-			deb, _, err := analysis.Debloat(res.Image, roots)
+			deb, _, err := analysis.DebloatCtx(context.Background(), res.Image, roots, 0, nil)
 			if err != nil {
 				t.Fatalf("%s: debloat: %v", name, err)
 			}
 			pin(name+"-debloat", deb)
-			re, _, err := reoutline.Run(res.Image, reoutline.Config{})
+			re, _, err := reoutline.RunCtx(context.Background(), res.Image, reoutline.Config{})
 			if err != nil {
 				t.Fatalf("%s: reoutline: %v", name, err)
 			}

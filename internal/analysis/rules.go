@@ -15,7 +15,7 @@ import (
 // a registry, enabled and re-graded per run by a RuleSpec (the -rules
 // flag). The legacy per-method checks are ported as filter rules over ONE
 // shared verification pass, so the engine with its default spec produces
-// byte-identical output to the legacy Analyze path — the parity the
+// byte-identical output to the legacy AnalyzeCtx path — the parity the
 // determinism tests pin. The interprocedural rules (unreachable-method,
 // dead-outline-body, call-into-removed-range, recursive-outline-cycle)
 // are engine-only: they need the whole-image call graph, which the
@@ -412,7 +412,7 @@ func RuleByName(name string) (Rule, bool) {
 
 // RuleSpec selects which rules a run evaluates and at what severity.
 // The zero value (and DefaultRuleSpec) enables exactly the legacy rules,
-// reproducing the classic Analyze output.
+// reproducing the classic AnalyzeCtx output.
 type RuleSpec struct {
 	enabled  map[string]bool
 	severity map[string]Severity

@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/a64"
@@ -12,7 +13,7 @@ import (
 
 // TestRuleEngineParity pins the engine's compatibility contract: under the
 // default spec (the legacy rule set) RunRules produces findings identical
-// to the classic Analyze path, on clean and on corrupt images alike.
+// to the classic AnalyzeCtx path, on clean and on corrupt images alike.
 func TestRuleEngineParity(t *testing.T) {
 	clean := buildApp(t, core.CTOLTBO())
 	corrupt := buildApp(t, core.CTOLTBO())
@@ -23,7 +24,7 @@ func TestRuleEngineParity(t *testing.T) {
 		img  *oat.Image
 	}{{"clean", clean}, {"corrupt", corrupt}} {
 		t.Run(tc.name, func(t *testing.T) {
-			legacy := analysis.AnalyzeParallel(tc.img, 3)
+			legacy := analyze(t, tc.img, 3)
 			rep, err := analysis.RunRules(t.Context(), tc.img, nil, analysis.RootSet{}, 3, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -107,7 +108,7 @@ func TestRuleSpecParse(t *testing.T) {
 func TestInterprocRules(t *testing.T) {
 	_, man, img := buildAppFull(t, core.CTOLTBO())
 	roots := analysis.RootSet{Methods: man.Drivers}
-	cg, _ := analysis.BuildCallGraph(img)
+	cg, _ := analysis.BuildCallGraphCtx(context.Background(), img, 0)
 	reach := cg.Reachable(roots)
 	wantDead := map[dex.MethodID]bool{}
 	for _, id := range reach.DeadMethods(cg) {

@@ -2,6 +2,7 @@ package cache_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -181,7 +182,7 @@ func TestVersionSkewIsMiss(t *testing.T) {
 	}
 }
 
-// TestCacheRace hammers one cache from par.Map workers with mixed hits
+// TestCacheRace hammers one cache from par.EachCtx workers with mixed hits
 // and misses on overlapping keys — the access pattern a parallel compile
 // stage produces. Run under `make race`, this is the pool-contention
 // regression test; the assertions also pin that every Get returns either
@@ -197,7 +198,7 @@ func TestCacheRace(t *testing.T) {
 	payload := func(i int) []byte {
 		return bytes.Repeat([]byte{byte(i)}, 16+i%32)
 	}
-	err = par.Each(8, tasks, func(i int) error {
+	err = par.EachCtx(context.Background(), 8, tasks, func(i int) error {
 		k := i % distinct
 		if got, ok := c.Get(key(k)); ok {
 			if !bytes.Equal(got, payload(k)) {

@@ -2,6 +2,7 @@ package cache_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"testing"
@@ -49,7 +50,7 @@ func FuzzRemoteFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	methods, err := codegen.Compile(app, codegen.Options{CTO: true, Optimize: true})
+	methods, err := codegen.CompileCtx(context.Background(), app, codegen.Options{CTO: true, Optimize: true})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -254,7 +254,7 @@ func (r *entryReader) u64() uint64 {
 	return v
 }
 
-// compileCached is the Compile path with the content-addressed cache in
+// compileCached is the CompileCtx path with the content-addressed cache in
 // front of code generation: a hit decodes the stored artifact and skips
 // IR construction and emission entirely; a miss compiles and populates.
 // The per-build hit/miss/byte tallies are plain atomics — the pool's hot

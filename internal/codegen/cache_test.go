@@ -2,6 +2,7 @@ package codegen_test
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -135,7 +136,7 @@ func TestCacheKeyContent(t *testing.T) {
 // re-encoding.
 func TestCachedMethodRoundTrip(t *testing.T) {
 	app := keyApp(t)
-	methods, err := codegen.Compile(app, codegen.Options{CTO: true, Optimize: true})
+	methods, err := codegen.CompileCtx(context.Background(), app, codegen.Options{CTO: true, Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func normalize(cm *codegen.CompiledMethod) *codegen.CompiledMethod {
 // must return errors, never panic, and never accept trailing garbage.
 func TestDecodeCachedMethodRobust(t *testing.T) {
 	app := keyApp(t)
-	methods, err := codegen.Compile(app, codegen.Options{CTO: true, Optimize: true})
+	methods, err := codegen.CompileCtx(context.Background(), app, codegen.Options{CTO: true, Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

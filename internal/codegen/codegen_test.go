@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/a64"
@@ -340,7 +341,7 @@ func TestCompileWholeApp(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range []Options{{}, {CTO: true, Optimize: true}} {
-		methods, err := Compile(app, opts)
+		methods, err := CompileCtx(context.Background(), app, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -31,23 +32,23 @@ func TestConfigLadderShrinksText(t *testing.T) {
 	app, man := testApp(t, 120)
 	script := workload.Script(man, 3, 1)
 
-	base, err := Build(app, Baseline())
+	base, err := BuildCtx(context.Background(), app, Baseline())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cto, err := Build(app, CTOOnly())
+	cto, err := BuildCtx(context.Background(), app, CTOOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Build(app, CTOLTBO())
+	full, err := BuildCtx(context.Background(), app, CTOLTBO())
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Build(app, CTOLTBOPl(6))
+	par, err := BuildCtx(context.Background(), app, CTOLTBOPl(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hf, _, err := ProfileGuidedBuild(app, CTOLTBOPl(6), script)
+	hf, _, err := ProfileGuidedBuildCtx(context.Background(), app, CTOLTBOPl(6), script)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +81,12 @@ func TestAllConfigsBehaveIdentically(t *testing.T) {
 	script := workload.Script(man, 2, 2)
 
 	configs := map[string]func() (*Result, error){
-		"baseline": func() (*Result, error) { return Build(app, Baseline()) },
-		"cto":      func() (*Result, error) { return Build(app, CTOOnly()) },
-		"ltbo":     func() (*Result, error) { return Build(app, CTOLTBO()) },
-		"parallel": func() (*Result, error) { return Build(app, CTOLTBOPl(4)) },
+		"baseline": func() (*Result, error) { return BuildCtx(context.Background(), app, Baseline()) },
+		"cto":      func() (*Result, error) { return BuildCtx(context.Background(), app, CTOOnly()) },
+		"ltbo":     func() (*Result, error) { return BuildCtx(context.Background(), app, CTOLTBO()) },
+		"parallel": func() (*Result, error) { return BuildCtx(context.Background(), app, CTOLTBOPl(4)) },
 		"hotfilter": func() (*Result, error) {
-			r, _, err := ProfileGuidedBuild(app, CTOLTBOPl(4), script)
+			r, _, err := ProfileGuidedBuildCtx(context.Background(), app, CTOLTBOPl(4), script)
 			return r, err
 		},
 	}
@@ -115,7 +116,7 @@ func TestHotFilterRequiresProfile(t *testing.T) {
 	app, _ := testApp(t, 20)
 	cfg := CTOLTBO()
 	cfg.HotFilter = true
-	if _, err := Build(app, cfg); err == nil {
+	if _, err := BuildCtx(context.Background(), app, cfg); err == nil {
 		t.Fatal("hot filter without profile accepted")
 	}
 }
@@ -123,7 +124,7 @@ func TestHotFilterRequiresProfile(t *testing.T) {
 func TestProfileFindsPlantedHotMethods(t *testing.T) {
 	app, man := testApp(t, 150)
 	script := workload.Script(man, 3, 3)
-	res, err := Build(app, Baseline())
+	res, err := BuildCtx(context.Background(), app, Baseline())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestProfileFindsPlantedHotMethods(t *testing.T) {
 
 func TestBuildTimesRecorded(t *testing.T) {
 	app, _ := testApp(t, 30)
-	res, err := Build(app, CTOLTBO())
+	res, err := BuildCtx(context.Background(), app, CTOLTBO())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestVerifyImage(t *testing.T) {
 	app, _ := testApp(t, 40)
 	cfg := CTOLTBO()
 	cfg.VerifyImage = true
-	res, err := Build(app, cfg)
+	res, err := BuildCtx(context.Background(), app, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestVerifyImage(t *testing.T) {
 		t.Error("WallTime excludes VerifyTime")
 	}
 
-	off, err := Build(app, CTOLTBO())
+	off, err := BuildCtx(context.Background(), app, CTOLTBO())
 	if err != nil {
 		t.Fatal(err)
 	}

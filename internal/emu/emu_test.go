@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // buildImage compiles and links an app.
 func buildImage(t *testing.T, app *dex.App, opts codegen.Options) *oat.Image {
 	t.Helper()
-	methods, err := codegen.Compile(app, opts)
+	methods, err := codegen.CompileCtx(context.Background(), app, opts)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}

@@ -1,6 +1,7 @@
 package oat_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/analysis"
@@ -22,7 +23,7 @@ func lintFuzzImage(f *testing.F) *oat.Image {
 	if err != nil {
 		f.Fatal(err)
 	}
-	methods, err := codegen.Compile(app, codegen.Options{CTO: true, Optimize: true})
+	methods, err := codegen.CompileCtx(context.Background(), app, codegen.Options{CTO: true, Optimize: true})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func lintFuzzImage(f *testing.F) *oat.Image {
 }
 
 // FuzzUnmarshalLint feeds mutated serialized images through the parser
-// and the full static analyzer: whatever Unmarshal accepts, Analyze must
+// and the full static analyzer: whatever Unmarshal accepts, AnalyzeCtx must
 // process without panicking — every structural defect has to surface as
 // a finding, not a crash. This is the analyzer's core robustness
 // contract, since its whole purpose is vetting untrusted images.
@@ -60,7 +61,10 @@ func FuzzUnmarshalLint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		rep := analysis.Analyze(parsed)
+		rep, err := analysis.AnalyzeCtx(context.Background(), parsed, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// The report must be internally consistent even for garbage.
 		if len(rep.Methods) != len(parsed.Methods) {
 			t.Fatalf("report covers %d of %d methods", len(rep.Methods), len(parsed.Methods))

@@ -1,6 +1,7 @@
 package oat
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -20,7 +21,7 @@ func buildMethods(t testing.TB, cto bool) []*codegen.CompiledMethod {
 	if err != nil {
 		t.Fatal(err)
 	}
-	methods, err := codegen.Compile(app, codegen.Options{CTO: cto, Optimize: true})
+	methods, err := codegen.CompileCtx(context.Background(), app, codegen.Options{CTO: cto, Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,15 +216,3 @@ func (t *Tracer) WriteMetrics(w io.Writer) error {
 	enc.SetIndent("", "  ")
 	return enc.Encode(t.Snapshot())
 }
-
-// Dist reduces a sample of microsecond durations to TaskStats through the
-// same bounded histogram every other percentile in the system goes
-// through, so ad-hoc collectors (benchmark harnesses, replay clients)
-// report comparably quantized numbers. The input is not modified.
-func Dist(us []int64) TaskStats {
-	var h Histogram
-	for _, v := range us {
-		h.Observe(v)
-	}
-	return h.Stats()
-}

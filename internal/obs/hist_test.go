@@ -145,16 +145,3 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		t.Errorf("max = %d, want %d", h.MaxUS(), 7*1000+per-1)
 	}
 }
-
-// TestDistMatchesHistogram: the slice convenience and a hand-fed
-// histogram agree.
-func TestDistMatchesHistogram(t *testing.T) {
-	samples := []int64{5, 10, 20, 40, 80, 160}
-	var h Histogram
-	for _, s := range samples {
-		h.Observe(s)
-	}
-	if got, want := Dist(samples), h.Stats(); got != want {
-		t.Errorf("Dist = %+v, histogram = %+v", got, want)
-	}
-}

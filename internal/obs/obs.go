@@ -226,7 +226,7 @@ func (t *Tracer) Task(cat, name string, worker int, queueWait, run time.Duration
 		Args: map[string]int64{"queue_us": queueWait.Microseconds()}})
 }
 
-// PoolObserver vends the callback internal/par's MapObs/EachObs accept:
+// PoolObserver vends the callback internal/par's MapObsCtx/EachObsCtx accept:
 // one call per completed task with the worker index, the task's queue
 // wait, and its run time. name labels task i (nil uses the category).
 // Returns nil — observe nothing — on the no-op tracer, so callers can

@@ -3,7 +3,7 @@ package outline
 // The neutral detector entry: repeat detection and greedy selection over
 // Sequence units, with no compiled-method types anywhere in the signature.
 // Run/RunCtx stay the link-time entry (they rewrite methods in place);
-// Detect is the half the post-hoc re-outliner shares — it reports what to
+// DetectCtx is the half the post-hoc re-outliner shares — it reports what to
 // outline and where, and leaves acting on it to the caller.
 
 import (
@@ -16,7 +16,7 @@ import (
 // Site is one selected occurrence of a detected repeat, in unit
 // coordinates.
 type Site struct {
-	Unit int // index into the units slice passed to Detect
+	Unit int // index into the units slice passed to DetectCtx
 	Word int // word offset within that unit
 }
 
@@ -27,17 +27,13 @@ type Detected struct {
 	Sites []Site
 }
 
-// Detect runs repeat detection and selection over the units and returns
-// the chosen families. Options are interpreted exactly as in Run:
-// Parallel partitions the units round-robin into K independent groups,
-// DetectShards shards detection inside each group, and MinLength /
-// MinBenefit gate selection. A nil unit is skipped (contributes nothing);
-// the result is deterministic for every Workers value.
-func Detect(units []Sequence, opts Options) ([]Detected, *Stats, error) {
-	return DetectCtx(context.Background(), units, opts)
-}
-
-// DetectCtx is Detect with cooperative cancellation.
+// DetectCtx runs repeat detection and selection over the units and
+// returns the chosen families. Options are interpreted exactly as in
+// RunCtx: Parallel partitions the units round-robin into K independent
+// groups, DetectShards shards detection inside each group, and MinLength
+// / MinBenefit gate selection. A nil unit is skipped (contributes
+// nothing); the result is deterministic for every Workers value. A
+// cancelled context stops detection and returns ctx.Err().
 func DetectCtx(ctx context.Context, units []Sequence, opts Options) ([]Detected, *Stats, error) {
 	opts = opts.withDefaults()
 	stats := &Stats{}
@@ -67,7 +63,7 @@ func DetectCtx(ctx context.Context, units []Sequence, opts Options) ([]Detected,
 		stats Stats
 	}
 	results, err := par.MapObsCtx(ctx, opts.Workers, k, observer, func(gi int) (groupResult, error) {
-		funcs, st, err := outlineGroup(units, groups[gi], opts)
+		funcs, st, err := outlineGroup(ctx, units, groups[gi], opts)
 		return groupResult{funcs: funcs, stats: st}, err
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package outline_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -48,7 +49,7 @@ func TestDetectorByteIdentityPin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Build(app, c.cfg)
+		res, err := core.BuildCtx(context.Background(), app, c.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

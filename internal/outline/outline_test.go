@@ -1,6 +1,7 @@
 package outline
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -28,7 +29,7 @@ func genApp(t *testing.T, seed int64, methods int) (*dex.App, *workload.Manifest
 
 func compile(t *testing.T, app *dex.App, cto bool) []*codegen.CompiledMethod {
 	t.Helper()
-	methods, err := codegen.Compile(app, codegen.Options{CTO: cto, Optimize: true})
+	methods, err := codegen.CompileCtx(context.Background(), app, codegen.Options{CTO: cto, Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestOutlinePreservesSemantics(t *testing.T) {
 							opts.Hot[id] = true
 						}
 					}
-					blobs, stats, err := Run(methods, opts)
+					blobs, stats, err := RunCtx(context.Background(), methods, opts)
 					if err != nil {
 						t.Fatalf("seed %d cto=%v par=%d hot=%v: %v", seed, cto, parallel, hot, err)
 					}
@@ -113,7 +114,7 @@ func TestOutlineExcludesProtectedMethods(t *testing.T) {
 	if len(before) == 0 {
 		t.Fatal("test app has no protected methods")
 	}
-	_, stats, err := Run(methods, Options{})
+	_, stats, err := RunCtx(context.Background(), methods, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestOutlineExcludesProtectedMethods(t *testing.T) {
 func TestOutlinedFunctionShape(t *testing.T) {
 	app, _ := genApp(t, 21, 50)
 	methods := compile(t, app, true)
-	blobs, stats, err := Run(methods, Options{})
+	blobs, stats, err := RunCtx(context.Background(), methods, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestStackMapsStayConsistent(t *testing.T) {
 			wordBefore[key{mi, si}] = cm.Code[s.NativeOff/4]
 		}
 	}
-	if _, _, err := Run(methods, Options{}); err != nil {
+	if _, _, err := RunCtx(context.Background(), methods, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for mi, cm := range methods {
@@ -201,12 +202,12 @@ func TestParallelLosesSomeReduction(t *testing.T) {
 	// §3.4.1: partitioned trees may only lose reduction, never gain.
 	app, _ := genApp(t, 41, 80)
 	m1 := compile(t, app, true)
-	_, s1, err := Run(m1, Options{Parallel: 1})
+	_, s1, err := RunCtx(context.Background(), m1, Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m8 := compile(t, app, true)
-	_, s8, err := Run(m8, Options{Parallel: 8})
+	_, s8, err := RunCtx(context.Background(), m8, Options{Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestParallelLosesSomeReduction(t *testing.T) {
 func TestHotFilterReducesLess(t *testing.T) {
 	app, man := genApp(t, 51, 80)
 	mAll := compile(t, app, true)
-	_, sAll, err := Run(mAll, Options{})
+	_, sAll, err := RunCtx(context.Background(), mAll, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestHotFilterReducesLess(t *testing.T) {
 		hot[id] = true
 	}
 	mHot := compile(t, app, true)
-	_, sHot, err := Run(mHot, Options{Hot: hot})
+	_, sHot, err := RunCtx(context.Background(), mHot, Options{Hot: hot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,12 +247,12 @@ func TestHotFilterReducesLess(t *testing.T) {
 func TestMultiRoundOutlining(t *testing.T) {
 	app, man := genApp(t, 91, 70)
 	m1 := compile(t, app, true)
-	b1, s1, err := Run(m1, Options{Rounds: 1})
+	b1, s1, err := RunCtx(context.Background(), m1, Options{Rounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m3 := compile(t, app, true)
-	b3, s3, err := Run(m3, Options{Rounds: 3})
+	b3, s3, err := RunCtx(context.Background(), m3, Options{Rounds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,12 +353,12 @@ func TestDedupFunctionsAcrossTrees(t *testing.T) {
 	app, man := genApp(t, 131, 80)
 
 	mPlain := compile(t, app, true)
-	_, sPlain, err := Run(mPlain, Options{Parallel: 8})
+	_, sPlain, err := RunCtx(context.Background(), mPlain, Options{Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mDedup := compile(t, app, true)
-	blobs, sDedup, err := RunVerified(mDedup, Options{Parallel: 8, DedupFunctions: true})
+	blobs, sDedup, err := RunVerifiedCtx(context.Background(), mDedup, Options{Parallel: 8, DedupFunctions: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,12 +392,12 @@ func TestDetectorBackendsAgree(t *testing.T) {
 	// functions may differ in order/identity).
 	app, man := genApp(t, 151, 70)
 	mTree := compile(t, app, true)
-	_, sTree, err := Run(mTree, Options{Detector: DetectorSuffixTree})
+	_, sTree, err := RunCtx(context.Background(), mTree, Options{Detector: DetectorSuffixTree})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mArr := compile(t, app, true)
-	blobs, sArr, err := RunVerified(mArr, Options{Detector: DetectorSuffixArray})
+	blobs, sArr, err := RunVerifiedCtx(context.Background(), mArr, Options{Detector: DetectorSuffixArray})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package outline
 
 import (
+	"context"
 	"sort"
 	"time"
 
@@ -171,13 +172,17 @@ func (s *symbolizer) wordsOf(label []uint32) []uint32 {
 // traced as spans: this pool is nested inside a group task that already
 // owns a worker lane, and spans from a nested pool would interleave with
 // the outer tasks on the same lanes. The per-group instant event carries
-// these durations instead.
-func buildSequence(units []Sequence, group []int, opts Options, st *Stats) ([]uint32, []position) {
+// these durations instead. A cancelled scan returns ctx.Err() and no
+// sequence.
+func buildSequence(ctx context.Context, units []Sequence, group []int, opts Options, st *Stats) ([]uint32, []position, error) {
 	t0 := time.Now()
-	seps, _ := par.Map(opts.Workers, len(group), func(i int) ([]bool, error) {
+	seps, err := par.MapCtx(ctx, opts.Workers, len(group), func(i int) ([]bool, error) {
 		return units[group[i]].Mask(), nil
 	})
 	st.SepScan = time.Since(t0)
+	if err != nil {
+		return nil, nil, err
+	}
 	t1 := time.Now()
 	defer func() { st.Symbolize = time.Since(t1) }()
 	// One word per code word plus one separator per unit: exact sizes,
@@ -204,7 +209,7 @@ func buildSequence(units []Sequence, group []int, opts Options, st *Stats) ([]ui
 		seq = append(seq, sym.separator())
 		pos = append(pos, position{method: -1})
 	}
-	return seq, pos
+	return seq, pos, nil
 }
 
 // repeatCand is one detected repeat, detector-agnostic.
@@ -262,12 +267,15 @@ func detectRepeats(seq []uint32, opts Options, st *Stats) []repeatCand {
 // coordinates. With one shard the two routes are byte-identical — the
 // property shard_test.go pins — which is what makes DetectShards a tunable
 // rather than a fork.
-func outlineGroup(units []Sequence, group []int, opts Options) ([]outlinedFunc, Stats, error) {
+func outlineGroup(ctx context.Context, units []Sequence, group []int, opts Options) ([]outlinedFunc, Stats, error) {
 	if opts.DetectShards > 1 || opts.forceSharded {
-		return outlineGroupSharded(units, group, opts)
+		return outlineGroupSharded(ctx, units, group, opts)
 	}
 	var st Stats
-	seq, pos := buildSequence(units, group, opts, &st)
+	seq, pos, err := buildSequence(ctx, units, group, opts, &st)
+	if err != nil {
+		return nil, st, err
+	}
 	st.SequenceSymbols = len(seq)
 	if len(seq) == 0 {
 		return nil, st, nil

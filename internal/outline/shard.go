@@ -20,6 +20,7 @@ package outline
 // method's words and sequence order equals (group order, word) order.
 
 import (
+	"context"
 	"sort"
 	"time"
 
@@ -59,7 +60,7 @@ type mergedPart struct {
 
 // outlineGroupSharded is the DetectShards >= 2 route of outlineGroup (and,
 // under Options.forceSharded, the test route at one shard).
-func outlineGroupSharded(units []Sequence, group []int, opts Options) ([]outlinedFunc, Stats, error) {
+func outlineGroupSharded(ctx context.Context, units []Sequence, group []int, opts Options) ([]outlinedFunc, Stats, error) {
 	var st Stats
 	n := opts.DetectShards
 	if n < 1 {
@@ -76,11 +77,14 @@ func outlineGroupSharded(units []Sequence, group []int, opts Options) ([]outline
 	// the shard a method lands in — and therefore what is detected — never
 	// depends on scheduling. Group order (ascending method index) is
 	// preserved inside every shard.
-	shards, err := par.Map(opts.Workers, n, func(s int) (*shardDetect, error) {
+	shards, err := par.MapCtx(ctx, opts.Workers, n, func(s int) (*shardDetect, error) {
 		sub := group[s*len(group)/n : (s+1)*len(group)/n]
 		sd := &shardDetect{}
-		var seq []uint32
-		seq, sd.pos = buildSequence(units, sub, opts, &sd.stats)
+		seq, pos, err := buildSequence(ctx, units, sub, opts, &sd.stats)
+		if err != nil {
+			return nil, err
+		}
+		sd.pos = pos
 		sd.stats.SequenceSymbols = len(seq)
 		if len(seq) > 0 {
 			sd.cands = detectRepeats(seq, opts, &sd.stats)

@@ -2,6 +2,7 @@ package outline
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -11,7 +12,7 @@ func imageBytes(t *testing.T, seed int64, methods int, opts Options) []byte {
 	t.Helper()
 	app, _ := genApp(t, seed, methods)
 	cms := compile(t, app, true)
-	blobs, _, err := RunVerified(cms, opts)
+	blobs, _, err := RunVerifiedCtx(context.Background(), cms, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +76,11 @@ func TestShardedDeterminism(t *testing.T) {
 func TestShardedStillOutlines(t *testing.T) {
 	app, _ := genApp(t, 11, 150)
 	cms := compile(t, app, true)
-	_, globalStats, err := Run(compile(t, app, true), Options{})
+	_, globalStats, err := RunCtx(context.Background(), compile(t, app, true), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, shardStats, err := Run(cms, Options{DetectShards: 4})
+	_, shardStats, err := RunCtx(context.Background(), cms, Options{DetectShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package outline
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/a64"
@@ -48,7 +49,7 @@ func TestPaperTable2Example(t *testing.T) {
 		})
 	}
 
-	blobs, stats, err := RunVerified(methods, Options{})
+	blobs, stats, err := RunVerifiedCtx(context.Background(), methods, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

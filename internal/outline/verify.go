@@ -20,7 +20,7 @@ type Snapshot struct {
 	indir  []bool
 }
 
-// Snap copies what VerifyRewrite needs.
+// Snap copies what VerifyRewriteCtx needs.
 func Snap(methods []*codegen.CompiledMethod) *Snapshot {
 	s := &Snapshot{
 		codes:  make([][]uint32, len(methods)),
@@ -37,8 +37,8 @@ func Snap(methods []*codegen.CompiledMethod) *Snapshot {
 	return s
 }
 
-// VerifyRewrite checks the §3.3/§3.5 structural invariants of an outlining
-// rewrite against the pre-state:
+// VerifyRewriteCtx checks the §3.3/§3.5 structural invariants of an
+// outlining rewrite against the pre-state:
 //
 //  1. Protected methods (native, indirect-jump) are byte-identical.
 //  2. Every rewritten method reconstructs its original instruction stream:
@@ -50,28 +50,11 @@ func Snap(methods []*codegen.CompiledMethod) *Snapshot {
 //  4. Stack map entries land on call instructions.
 //
 // It returns the first violation found. Methods replay independently on
-// runtime.GOMAXPROCS(0) workers (use VerifyRewriteParallel for an
-// explicit width); when several methods are violated, the lowest method
-// index's error is reported, exactly as a serial scan would.
-func VerifyRewrite(methods []*codegen.CompiledMethod, before *Snapshot, blobs []oat.Blob) error {
-	return VerifyRewriteParallel(methods, before, blobs, 0)
-}
-
-// VerifyRewriteParallel is VerifyRewrite with an explicit worker count
-// (<= 0 selects GOMAXPROCS).
-func VerifyRewriteParallel(methods []*codegen.CompiledMethod, before *Snapshot, blobs []oat.Blob, workers int) error {
-	return VerifyRewriteTraced(methods, before, blobs, workers, nil)
-}
-
-// VerifyRewriteTraced is VerifyRewriteParallel with per-method replay
-// spans (category "outline.verify") recorded on the tracer; nil traces
-// nothing. Findings are identical either way.
-func VerifyRewriteTraced(methods []*codegen.CompiledMethod, before *Snapshot, blobs []oat.Blob, workers int, tracer *obs.Tracer) error {
-	return VerifyRewriteCtx(context.Background(), methods, before, blobs, workers, tracer)
-}
-
-// VerifyRewriteCtx is VerifyRewriteTraced with cooperative cancellation:
-// the per-method replay pool checks ctx before every method and returns
+// at most workers goroutines (<= 0 selects GOMAXPROCS); when several
+// methods are violated, the lowest method index's error is reported,
+// exactly as a serial scan would. A non-nil tracer records per-method
+// replay spans (category "outline.verify"); findings are identical
+// either way. The replay pool checks ctx before every method and returns
 // ctx.Err() when it fires.
 func VerifyRewriteCtx(ctx context.Context, methods []*codegen.CompiledMethod, before *Snapshot, blobs []oat.Blob, workers int, tracer *obs.Tracer) error {
 	bodyBySym := map[int][]uint32{}
@@ -191,15 +174,10 @@ func verifyMethod(cm *codegen.CompiledMethod, mi int, before *Snapshot, bodyBySy
 	return nil
 }
 
-// RunVerified is Run followed by VerifyRewrite against an automatic
-// snapshot; intended for tooling and tests that want the §3.5 consistency
-// guarantees checked explicitly.
-func RunVerified(methods []*codegen.CompiledMethod, opts Options) ([]oat.Blob, *Stats, error) {
-	return RunVerifiedCtx(context.Background(), methods, opts)
-}
-
-// RunVerifiedCtx is RunVerified with cooperative cancellation threaded
-// through both the outliner and the rewrite verification; see RunCtx.
+// RunVerifiedCtx is RunCtx followed by VerifyRewriteCtx against an
+// automatic snapshot, with ctx threaded through both; intended for
+// tooling and tests that want the §3.5 consistency guarantees checked
+// explicitly.
 func RunVerifiedCtx(ctx context.Context, methods []*codegen.CompiledMethod, opts Options) ([]oat.Blob, *Stats, error) {
 	snap := Snap(methods)
 	blobs, stats, err := RunCtx(ctx, methods, opts)

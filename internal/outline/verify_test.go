@@ -1,6 +1,7 @@
 package outline
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestRunVerifiedAcceptsHonestRewrites(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		app, _ := genApp(t, 100+seed, 60)
 		methods := compile(t, app, true)
-		blobs, stats, err := RunVerified(methods, Options{Parallel: 4, Rounds: 2})
+		blobs, stats, err := RunVerifiedCtx(context.Background(), methods, Options{Parallel: 4, Rounds: 2})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -30,7 +31,7 @@ func TestVerifyRewriteCatchesCorruption(t *testing.T) {
 		app, _ := genApp(t, 77, 60)
 		methods := compile(t, app, true)
 		snap := Snap(methods)
-		blobs, _, err := Run(methods, Options{})
+		blobs, _, err := RunCtx(context.Background(), methods, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +52,7 @@ func TestVerifyRewriteCatchesCorruption(t *testing.T) {
 
 	t.Run("honest passes", func(t *testing.T) {
 		methods, snap, blobs, _ := setup()
-		if err := VerifyRewrite(methods, snap, blobs); err != nil {
+		if err := VerifyRewriteCtx(context.Background(), methods, snap, blobs, 0, nil); err != nil {
 			t.Fatalf("honest rewrite rejected: %v", err)
 		}
 	})
@@ -59,7 +60,7 @@ func TestVerifyRewriteCatchesCorruption(t *testing.T) {
 	t.Run("corrupted blob body", func(t *testing.T) {
 		methods, snap, blobs, _ := setup()
 		blobs[0].Code[0] = a64.MustEncode(a64.Inst{Op: a64.OpNop})
-		err := VerifyRewrite(methods, snap, blobs)
+		err := VerifyRewriteCtx(context.Background(), methods, snap, blobs, 0, nil)
 		if err == nil {
 			t.Fatal("corrupted blob accepted")
 		}
@@ -75,7 +76,7 @@ func TestVerifyRewriteCatchesCorruption(t *testing.T) {
 				break
 			}
 		}
-		if err := VerifyRewrite(methods, snap, blobs); err == nil {
+		if err := VerifyRewriteCtx(context.Background(), methods, snap, blobs, 0, nil); err == nil {
 			t.Fatal("corrupted method accepted")
 		}
 	})
@@ -88,7 +89,7 @@ func TestVerifyRewriteCatchesCorruption(t *testing.T) {
 				break
 			}
 		}
-		err := VerifyRewrite(methods, snap, blobs)
+		err := VerifyRewriteCtx(context.Background(), methods, snap, blobs, 0, nil)
 		if err == nil || !strings.Contains(err.Error(), "protected") {
 			t.Fatalf("modified native method not reported: %v", err)
 		}
@@ -115,7 +116,7 @@ func TestVerifyRewriteCatchesCorruption(t *testing.T) {
 			cm.Meta.PCRel[0].TargetOff += 8
 			break
 		}
-		if err := VerifyRewrite(methods, snap, blobs); err == nil {
+		if err := VerifyRewriteCtx(context.Background(), methods, snap, blobs, 0, nil); err == nil {
 			t.Fatal("retargeted branch accepted")
 		}
 	})
@@ -144,7 +145,7 @@ func TestVerifyRewriteCatchesCorruption(t *testing.T) {
 		if !bent {
 			t.Fatal("no PC-relative record with a nonzero target")
 		}
-		err := VerifyRewrite(methods, snap, blobs)
+		err := VerifyRewriteCtx(context.Background(), methods, snap, blobs, 0, nil)
 		if err == nil || !strings.Contains(err.Error(), "retargeted") {
 			t.Fatalf("out-of-range target not reported as a retarget: %v", err)
 		}

@@ -75,33 +75,7 @@ func TestMapCtxSerialCancel(t *testing.T) {
 	}
 }
 
-// TestMapCtxBackgroundMatchesMap pins that an un-cancellable context is
-// free: results and errors are exactly Map's.
-func TestMapCtxBackgroundMatchesMap(t *testing.T) {
-	fn := func(i int) (int, error) {
-		if i == 7 {
-			return 0, errors.New("boom")
-		}
-		return i * i, nil
-	}
-	for _, w := range []int{1, 4} {
-		gotC, errC := MapCtx(context.Background(), w, 6, fn)
-		got, err := Map(w, 6, fn)
-		if (err == nil) != (errC == nil) {
-			t.Fatalf("w=%d: error mismatch: %v vs %v", w, err, errC)
-		}
-		for i := range got {
-			if got[i] != gotC[i] {
-				t.Fatalf("w=%d: result %d mismatch: %d vs %d", w, i, got[i], gotC[i])
-			}
-		}
-		if _, err := MapCtx(context.Background(), w, 10, fn); err == nil || err.Error() != "boom" {
-			t.Fatalf("w=%d: lowest-index error lost: %v", w, err)
-		}
-	}
-}
-
-// TestEachCtxCancel covers the Each wrapper.
+// TestEachCtxCancel covers EachCtx on a pre-cancelled context.
 func TestEachCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -43,7 +43,7 @@ func Workers(n int) int {
 // obs.Tracer.PoolObserver vends a compatible callback.
 type TaskObserver func(worker, index int, queueWait, run time.Duration)
 
-// Map runs fn(i) for every i in [0, n) on at most workers goroutines
+// MapCtx runs fn(i) for every i in [0, n) on at most workers goroutines
 // (workers <= 0 selects GOMAXPROCS) and returns the results indexed by i.
 //
 // Determinism contract: out[i] depends only on fn(i); if any calls fail,
@@ -51,37 +51,25 @@ type TaskObserver func(worker, index int, queueWait, run time.Duration)
 // run stops at the first failure, a parallel run completes the batch and
 // then selects the same error — either way the caller observes identical
 // results for every worker count.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapObs(workers, n, nil, fn)
-}
-
-// MapObs is Map with a per-task observer. The observer changes nothing
-// about scheduling or results; with obs == nil the timing calls are
-// skipped entirely, so Map pays no telemetry cost.
-func MapObs[T any](workers, n int, obs TaskObserver, fn func(i int) (T, error)) ([]T, error) {
-	return MapObsCtx(context.Background(), workers, n, obs, fn)
-}
-
-// MapCtx is Map with cooperative cancellation: the pool checks ctx before
-// picking up every task, so a cancelled or deadline-expired context stops
-// the batch at task granularity. Tasks already running are never
-// interrupted (fn receives no context; pass one through a closure if the
-// work itself should observe it), but no new task starts, and the call
-// returns ctx.Err(). context.Background() restores Map's behaviour
-// exactly.
+//
+// Cancellation is cooperative: the pool checks ctx before picking up
+// every task, so a cancelled or deadline-expired context stops the batch
+// at task granularity. Tasks already running are never interrupted (fn
+// receives no context; pass one through a closure if the work itself
+// should observe it), but no new task starts. When ctx is cancelled
+// before every task has been picked up, the call returns (nil,
+// ctx.Err()) — the batch is incomplete, so no partial results escape and
+// the context error wins over any task error. When every task completed
+// before cancellation was observed, the determinism contract applies.
+// context.Background() never cancels and costs nothing: its nil Done
+// channel skips the probe.
 func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return MapObsCtx(ctx, workers, n, nil, fn)
 }
 
-// MapObsCtx is the full-generality pool entry point: MapObs plus the
-// MapCtx cancellation check.
-//
-// Cancellation contract: when ctx is cancelled before every task has been
-// picked up, the call returns (nil, ctx.Err()) — the batch is incomplete,
-// so no partial results escape and the context error wins over any task
-// error. When every task completed before cancellation was observed, the
-// normal Map contract applies (results indexed by i, lowest failing
-// index's error).
+// MapObsCtx is MapCtx with a per-task observer. The observer changes
+// nothing about scheduling or results; with obs == nil the timing calls
+// are skipped entirely, so MapCtx pays no telemetry cost.
 func MapObsCtx[T any](ctx context.Context, workers, n int, obs TaskObserver, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	w := Workers(workers)
@@ -188,26 +176,14 @@ func MapObsCtx[T any](ctx context.Context, workers, n int, obs TaskObserver, fn 
 	return out, nil
 }
 
-// Each is Map for side-effecting stages: fn(i) must touch only state
-// owned by index i. The same lowest-index-error rule applies.
-func Each(workers, n int, fn func(i int) error) error {
-	return EachObs(workers, n, nil, fn)
-}
-
-// EachObs is Each with a per-task observer; see MapObs.
-func EachObs(workers, n int, obs TaskObserver, fn func(i int) error) error {
-	_, err := MapObs(workers, n, obs, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
-// EachCtx is Each with the MapCtx cancellation contract.
+// EachCtx is MapCtx for side-effecting stages: fn(i) must touch only
+// state owned by index i. The same lowest-index-error rule and
+// cancellation contract apply.
 func EachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	return EachObsCtx(ctx, workers, n, nil, fn)
 }
 
-// EachObsCtx is EachObs with the MapCtx cancellation contract.
+// EachObsCtx is EachCtx with a per-task observer; see MapObsCtx.
 func EachObsCtx(ctx context.Context, workers, n int, obs TaskObserver, fn func(i int) error) error {
 	_, err := MapObsCtx(ctx, workers, n, obs, func(i int) (struct{}, error) {
 		return struct{}{}, fn(i)

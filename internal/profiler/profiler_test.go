@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/codegen"
@@ -17,7 +18,7 @@ func buildImage(t *testing.T) (*oat.Image, *workload.Manifest) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	methods, err := codegen.Compile(app, codegen.Options{Optimize: true})
+	methods, err := codegen.CompileCtx(context.Background(), app, codegen.Options{Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

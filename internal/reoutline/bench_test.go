@@ -1,6 +1,7 @@
 package reoutline_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -24,14 +25,14 @@ func BenchmarkReoutline(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := core.Build(app, core.CTOOnly())
+			res, err := core.BuildCtx(context.Background(), app, core.CTOOnly())
 			if err != nil {
 				b.Fatal(err)
 			}
 			var st *reoutline.Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st, err = reoutline.Run(res.Image, reoutline.Config{})
+				_, st, err = reoutline.RunCtx(context.Background(), res.Image, reoutline.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}

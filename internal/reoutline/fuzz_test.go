@@ -2,6 +2,7 @@ package reoutline_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -25,7 +26,7 @@ func FuzzLift(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, cfg := range []core.Config{core.CTOOnly(), core.CTOLTBO()} {
-		res, err := core.Build(app, cfg)
+		res, err := core.BuildCtx(context.Background(), app, cfg)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func FuzzLift(f *testing.F) {
 		if err != nil {
 			return
 		}
-		out, st, err := reoutline.Run(img, reoutline.Config{Workers: 2})
+		out, st, err := reoutline.RunCtx(context.Background(), img, reoutline.Config{Workers: 2})
 		if err != nil {
 			return // refused: admission or a downstream stage said no
 		}
@@ -60,7 +61,7 @@ func FuzzLift(f *testing.F) {
 		if st.Saved() < 0 {
 			t.Fatalf("reoutline grew the image: %d -> %d bytes", st.TextBefore, st.TextAfter)
 		}
-		out2, _, err := reoutline.Run(out, reoutline.Config{Workers: 2})
+		out2, _, err := reoutline.RunCtx(context.Background(), out, reoutline.Config{Workers: 2})
 		if err != nil {
 			t.Fatalf("reoutline refused its own output: %v", err)
 		}

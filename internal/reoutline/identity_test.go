@@ -1,6 +1,7 @@
 package reoutline_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -56,17 +57,17 @@ func TestRewriteByteIdentityPin(t *testing.T) {
 			cfg  core.Config
 		}{{"cto", core.CTOOnly()}, {"ltbo", core.CTOLTBO()}} {
 			name := prof.Name + "-" + c.name
-			res, err := core.Build(app, c.cfg)
+			res, err := core.BuildCtx(context.Background(), app, c.cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			pin(name, res.Image)
-			deb, _, err := analysis.Debloat(res.Image, roots)
+			deb, _, err := analysis.DebloatCtx(context.Background(), res.Image, roots, 0, nil)
 			if err != nil {
 				t.Fatalf("%s: debloat: %v", name, err)
 			}
 			pin(name+"-debloat", deb)
-			re, _, err := reoutline.Run(res.Image, reoutline.Config{})
+			re, _, err := reoutline.RunCtx(context.Background(), res.Image, reoutline.Config{})
 			if err != nil {
 				t.Fatalf("%s: reoutline: %v", name, err)
 			}
@@ -75,7 +76,7 @@ func TestRewriteByteIdentityPin(t *testing.T) {
 				ctoDebloated = deb
 			}
 		}
-		both, _, err := reoutline.Run(ctoDebloated, reoutline.Config{})
+		both, _, err := reoutline.RunCtx(context.Background(), ctoDebloated, reoutline.Config{})
 		if err != nil {
 			t.Fatalf("%s: reoutline after debloat: %v", prof.Name, err)
 		}

@@ -102,14 +102,9 @@ type Stats struct {
 // the ladder tests treat as a failure).
 func (s *Stats) Saved() int { return s.TextBefore - s.TextAfter }
 
-// Run re-outlines a linked image. See the package comment for the
-// contract; the input image is never modified.
-func Run(img *oat.Image, cfg Config) (*oat.Image, *Stats, error) {
-	return RunCtx(context.Background(), img, cfg)
-}
-
-// RunCtx is Run with cooperative cancellation threaded through every
-// parallel stage.
+// RunCtx re-outlines a linked image. See the package comment for the
+// contract; the input image is never modified. ctx is threaded through
+// every parallel stage.
 func RunCtx(ctx context.Context, img *oat.Image, cfg Config) (*oat.Image, *Stats, error) {
 	st := &Stats{
 		MethodsTotal: len(img.Methods),

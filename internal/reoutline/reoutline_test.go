@@ -2,6 +2,7 @@ package reoutline_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"reflect"
@@ -52,7 +53,7 @@ func diffRuns(t *testing.T, what string, app *dex.App, img *oat.Image, runs []wo
 // relink puts every region back where it was.
 func requireIdempotent(t *testing.T, what string, out *oat.Image, cfg reoutline.Config) {
 	t.Helper()
-	out2, st2, err := reoutline.Run(out, cfg)
+	out2, st2, err := reoutline.RunCtx(context.Background(), out, cfg)
 	if err != nil {
 		t.Fatalf("%s: second reoutline: %v", what, err)
 	}
@@ -85,15 +86,15 @@ func TestReoutlineGapLadder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := core.Build(app, core.CTOOnly())
+			plain, err := core.BuildCtx(context.Background(), app, core.CTOOnly())
 			if err != nil {
 				t.Fatal(err)
 			}
-			linked, err := core.Build(app, core.CTOLTBO())
+			linked, err := core.BuildCtx(context.Background(), app, core.CTOLTBO())
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, st, err := reoutline.Run(plain.Image, reoutline.Config{})
+			out, st, err := reoutline.RunCtx(context.Background(), plain.Image, reoutline.Config{})
 			if err != nil {
 				t.Fatalf("reoutline: %v", err)
 			}
@@ -135,15 +136,15 @@ func TestReoutlineComposesWithDebloat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := core.Build(app, core.CTOOnly())
+			res, err := core.BuildCtx(context.Background(), app, core.CTOOnly())
 			if err != nil {
 				t.Fatal(err)
 			}
-			deb, _, err := core.DebloatImage(res.Image, core.DebloatConfig{Roots: man.Drivers})
+			deb, _, err := core.DebloatImageCtx(context.Background(), res.Image, core.DebloatConfig{Roots: man.Drivers})
 			if err != nil {
 				t.Fatalf("debloat: %v", err)
 			}
-			out, st, err := reoutline.Run(deb, reoutline.Config{})
+			out, st, err := reoutline.RunCtx(context.Background(), deb, reoutline.Config{})
 			if err != nil {
 				t.Fatalf("reoutline after debloat: %v", err)
 			}
@@ -171,11 +172,11 @@ func TestReoutlineMostlyFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Build(app, core.CTOOnly())
+	res, err := core.BuildCtx(context.Background(), app, core.CTOOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, st, err := reoutline.Run(res.Image, reoutline.Config{})
+	out, st, err := reoutline.RunCtx(context.Background(), res.Image, reoutline.Config{})
 	if err != nil {
 		t.Fatalf("reoutline: %v", err)
 	}
@@ -202,11 +203,11 @@ func TestReoutlineLinkTimeInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Build(app, core.CTOLTBO())
+	res, err := core.BuildCtx(context.Background(), app, core.CTOLTBO())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, st, err := reoutline.Run(res.Image, reoutline.Config{})
+	out, st, err := reoutline.RunCtx(context.Background(), res.Image, reoutline.Config{})
 	if err != nil {
 		t.Fatalf("reoutline: %v", err)
 	}
@@ -224,13 +225,13 @@ func TestReoutlineDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Build(app, core.CTOOnly())
+	res, err := core.BuildCtx(context.Background(), app, core.CTOOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ref []byte
 	for _, workers := range []int{1, 2, 8} {
-		out, _, err := reoutline.Run(res.Image, reoutline.Config{Workers: workers})
+		out, _, err := reoutline.RunCtx(context.Background(), res.Image, reoutline.Config{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -265,12 +266,12 @@ func TestReoutlineRetainsFrozenCallees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Build(app, core.CTOLTBO())
+	res, err := core.BuildCtx(context.Background(), app, core.CTOLTBO())
 	if err != nil {
 		t.Fatal(err)
 	}
 	img := res.Image
-	cg, _ := analysis.BuildCallGraph(img)
+	cg, _ := analysis.BuildCallGraphCtx(context.Background(), img, 0)
 	flagged := 0
 	for i := range img.Methods {
 		for _, e := range cg.Nodes[i].Edges {
@@ -281,17 +282,17 @@ func TestReoutlineRetainsFrozenCallees(t *testing.T) {
 			}
 		}
 	}
-	if fs := analysis.Lint(img); len(fs) > 0 {
+	if fs, _ := analysis.LintCtx(context.Background(), img, 0, nil); len(fs) > 0 {
 		t.Fatalf("flagged input does not lint clean: %s", fs[0])
 	}
-	out, st, err := reoutline.Run(img, reoutline.Config{})
+	out, st, err := reoutline.RunCtx(context.Background(), img, reoutline.Config{})
 	if err != nil {
 		t.Fatalf("reoutline: %v", err)
 	}
 	if st.BlobsRetained != 14 || st.BlobsDeduped != 9 {
 		t.Errorf("retained=%d deduped=%d, want 14 and 9", st.BlobsRetained, st.BlobsDeduped)
 	}
-	if fs := analysis.Lint(out); len(fs) > 0 {
+	if fs, _ := analysis.LintCtx(context.Background(), out, 0, nil); len(fs) > 0 {
 		t.Errorf("output does not lint clean: %s", fs[0])
 	}
 	data, err := out.Marshal()

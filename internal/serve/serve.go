@@ -21,7 +21,7 @@
 //     and the full PR-3 telemetry snapshot.
 //
 // Determinism is inherited, not re-proven: a job's image is byte-identical
-// to a direct core.Build of the same app and configuration, because the
+// to a direct core.BuildCtx of the same app and configuration, because the
 // cache, the tracer, the worker pool, and the context all observe or
 // schedule without steering output. The serve tests pin that end to end.
 package serve

@@ -689,7 +689,7 @@ func TestDebloatJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Build(app, core.CTOLTBO())
+	res, err := core.BuildCtx(context.Background(), app, core.CTOLTBO())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -743,7 +743,7 @@ func TestReoutlineJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Build(app, core.CTOOnly())
+	res, err := core.BuildCtx(context.Background(), app, core.CTOOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -787,8 +787,8 @@ func TestReoutlineJob(t *testing.T) {
 	}
 
 	// The daemon adds scheduling, never output: its image must be
-	// byte-identical to a direct core.ReoutlineImage of the same input.
-	direct, _, err := core.ReoutlineImage(res.Image, core.ReoutlineConfig{})
+	// byte-identical to a direct core.ReoutlineImageCtx of the same input.
+	direct, _, err := core.ReoutlineImageCtx(context.Background(), res.Image, core.ReoutlineConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

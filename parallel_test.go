@@ -2,9 +2,12 @@ package calibro
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/analysis"
 )
 
 // wechatApp generates the WeChat profile at a small scale: large enough to
@@ -135,12 +138,20 @@ func TestLintDeterministicAcrossWorkers(t *testing.T) {
 	if len(serial.Findings) == 0 {
 		t.Fatal("corrupted image produced no findings")
 	}
+	ctx := context.Background()
 	for _, j := range []int{1, 2, 8} {
-		rep := AnalyzeImageParallel(img, j)
+		rep, err := analysis.AnalyzeCtx(ctx, img, j, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(serial.Findings, rep.Findings) {
 			t.Errorf("-j %d: findings differ from serial analysis", j)
 		}
-		if !reflect.DeepEqual(LintImage(img), LintImageParallel(img, j)) {
+		lint, err := analysis.LintCtx(ctx, img, j, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(LintImage(img), lint) {
 			t.Errorf("-j %d: lint filter differs from serial lint", j)
 		}
 	}

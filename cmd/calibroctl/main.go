@@ -14,7 +14,7 @@
 //	stats    print a finished job's build stats JSON
 //	fetch    download a finished job's OAT image
 //	lint     print a finished job's lint findings
-//	trace    print a job's lifecycle trace (Chrome trace JSON)
+//	trace    print a job's lifecycle and build spans (Chrome trace JSON)
 //	cancel   cancel a job
 //	health   print the daemon's /healthz
 //	metrics  print the daemon's /metrics (-prom for Prometheus text)

@@ -4,7 +4,8 @@
 // configuration, and run on a fixed pool of build workers behind a
 // bounded queue — a full queue rejects submits with 429 rather than
 // buffering without bound. All jobs share one content-addressed
-// compilation cache and one telemetry tracer, both exported at /metrics.
+// compilation cache, and every job's tracer folds into one daemon-wide
+// telemetry aggregate; both are exported at /metrics.
 //
 // Usage:
 //
@@ -23,7 +24,7 @@
 // logging is off by default and strictly observational — images are
 // byte-identical with it on or off. /metrics?format=prom exposes the
 // serving counters in the Prometheus text format; GET /jobs/{id}/trace
-// serves one job's lifecycle as Chrome trace JSON.
+// serves one job's lifecycle and build spans as Chrome trace JSON.
 //
 // On SIGINT/SIGTERM the daemon stops admission, drains queued and
 // running jobs (up to -drain-timeout, then force-cancels), and exits 0.
@@ -132,13 +133,14 @@ func run(args []string, out io.Writer) error {
 		cfg.Cache = c
 	}
 
-	srv := serve.New(cfg)
 	// Listen before announcing, so -addr :0 resolves to the real port and
-	// scripts can scrape it from the first output line.
+	// scripts can scrape it from the first output line. Listen before
+	// starting the server, so a bad -addr leaves no build workers behind.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
+	srv := serve.New(cfg)
 	fmt.Fprintf(out, "calibrod: listening on %s\n", ln.Addr())
 
 	hs := &http.Server{Handler: srv.Handler()}

@@ -85,11 +85,11 @@ type Server struct {
 	claims  map[cache.Key]time.Time // claim key -> expiry
 	waiters map[cache.Key]*waitEntry
 
-	gets, getHits, getMisses        atomic.Int64
-	puts, putRejected               atomic.Int64
-	claimsWon, claimsLost           atomic.Int64
-	waitHits, waitTimeouts          atomic.Int64
-	protoSkew, badKeys              atomic.Int64
+	gets, getHits, getMisses atomic.Int64
+	puts, putRejected        atomic.Int64
+	claimsWon, claimsLost    atomic.Int64
+	waitHits, waitTimeouts   atomic.Int64
+	protoSkew, badKeys       atomic.Int64
 }
 
 // New returns a Server over cfg.Store.
@@ -339,19 +339,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // Metrics is the /metrics JSON body: the server's own protocol counters
 // plus the backing store's accounting.
 type Metrics struct {
-	Gets         int64        `json:"gets"`
-	GetHits      int64        `json:"get_hits"`
-	GetMisses    int64        `json:"get_misses"`
-	Puts         int64        `json:"puts"`
-	PutsRejected int64        `json:"puts_rejected"`
-	ClaimsWon    int64        `json:"claims_won"`
-	ClaimsLost   int64        `json:"claims_lost"`
-	WaitHits     int64        `json:"wait_hits"`
-	WaitTimeouts int64        `json:"wait_timeouts"`
-	ProtoSkew    int64        `json:"proto_skew"`
-	BadKeys      int64        `json:"bad_keys"`
-	ClaimsOpen   int          `json:"claims_open"`
-	Store        cache.Stats  `json:"store"`
+	Gets         int64       `json:"gets"`
+	GetHits      int64       `json:"get_hits"`
+	GetMisses    int64       `json:"get_misses"`
+	Puts         int64       `json:"puts"`
+	PutsRejected int64       `json:"puts_rejected"`
+	ClaimsWon    int64       `json:"claims_won"`
+	ClaimsLost   int64       `json:"claims_lost"`
+	WaitHits     int64       `json:"wait_hits"`
+	WaitTimeouts int64       `json:"wait_timeouts"`
+	ProtoSkew    int64       `json:"proto_skew"`
+	BadKeys      int64       `json:"bad_keys"`
+	ClaimsOpen   int         `json:"claims_open"`
+	Store        cache.Stats `json:"store"`
 }
 
 // Metrics snapshots the server.

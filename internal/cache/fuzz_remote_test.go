@@ -67,7 +67,7 @@ func FuzzRemoteFrame(f *testing.F) {
 	f.Add(200, cache.RemoteProtoVersion, flip(len(seed)-1)) // checksum damage
 	f.Add(200, cache.RemoteProtoVersion, flip(4))           // version damage
 	f.Add(200, cache.RemoteProtoVersion, seed[:len(seed)-5])
-	f.Add(200, "999", seed)   // version skew with a valid body
+	f.Add(200, "999", seed) // version skew with a valid body
 	f.Add(404, cache.RemoteProtoVersion, []byte{})
 	f.Add(500, cache.RemoteProtoVersion, []byte("internal error"))
 	f.Add(200, cache.RemoteProtoVersion, []byte{})

@@ -104,18 +104,18 @@ func (c RemoteConfig) withDefaults() RemoteConfig {
 // down server (Errors, BreakerSkips) from a poisoned one (Corrupt) from
 // a mixed-version fleet (Skew).
 type RemoteStats struct {
-	Hits         int64 `json:"hits"`           // entries fetched and validated
-	Misses       int64 `json:"misses"`         // clean 404s
-	Errors       int64 `json:"errors"`         // transport failures, timeouts, 5xx
-	Corrupt      int64 `json:"corrupt"`        // 200s whose frame failed validation
-	Skew         int64 `json:"skew"`           // responses speaking another protocol version
-	Puts         int64 `json:"puts"`           // entries stored
-	PutErrors    int64 `json:"put_errors"`     // stores that failed (swallowed)
-	ClaimsWon    int64 `json:"claims_won"`     // single-flight elections won
-	ClaimsLost   int64 `json:"claims_lost"`    // elections lost (another daemon builds)
-	ClaimErrors  int64 `json:"claim_errors"`   // claim requests that failed
-	BreakerOpens int64 `json:"breaker_opens"`  // closed -> open transitions
-	BreakerSkips int64 `json:"breaker_skips"`  // requests swallowed while open
+	Hits         int64 `json:"hits"`          // entries fetched and validated
+	Misses       int64 `json:"misses"`        // clean 404s
+	Errors       int64 `json:"errors"`        // transport failures, timeouts, 5xx
+	Corrupt      int64 `json:"corrupt"`       // 200s whose frame failed validation
+	Skew         int64 `json:"skew"`          // responses speaking another protocol version
+	Puts         int64 `json:"puts"`          // entries stored
+	PutErrors    int64 `json:"put_errors"`    // stores that failed (swallowed)
+	ClaimsWon    int64 `json:"claims_won"`    // single-flight elections won
+	ClaimsLost   int64 `json:"claims_lost"`   // elections lost (another daemon builds)
+	ClaimErrors  int64 `json:"claim_errors"`  // claim requests that failed
+	BreakerOpens int64 `json:"breaker_opens"` // closed -> open transitions
+	BreakerSkips int64 `json:"breaker_skips"` // requests swallowed while open
 }
 
 // breaker is the consecutive-failure circuit breaker. Closed until
@@ -178,10 +178,10 @@ type Remote struct {
 	url string // base URL without trailing slash
 	br  breaker
 
-	hits, misses, errors, corrupt, skew     atomic.Int64
-	puts, putErrors                         atomic.Int64
-	claimsWon, claimsLost, claimErrors      atomic.Int64
-	breakerOpens, breakerSkips              atomic.Int64
+	hits, misses, errors, corrupt, skew atomic.Int64
+	puts, putErrors                     atomic.Int64
+	claimsWon, claimsLost, claimErrors  atomic.Int64
+	breakerOpens, breakerSkips          atomic.Int64
 }
 
 // NewRemote returns a remote tier talking to cfg.URL.

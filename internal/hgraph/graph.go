@@ -126,11 +126,11 @@ func Build(m *dex.Method) (*Graph, error) {
 	for i := range blocks {
 		b := &blocks[i]
 		b.ID = i
-		b.Insns = insns[insnOff:insnOff : insnOff+int(insnCount[i])]
+		b.Insns = insns[insnOff : insnOff : insnOff+int(insnCount[i])]
 		insnOff += int(insnCount[i])
-		b.Succs = edges[edgeOff:edgeOff : edgeOff+int(succCount[i])]
+		b.Succs = edges[edgeOff : edgeOff : edgeOff+int(succCount[i])]
 		edgeOff += int(succCount[i])
-		b.Preds = edges[edgeOff:edgeOff : edgeOff+int(predCount[i])]
+		b.Preds = edges[edgeOff : edgeOff : edgeOff+int(predCount[i])]
 		edgeOff += int(predCount[i])
 		g.Blocks[i] = b
 	}

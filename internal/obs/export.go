@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 )
 
 // traceEvent is one Chrome trace-event JSON object. The format is the
@@ -32,25 +32,26 @@ type traceFile struct {
 
 func us(d int64) float64 { return float64(d) / 1e3 } // ns -> µs
 
-// WriteTraceRecords renders an arbitrary span log as Chrome trace-event
-// JSON: one ph "M" metadata event per named lane, then the spans sorted
-// by start timestamp. It is the shared backend of Tracer.WriteTrace and
-// of callers that synthesize their own small span sets (the serving
-// layer's per-job traces). The spans slice is sorted in place.
-func WriteTraceRecords(w io.Writer, spans []SpanRecord, laneNames map[int]string) error {
-	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
-
-	lanes := make([]int, 0, len(laneNames))
-	for lane := range laneNames {
-		lanes = append(lanes, lane)
+// WriteTrace emits the span log as Chrome trace-event JSON: one ph "M"
+// metadata event per lane (lane 0 "build", lanes 1..W "worker k"), then
+// the spans sorted by start timestamp, each carrying pid/tid/ts/dur; a
+// pool task's queue wait appears as its queue_us arg. A nil tracer writes
+// a valid empty trace.
+func (t *Tracer) WriteTrace(w io.Writer) error {
+	spans := t.spans()
+	maxLane := 0
+	for _, s := range spans {
+		maxLane = max(maxLane, s.Lane)
 	}
-	sort.Ints(lanes)
-
-	events := make([]traceEvent, 0, len(spans)+len(lanes))
-	for _, lane := range lanes {
+	events := make([]traceEvent, 0, len(spans)+maxLane+1)
+	for lane := 0; t != nil && lane <= maxLane; lane++ {
+		name := "build"
+		if lane > 0 {
+			name = fmt.Sprintf("worker %d", lane)
+		}
 		events = append(events, traceEvent{
 			Name: "thread_name", Ph: "M", PID: 1, TID: lane,
-			Args: map[string]string{"name": laneNames[lane]},
+			Args: map[string]string{"name": name},
 		})
 	}
 	for _, s := range spans {
@@ -63,38 +64,15 @@ func WriteTraceRecords(w io.Writer, spans []SpanRecord, laneNames map[int]string
 			d := us(s.Dur.Nanoseconds())
 			ev.Dur = &d
 		}
-		if len(s.Args) > 0 {
+		if s.Lane > 0 {
+			ev.Args = map[string]int64{"queue_us": s.Queue.Microseconds()}
+		} else if len(s.Args) > 0 {
 			ev.Args = s.Args
 		}
 		events = append(events, ev)
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(traceFile{TraceEvents: events, DisplayTimeUnit: "ms"})
-}
-
-// WriteTrace emits the recording as Chrome trace-event JSON. Lane 0 is
-// named "build", lanes 1..W "worker k", and negative (service) lanes
-// "serve"; span events are sorted by start timestamp (metadata first),
-// every span carries pid/tid/ts/dur. A nil tracer writes a valid empty
-// trace.
-func (t *Tracer) WriteTrace(w io.Writer) error {
-	spans, _, maxLane := t.snapshotState()
-	laneNames := map[int]string{}
-	if t != nil {
-		for lane := 0; lane <= maxLane; lane++ {
-			name := "build"
-			if lane > 0 {
-				name = fmt.Sprintf("worker %d", lane)
-			}
-			laneNames[lane] = name
-		}
-		for _, s := range spans {
-			if s.Lane < 0 {
-				laneNames[s.Lane] = "serve"
-			}
-		}
-	}
-	return WriteTraceRecords(w, spans, laneNames)
 }
 
 // TaskStats is a duration distribution over one task category (or its
@@ -129,7 +107,7 @@ type Snapshot struct {
 	// Tasks aggregates worker-lane spans per category (e.g. "compile" is
 	// the per-method compile distribution).
 	Tasks map[string]TaskStats `json:"tasks"`
-	// QueueWait aggregates the queue_us arg of worker-lane spans per
+	// QueueWait aggregates the queue wait of worker-lane spans per
 	// category: how long tasks sat waiting for a pool slot.
 	QueueWait map[string]TaskStats `json:"queue_wait"`
 	// Workers is per-lane occupancy, ascending by lane.
@@ -138,76 +116,71 @@ type Snapshot struct {
 	Counters map[string]int64 `json:"counters"`
 }
 
-// Snapshot reduces the recording to flat metrics. Spans on negative
-// (service) lanes are serving-layer annotations, not pool work, and are
-// excluded. A nil tracer yields an empty (but usable) snapshot.
+// Snapshot reads the aggregate folded at record time: its own records and
+// those of every descendant Child. Its cost depends on the number of
+// stages, task categories and lanes, not on how many spans were recorded.
+// A nil tracer yields an empty (but usable) snapshot.
 func (t *Tracer) Snapshot() *Snapshot {
-	spans, counters, _ := t.snapshotState()
 	snap := &Snapshot{
 		Stages:    map[string]int64{},
 		Tasks:     map[string]TaskStats{},
 		QueueWait: map[string]TaskStats{},
-		Counters:  counters,
+		Counters:  map[string]int64{},
 	}
-	if snap.Counters == nil {
-		snap.Counters = map[string]int64{}
+	if t == nil {
+		return snap
 	}
-
-	taskDist := map[string]*Histogram{}  // cat -> run µs
-	queueDist := map[string]*Histogram{} // cat -> queue µs
-	laneBusy := map[int]*LaneOccupancy{}
-	for _, s := range spans {
-		if s.Lane < 0 {
-			continue
+	run := map[string]*Histogram{}   // cat -> run µs
+	queue := map[string]*Histogram{} // cat -> queue µs
+	for i := range t.stripes {
+		st := &t.stripes[i]
+		st.mu.Lock()
+		snap.WallUS = max(snap.WallUS, st.agg.wallUS)
+		for name, v := range st.agg.stages {
+			snap.Stages[name] += v
 		}
-		if end := (s.Start + s.Dur).Microseconds(); end > snap.WallUS {
-			snap.WallUS = end
+		for cat, d := range st.agg.cats {
+			mergeInto(run, cat, &d.run)
+			mergeInto(queue, cat, &d.queue)
 		}
-		if s.Inst {
-			continue
-		}
-		if s.Lane == 0 {
-			if s.Cat == "stage" {
-				snap.Stages[s.Name] += s.Dur.Microseconds()
+		for _, lo := range st.agg.lanes {
+			if lo.Tasks > 0 {
+				snap.Workers = append(snap.Workers, lo)
 			}
-			continue
 		}
-		hd := taskDist[s.Cat]
-		if hd == nil {
-			hd = &Histogram{}
-			taskDist[s.Cat] = hd
-		}
-		hd.Observe(s.Dur.Microseconds())
-		if q, ok := s.Args["queue_us"]; ok {
-			qd := queueDist[s.Cat]
-			if qd == nil {
-				qd = &Histogram{}
-				queueDist[s.Cat] = qd
-			}
-			qd.Observe(q)
-		}
-		lo := laneBusy[s.Lane]
-		if lo == nil {
-			lo = &LaneOccupancy{Lane: s.Lane}
-			laneBusy[s.Lane] = lo
-		}
-		lo.Tasks++
-		lo.BusyUS += s.Dur.Microseconds()
+		st.mu.Unlock()
 	}
-	for cat, h := range taskDist {
+	for i := range t.counters {
+		cs := &t.counters[i]
+		cs.mu.Lock()
+		for k, v := range cs.m {
+			snap.Counters[k] = v
+		}
+		cs.mu.Unlock()
+	}
+	for cat, h := range run {
 		snap.Tasks[cat] = h.Stats()
 	}
-	for cat, h := range queueDist {
+	for cat, h := range queue {
 		snap.QueueWait[cat] = h.Stats()
 	}
-	for _, lo := range laneBusy {
-		if snap.WallUS > 0 {
-			lo.Busy = float64(lo.BusyUS) / float64(snap.WallUS)
+	if snap.WallUS > 0 {
+		for i := range snap.Workers {
+			snap.Workers[i].Busy = float64(snap.Workers[i].BusyUS) / float64(snap.WallUS)
 		}
-		snap.Workers = append(snap.Workers, *lo)
 	}
-	sort.Slice(snap.Workers, func(i, j int) bool { return snap.Workers[i].Lane < snap.Workers[j].Lane })
+	slices.SortFunc(snap.Workers, func(a, b LaneOccupancy) int { return a.Lane - b.Lane })
 	return snap
+}
+
+// mergeInto adds h to m[cat], creating the entry on first use.
+func mergeInto(m map[string]*Histogram, cat string, h *Histogram) {
+	acc := m[cat]
+	if acc == nil {
+		acc = &Histogram{}
+		m[cat] = acc
+	}
+	acc.merge(h)
 }
 
 // WriteMetrics writes the Snapshot as indented JSON.

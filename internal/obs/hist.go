@@ -86,6 +86,19 @@ func (h *Histogram) Observe(us int64) {
 	}
 }
 
+// merge adds every sample o holds to h, a private accumulator no other
+// goroutine observes into.
+func (h *Histogram) merge(o *Histogram) {
+	for i := range h.counts {
+		h.counts[i].Add(o.counts[i].Load())
+	}
+	h.count.Add(o.count.Load())
+	h.sum.Add(o.sum.Load())
+	if m := o.max.Load(); m > h.max.Load() {
+		h.max.Store(m)
+	}
+}
+
 // Count returns the number of observed samples.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 

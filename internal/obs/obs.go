@@ -23,39 +23,39 @@
 //
 // Determinism contract: a Tracer observes, it never steers. Recording
 // happens strictly after the traced work completes (or around it, for
-// explicit spans), touches only the tracer's own state under its mutex,
-// and feeds nothing back into scheduling or output. Building with a live
+// explicit spans), touches only tracer state (its own and its
+// ancestors') under their mutexes, and feeds nothing back into scheduling or output. Building with a live
 // tracer vs a nil one therefore yields byte-identical images at any
 // worker count — the property TestBuildDeterministicWithTracing pins.
 //
-// Two exporters turn a recording into artifacts: WriteTrace emits Chrome
-// trace-event JSON (loadable in Perfetto or chrome://tracing), and
-// Snapshot/WriteMetrics reduce the spans to a flat metrics snapshot
-// (per-stage totals, per-task-category p50/p95/max, queue waits, worker
-// occupancy, counters).
+// Every record is folded, under the lock that appends it, into a bounded
+// aggregate: per-stage totals, per-task-category run and queue-wait
+// histograms, per-lane occupancy, the wall clock, and the counters.
+// Snapshot/WriteMetrics read that aggregate, so a metrics scrape costs
+// the same after a million records as after ten; the span log exists only
+// for WriteTrace, which emits Chrome trace-event JSON (loadable in
+// Perfetto or chrome://tracing).
+//
+// Child gives a unit of work (one calibrod job) its own span log, freed
+// with the child, while its records and counters still fold into every
+// ancestor's aggregate as they are recorded — a long-lived parent's
+// memory stays bounded however many children come and go.
 package obs
 
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// LaneServe is the conventional lane for serving-layer annotation spans
-// (job lifecycle intervals recorded by calibrod). Negative lanes are
-// "service lanes": WriteTrace names them "serve", and Snapshot excludes
-// them from task distributions and worker occupancy — they describe what
-// the daemon did *around* builds, not pool work.
-const LaneServe = -1
-
-// SpanRecord is one completed span (or instant event) as recorded.
-type SpanRecord struct {
+// spanRecord is one completed span (or instant event) as recorded.
+type spanRecord struct {
 	Name  string
 	Cat   string // category: "stage", "compile", "outline.group", ...
 	Lane  int    // 0 = build orchestration, 1..W = pool workers
 	Start time.Duration
 	Dur   time.Duration
+	Queue time.Duration // pool tasks (Lane > 0): time spent waiting for a worker
 	Args  map[string]int64
 	Inst  bool // instant event: a point in time carrying Args, Dur unused
 }
@@ -66,10 +66,61 @@ type SpanRecord struct {
 // widths the build runs at.
 const nStripes = 16
 
-// spanStripe is one lane-sharded slice of the span log.
+// spanStripe is one lane-sharded slice of the span log and of the
+// aggregate folded from it.
 type spanStripe struct {
 	mu    sync.Mutex
-	spans []SpanRecord
+	spans []spanRecord
+	agg   aggregate
+}
+
+// aggregate is the bounded reduction Snapshot reports: its size depends
+// on the number of stages, task categories and lanes, never on how many
+// records were folded into it.
+type aggregate struct {
+	wallUS int64            // latest record end
+	stages map[string]int64 // lane-0 "stage" span totals, µs
+	cats   map[string]*catDist
+	lanes  []LaneOccupancy // pool lanes of this stripe, indexed by lane / nStripes
+}
+
+// catDist is one task category's run-time and queue-wait distributions.
+type catDist struct{ run, queue Histogram }
+
+// fold adds one record to the aggregate. The caller holds the stripe lock.
+func (a *aggregate) fold(r *spanRecord) {
+	if end := (r.Start + r.Dur).Microseconds(); end > a.wallUS {
+		a.wallUS = end
+	}
+	switch {
+	case r.Inst:
+	case r.Lane == 0:
+		if r.Cat == "stage" {
+			if a.stages == nil {
+				a.stages = map[string]int64{}
+			}
+			a.stages[r.Name] += r.Dur.Microseconds()
+		}
+	default:
+		d := a.cats[r.Cat]
+		if d == nil {
+			if a.cats == nil {
+				a.cats = map[string]*catDist{}
+			}
+			d = &catDist{}
+			a.cats[r.Cat] = d
+		}
+		d.run.Observe(r.Dur.Microseconds())
+		d.queue.Observe(r.Queue.Microseconds())
+		i := r.Lane / nStripes
+		for len(a.lanes) <= i {
+			a.lanes = append(a.lanes, LaneOccupancy{})
+		}
+		lo := &a.lanes[i]
+		lo.Lane = r.Lane
+		lo.Tasks++
+		lo.BusyUS += r.Dur.Microseconds()
+	}
 }
 
 // counterStripe is one name-sharded slice of the counter map.
@@ -79,44 +130,43 @@ type counterStripe struct {
 }
 
 // Tracer records spans and counters. The zero value is not usable; call
-// New. A nil *Tracer is the no-op tracer: every method (and the pool
-// observer it vends) is safe to call and does nothing.
+// New or Child. A nil *Tracer is the no-op tracer: every method (and the
+// pool observer it vends) is safe to call and does nothing.
 //
 // Recording is striped: every pool worker appends to its own lane's span
 // stripe and counter updates hash to independent stripes, so a tracer on
-// a saturated pool never funnels all workers through one mutex. Snapshots
-// merge the stripes and order spans by start time, which the exporters
-// sort by anyway — the merged view is identical to what a single-lock log
-// would have held, modulo the order of concurrent records, which was
-// scheduling-dependent already.
+// a saturated pool never funnels all workers through one mutex. WriteTrace
+// merges the stripes and orders spans by start time — the merged view is
+// identical to what a single-lock log would have held, modulo the order
+// of concurrent records, which was scheduling-dependent already.
 type Tracer struct {
-	t0 time.Time
+	t0     time.Time
+	parent *Tracer // receives every record and count into its aggregate
 
 	stripes  [nStripes]spanStripe
 	counters [nStripes]counterStripe
-	maxLane  atomic.Int64
 }
 
 // New returns a live tracer; its clock starts now.
-func New() *Tracer {
-	t := &Tracer{t0: time.Now()}
-	for i := range t.counters {
-		t.counters[i].m = map[string]int64{}
+func New() *Tracer { return &Tracer{t0: time.Now()} }
+
+// Child returns a tracer with its own span log on t's clock. Every record
+// and count on the child also folds into t's aggregate (and so into t's
+// Snapshot) as it happens, but never into t's span log: dropping the
+// child frees its spans. Child of the no-op tracer is the no-op tracer.
+func (t *Tracer) Child() *Tracer {
+	if t == nil {
+		return nil
 	}
-	return t
+	return &Tracer{t0: t.t0, parent: t}
 }
 
-// Noop returns the no-op tracer (nil). It exists to make call sites that
-// deliberately disable tracing read as a decision, not an omission.
-func Noop() *Tracer { return nil }
-
-// Span is an in-flight interval started by Start/StartLane. End records
-// it. A nil *Span (from a nil tracer) ignores every call.
+// Span is an in-flight interval started by Start. End records it. A nil
+// *Span (from a nil tracer) ignores every call.
 type Span struct {
 	t     *Tracer
 	name  string
 	cat   string
-	lane  int
 	start time.Duration
 	args  map[string]int64
 }
@@ -125,18 +175,15 @@ type Span struct {
 // one lane must nest by containment (Chrome-trace semantics); the build →
 // stage hierarchy satisfies this naturally because stages run one at a
 // time inside the build span.
-func (t *Tracer) Start(cat, name string) *Span { return t.StartLane(cat, name, 0) }
-
-// StartLane opens a span on an explicit lane.
-func (t *Tracer) StartLane(cat, name string, lane int) *Span {
+func (t *Tracer) Start(cat, name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return &Span{t: t, name: name, cat: cat, lane: lane, start: time.Since(t.t0)}
+	return &Span{t: t, name: name, cat: cat, start: time.Since(t.t0)}
 }
 
-// Arg attaches a counter to the span (visible as Chrome-trace args and
-// aggregated by Snapshot where meaningful). Returns s for chaining.
+// Arg attaches a counter to the span (visible as Chrome-trace args).
+// Returns s for chaining.
 func (s *Span) Arg(key string, v int64) *Span {
 	if s == nil {
 		return nil
@@ -154,19 +201,22 @@ func (s *Span) End() {
 		return
 	}
 	end := time.Since(s.t.t0)
-	s.t.record(SpanRecord{Name: s.name, Cat: s.cat, Lane: s.lane,
-		Start: s.start, Dur: end - s.start, Args: s.args})
+	s.t.record(spanRecord{Name: s.name, Cat: s.cat, Start: s.start, Dur: end - s.start, Args: s.args})
 }
 
-// Count adds delta to a named tracer-level counter.
+// Count adds delta to a named tracer-level counter, here and in every
+// ancestor.
 func (t *Tracer) Count(name string, delta int64) {
-	if t == nil {
-		return
+	h := hashName(name) % nStripes
+	for ; t != nil; t = t.parent {
+		cs := &t.counters[h]
+		cs.mu.Lock()
+		if cs.m == nil {
+			cs.m = map[string]int64{}
+		}
+		cs.m[name] += delta
+		cs.mu.Unlock()
 	}
-	cs := &t.counters[hashName(name)%nStripes]
-	cs.mu.Lock()
-	cs.m[name] += delta
-	cs.mu.Unlock()
 }
 
 // hashName is FNV-1a over the counter name: cheap, allocation-free, and
@@ -179,26 +229,6 @@ func hashName(s string) uint32 {
 	return h
 }
 
-// SpanAt records a completed span post-hoc from wall-clock endpoints —
-// the vehicle for callers (the serving layer) that learn a span's bounds
-// from their own timestamps rather than bracketing the work with
-// Start/End. Endpoints before the tracer's epoch clamp to it; an end
-// before its start records a zero-duration span.
-func (t *Tracer) SpanAt(cat, name string, lane int, start, end time.Time, args map[string]int64) {
-	if t == nil {
-		return
-	}
-	s := start.Sub(t.t0)
-	if s < 0 {
-		s = 0
-	}
-	d := end.Sub(start)
-	if d < 0 {
-		d = 0
-	}
-	t.record(SpanRecord{Name: name, Cat: cat, Lane: lane, Start: s, Dur: d, Args: args})
-}
-
 // Instant records a point event carrying args — the vehicle for per-group
 // counter bundles (e.g. one outline tree's candidate/occurrence counts)
 // that have no natural interval of their own.
@@ -206,24 +236,19 @@ func (t *Tracer) Instant(cat, name string, args map[string]int64) {
 	if t == nil {
 		return
 	}
-	t.record(SpanRecord{Name: name, Cat: cat, Start: time.Since(t.t0), Args: args, Inst: true})
+	t.record(spanRecord{Name: name, Cat: cat, Start: time.Since(t.t0), Args: args, Inst: true})
 }
 
-// Task records a completed pool task post-hoc: the span ends now, started
-// run ago, on the worker's lane, with its queue wait attached as an arg.
-// This is the primitive the pool observer uses — recording after the fact
-// keeps the observed work itself untouched.
-func (t *Tracer) Task(cat, name string, worker int, queueWait, run time.Duration) {
-	if t == nil {
-		return
-	}
+// task records a completed pool task post-hoc: the span ends now, started
+// run ago, on the worker's lane, with its queue wait attached. Recording
+// after the fact keeps the observed work itself untouched.
+func (t *Tracer) task(cat, name string, worker int, queueWait, run time.Duration) {
 	end := time.Since(t.t0)
 	start := end - run
 	if start < 0 {
 		start = 0
 	}
-	t.record(SpanRecord{Name: name, Cat: cat, Lane: worker + 1, Start: start, Dur: run,
-		Args: map[string]int64{"queue_us": queueWait.Microseconds()}})
+	t.record(spanRecord{Name: name, Cat: cat, Lane: worker + 1, Start: start, Dur: run, Queue: queueWait})
 }
 
 // PoolObserver vends the callback internal/par's MapObsCtx/EachObsCtx accept:
@@ -241,31 +266,35 @@ func (t *Tracer) PoolObserver(cat string, name func(i int) string) func(worker, 
 		if name != nil {
 			n = name(index)
 		}
-		t.Task(cat, n, worker, queueWait, run)
+		t.task(cat, n, worker, queueWait, run)
 	}
 }
 
-func (t *Tracer) record(r SpanRecord) {
-	st := &t.stripes[uint(r.Lane)%nStripes]
+// record appends r to t's span log and folds it into the aggregate of t
+// and of every ancestor, each under its own stripe lock.
+func (t *Tracer) record(r spanRecord) {
+	i := uint(r.Lane) % nStripes
+	st := &t.stripes[i]
 	st.mu.Lock()
 	st.spans = append(st.spans, r)
+	st.agg.fold(&r)
 	st.mu.Unlock()
-	for {
-		cur := t.maxLane.Load()
-		if int64(r.Lane) <= cur || t.maxLane.CompareAndSwap(cur, int64(r.Lane)) {
-			return
-		}
+	for p := t.parent; p != nil; p = p.parent {
+		ps := &p.stripes[i]
+		ps.mu.Lock()
+		ps.agg.fold(&r)
+		ps.mu.Unlock()
 	}
 }
 
-// snapshotState merges the stripes into one consistent copy for export
-// without holding any lock during encoding. Spans come back ordered by
-// start time (stable across equal starts), so exporters see one log, not
-// sixteen.
-func (t *Tracer) snapshotState() (spans []SpanRecord, counters map[string]int64, maxLane int) {
+// spans merges the stripes' span logs into one copy for export, ordered
+// by start time (stable across equal starts), so exporters see one log,
+// not sixteen.
+func (t *Tracer) spans() []spanRecord {
 	if t == nil {
-		return nil, nil, 0
+		return nil
 	}
+	var spans []spanRecord
 	for i := range t.stripes {
 		st := &t.stripes[i]
 		st.mu.Lock()
@@ -273,14 +302,5 @@ func (t *Tracer) snapshotState() (spans []SpanRecord, counters map[string]int64,
 		st.mu.Unlock()
 	}
 	sort.SliceStable(spans, func(a, b int) bool { return spans[a].Start < spans[b].Start })
-	counters = map[string]int64{}
-	for i := range t.counters {
-		cs := &t.counters[i]
-		cs.mu.Lock()
-		for k, v := range cs.m {
-			counters[k] = v
-		}
-		cs.mu.Unlock()
-	}
-	return spans, counters, int(t.maxLane.Load())
+	return spans
 }

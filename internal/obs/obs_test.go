@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -14,16 +15,17 @@ import (
 // tracer (and of the nil span / nil observer it vends) is callable and
 // records nothing, and the exporters still produce valid output.
 func TestNilTracerIsNoop(t *testing.T) {
-	tr := Noop()
+	var tr *Tracer
 	sp := tr.Start("stage", "compile")
 	sp.Arg("k", 1)
 	sp.End()
-	tr.StartLane("x", "y", 3).End()
 	tr.Count("c", 5)
 	tr.Instant("cat", "ev", map[string]int64{"a": 1})
-	tr.Task("cat", "t", 0, time.Millisecond, time.Millisecond)
 	if obs := tr.PoolObserver("cat", nil); obs != nil {
 		t.Error("PoolObserver on nil tracer should be nil")
+	}
+	if tr.Child() != nil {
+		t.Error("Child of the nil tracer should be nil")
 	}
 
 	var buf bytes.Buffer
@@ -53,10 +55,10 @@ func TestSpanAndCounterRecording(t *testing.T) {
 	sp.End()
 	tr.Count("widgets", 3)
 	tr.Count("widgets", 4)
-	tr.Task("compile", "m1", 2, 5*time.Microsecond, time.Millisecond)
+	tr.task("compile", "m1", 2, 5*time.Microsecond, time.Millisecond)
 	tr.Instant("outline", "group 0", map[string]int64{"functions": 7})
 
-	spans, counters, maxLane := tr.snapshotState()
+	spans, counters := tr.spans(), tr.Snapshot().Counters
 	if len(spans) != 3 {
 		t.Fatalf("recorded %d spans, want 3", len(spans))
 	}
@@ -72,8 +74,8 @@ func TestSpanAndCounterRecording(t *testing.T) {
 	if spans[1].Lane != 3 { // worker 2 -> lane 3
 		t.Errorf("task lane = %d, want 3", spans[1].Lane)
 	}
-	if spans[1].Args["queue_us"] != 5 {
-		t.Errorf("task queue_us = %d, want 5", spans[1].Args["queue_us"])
+	if spans[1].Queue != 5*time.Microsecond {
+		t.Errorf("task queue wait = %v, want 5µs", spans[1].Queue)
 	}
 	if !spans[2].Inst {
 		t.Error("instant event not marked")
@@ -81,28 +83,26 @@ func TestSpanAndCounterRecording(t *testing.T) {
 	if counters["widgets"] != 7 {
 		t.Errorf("counter = %d, want 7", counters["widgets"])
 	}
-	if maxLane != 3 {
-		t.Errorf("maxLane = %d, want 3", maxLane)
-	}
 }
 
-// fixedTracer builds a tracer with hand-authored records so exporter
-// output is fully deterministic.
+// fixedTracer builds a tracer with hand-authored records, fed through the
+// record path, so exporter output is fully deterministic.
 func fixedTracer() *Tracer {
 	tr := New()
-	tr.stripes[0].spans = []SpanRecord{
+	for _, r := range []spanRecord{
 		// Deliberately out of start order: the exporter must sort.
 		{Name: "m0", Cat: "compile", Lane: 1, Start: 10 * time.Microsecond, Dur: 30 * time.Microsecond,
-			Args: map[string]int64{"queue_us": 2}},
+			Queue: 2 * time.Microsecond},
 		{Name: "build", Cat: "build", Lane: 0, Start: 0, Dur: 100 * time.Microsecond},
 		{Name: "compile", Cat: "stage", Lane: 0, Start: 5 * time.Microsecond, Dur: 55 * time.Microsecond},
 		{Name: "m1", Cat: "compile", Lane: 2, Start: 12 * time.Microsecond, Dur: 40 * time.Microsecond,
-			Args: map[string]int64{"queue_us": 4}},
+			Queue: 4 * time.Microsecond},
 		{Name: "group 0", Cat: "outline", Start: 70 * time.Microsecond, Inst: true,
 			Args: map[string]int64{"functions": 3}},
 		{Name: "link", Cat: "stage", Lane: 0, Start: 80 * time.Microsecond, Dur: 15 * time.Microsecond},
+	} {
+		tr.record(r)
 	}
-	tr.maxLane.Store(2)
 	tr.Count("outline.functions", 3)
 	return tr
 }
@@ -237,74 +237,99 @@ func TestWriteMetricsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpanAtAndServiceLanes drives the post-hoc span entry point: spans
-// land with clamped bounds, service-lane spans show in the trace under a
-// "serve" lane but never in the snapshot's worker aggregation.
-func TestSpanAtAndServiceLanes(t *testing.T) {
-	tr := New()
-	start := time.Now()
-	tr.SpanAt("job", "queued", LaneServe, start, start.Add(2*time.Millisecond),
-		map[string]int64{"job": 7})
-	tr.Task("compile", "m0", 0, time.Microsecond, time.Millisecond)
-
-	spans, _, _ := tr.snapshotState()
-	if len(spans) != 2 {
-		t.Fatalf("recorded %d spans, want 2", len(spans))
-	}
-	var svc *SpanRecord
-	for i := range spans {
-		if spans[i].Lane == LaneServe {
-			svc = &spans[i]
-		}
-	}
-	if svc == nil {
-		t.Fatal("no service-lane span recorded")
-	}
-	if svc.Name != "queued" || svc.Args["job"] != 7 || svc.Dur < 2*time.Millisecond {
-		t.Errorf("service span: %+v", svc)
-	}
-
-	snap := tr.Snapshot()
-	if _, ok := snap.Tasks["job"]; ok {
-		t.Error("service-lane span leaked into task stats")
-	}
-	for _, w := range snap.Workers {
-		if w.Lane < 0 {
-			t.Errorf("service lane %d in worker occupancy", w.Lane)
-		}
-	}
-
-	var buf bytes.Buffer
-	if err := tr.WriteTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"serve"`) {
-		t.Error("trace does not name the service lane")
-	}
-
-	// Endpoints before the epoch clamp rather than going negative.
-	tr.SpanAt("job", "early", LaneServe, start.Add(-time.Hour), start.Add(-2*time.Hour), nil)
-	spans, _, _ = tr.snapshotState()
-	for _, s := range spans {
-		if s.Name == "early" && (s.Start < 0 || s.Dur < 0) {
-			t.Errorf("unclamped early span: %+v", s)
-		}
-	}
-}
-
 // TestPoolObserverAdapter checks the par-facing callback records on the
 // right lane with the right name.
 func TestPoolObserverAdapter(t *testing.T) {
 	tr := New()
 	obs := tr.PoolObserver("lint", func(i int) string { return "m" + string(rune('0'+i)) })
 	obs(1, 2, 3*time.Microsecond, 10*time.Microsecond)
-	spans, _, _ := tr.snapshotState()
+	spans := tr.spans()
 	if len(spans) != 1 {
 		t.Fatalf("%d spans", len(spans))
 	}
 	s := spans[0]
-	if s.Name != "m2" || s.Cat != "lint" || s.Lane != 2 || s.Args["queue_us"] != 3 {
+	if s.Name != "m2" || s.Cat != "lint" || s.Lane != 2 || s.Queue != 3*time.Microsecond {
 		t.Errorf("span: %+v", s)
+	}
+}
+
+// TestSnapshotCostIndependentOfHistory pins the bounded scrape: Snapshot
+// reads the record-time aggregate, so after 100 000 tasks it makes the
+// same allocations, and about the same bytes, as after 100 tasks over the
+// same categories and lanes.
+func TestSnapshotCostIndependentOfHistory(t *testing.T) {
+	cost := func(n int) (allocs float64, bytes uint64) {
+		tr := New()
+		tr.Start("stage", "compile").End()
+		tr.Count("widgets", 1)
+		compile := tr.PoolObserver("compile", nil)
+		lint := tr.PoolObserver("lint", nil)
+		for i := 0; i < n; i++ {
+			compile(i%3, i, time.Microsecond, time.Duration(i%500)*time.Microsecond)
+			lint(i%3, i, 0, time.Microsecond)
+		}
+		const runs = 20
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			tr.Snapshot()
+		}
+		runtime.ReadMemStats(&m1)
+		return testing.AllocsPerRun(runs, func() { tr.Snapshot() }), (m1.TotalAlloc - m0.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := cost(100)
+	largeAllocs, largeBytes := cost(100_000)
+	if smallAllocs != largeAllocs {
+		t.Errorf("Snapshot allocs: %v after 100 tasks, %v after 100000", smallAllocs, largeAllocs)
+	}
+	if largeBytes > 2*smallBytes {
+		t.Errorf("Snapshot bytes: %d after 100 tasks, %d after 100000", smallBytes, largeBytes)
+	}
+}
+
+// TestChildFoldsIntoParent: a child's spans stay in its own log, while its
+// records and counters reach the parent's snapshot as they are recorded.
+func TestChildFoldsIntoParent(t *testing.T) {
+	parent := New()
+	parent.PoolObserver("compile", nil)(0, 0, 2*time.Microsecond, 10*time.Microsecond)
+	a, b := parent.Child(), parent.Child()
+	if a.t0 != parent.t0 {
+		t.Error("child does not share the parent's clock")
+	}
+	a.Start("stage", "compile").End()
+	a.PoolObserver("compile", nil)(1, 0, 4*time.Microsecond, 20*time.Microsecond)
+	a.Count("widgets", 2)
+	b.PoolObserver("compile", nil)(0, 0, 0, 30*time.Microsecond)
+	b.Count("widgets", 3)
+
+	if n := len(parent.spans()); n != 1 {
+		t.Errorf("parent span log holds %d spans, want only its own 1", n)
+	}
+	if n := len(a.spans()); n != 2 {
+		t.Errorf("child span log holds %d spans, want 2", n)
+	}
+	ps := parent.Snapshot()
+	if got := ps.Tasks["compile"]; got.Count != 3 || got.TotalUS != 60 {
+		t.Errorf("parent compile stats %+v, want 3 tasks, 60µs", got)
+	}
+	if got := ps.QueueWait["compile"]; got.Count != 3 || got.TotalUS != 6 {
+		t.Errorf("parent queue stats %+v, want 3 waits, 6µs", got)
+	}
+	if _, ok := ps.Stages["compile"]; !ok {
+		t.Errorf("parent stages %v lack the child's compile stage", ps.Stages)
+	}
+	if ps.Counters["widgets"] != 5 {
+		t.Errorf("parent counter = %d, want 5", ps.Counters["widgets"])
+	}
+	as := a.Snapshot()
+	if as.Tasks["compile"].Count != 1 || as.Counters["widgets"] != 2 {
+		t.Errorf("child snapshot %+v holds more than its own records", as)
+	}
+
+	// A grandchild feeds every ancestor.
+	a.Child().Count("widgets", 1)
+	if got := parent.Snapshot().Counters["widgets"]; got != 6 {
+		t.Errorf("parent counter after grandchild = %d, want 6", got)
 	}
 }
 

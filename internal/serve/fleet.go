@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/obs"
 )
 
 // fleetJobSchema versions the job key layout. Bumping it orphans every
@@ -152,10 +153,10 @@ func (s *Server) fetchArtifact(r *cache.Remote, k cache.Key, queueWait time.Dura
 
 // build is what runJob executes: the fleet wrapper around buildLocal.
 // With no remote tier, or for an ineligible job, it is buildLocal.
-func (s *Server) build(ctx context.Context, req JobRequest, queueWait time.Duration) (*buildOutput, error) {
+func (s *Server) build(ctx context.Context, req JobRequest, queueWait time.Duration, tr *obs.Tracer) (*buildOutput, error) {
 	r := s.remote()
 	if r == nil || !fleetEligible(req) {
-		return s.buildLocal(ctx, req, queueWait)
+		return s.buildLocal(ctx, req, queueWait, tr)
 	}
 	k := fleetKey(req)
 
@@ -169,7 +170,7 @@ func (s *Server) build(ctx context.Context, req JobRequest, queueWait time.Durat
 	// never a failure.
 	res, ok := r.Claim(k)
 	if !ok {
-		return s.buildLocal(ctx, req, queueWait)
+		return s.buildLocal(ctx, req, queueWait, tr)
 	}
 	if res.Ready {
 		// Published between our Get and the claim; fetch again.
@@ -177,7 +178,7 @@ func (s *Server) build(ctx context.Context, req JobRequest, queueWait time.Durat
 			s.fleetHits.Add(1)
 			return out, nil
 		}
-		return s.buildLocal(ctx, req, queueWait)
+		return s.buildLocal(ctx, req, queueWait, tr)
 	}
 	if !res.Winner {
 		// A peer is already building this. Wait for its artifact, bounded
@@ -192,13 +193,13 @@ func (s *Server) build(ctx context.Context, req JobRequest, queueWait time.Durat
 			}
 		}
 		s.fleetFallbacks.Add(1)
-		return s.buildLocal(ctx, req, queueWait)
+		return s.buildLocal(ctx, req, queueWait, tr)
 	}
 
 	// We won: build and publish. The Put fulfils the claim, waking every
 	// long-polling loser. On error the claim ages out (server TTL) and
 	// the losers fall back after FleetWait — degraded, not deadlocked.
-	out, err := s.buildLocal(ctx, req, queueWait)
+	out, err := s.buildLocal(ctx, req, queueWait, tr)
 	if err == nil && out.stats != nil {
 		if payload := encodeArtifact(out); payload != nil {
 			if r.Put(k, cache.Seal(payload)) {

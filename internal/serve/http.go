@@ -10,7 +10,7 @@
 //	GET    /jobs/{id}/image  fetch the linked OAT image bytes
 //	GET    /jobs/{id}/stats  fetch the Table-6-style JobStats
 //	GET    /jobs/{id}/lint   fetch the lint findings (when requested)
-//	GET    /jobs/{id}/trace  fetch the job's lifecycle trace (Chrome JSON)
+//	GET    /jobs/{id}/trace  fetch the job's lifecycle and build spans (Chrome JSON)
 //	GET    /healthz          liveness + drain state
 //	GET    /metrics          Metrics JSON (?format=prom for Prometheus text)
 //
@@ -24,8 +24,6 @@ import (
 	"errors"
 	"net/http"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Handler returns the daemon's HTTP handler. When Config.Log is set,
@@ -251,17 +249,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h)
 }
 
-// handleTrace serves the job's lifecycle span tree as Chrome trace-event
-// JSON — the same format the build-level -trace flag emits, so one
-// viewer (Perfetto, chrome://tracing) opens both.
+// handleTrace serves the job's own tracer as Chrome trace-event JSON —
+// its lifecycle spans and every stage and task span of its build, in the
+// format the build-level -trace flag emits, so one viewer (Perfetto,
+// chrome://tracing) opens both. Spans still open (a running job's
+// phase) appear once they end.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobFromPath(w, r)
 	if !ok {
 		return
 	}
-	spans, lanes := j.traceRecords()
 	w.Header().Set("Content-Type", "application/json")
-	obs.WriteTraceRecords(w, spans, lanes) //nolint:errcheck // response committed
+	j.tr.WriteTrace(w) //nolint:errcheck // response committed
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -246,6 +246,14 @@ type job struct {
 	seq int64 // numeric ID, the trace correlation key
 	req JobRequest
 
+	// tr is the job's own tracer (a Child of the server's), recording its
+	// lifecycle and build; it lives and dies with the job record. life
+	// spans the whole job and phase the current one of "queued" and
+	// "build"; both are touched only under mu.
+	tr    *obs.Tracer
+	life  *obs.Span
+	phase *obs.Span
+
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -253,8 +261,6 @@ type job struct {
 	state     string
 	errMsg    string
 	submitted time.Time
-	dequeued  time.Time // zero until a worker picks the job up
-	finished  time.Time
 	queueWait time.Duration
 	image     []byte
 	stats     *JobStats
@@ -276,53 +282,6 @@ func (j *job) status() *JobStatus {
 		st.Stats = j.stats
 	}
 	return st
-}
-
-// traceRecords synthesizes the job's lifecycle span tree for the
-// /jobs/{id}/trace endpoint from the bounded timestamps the job record
-// already holds (submitted/dequeued/finished) — nothing per-span is
-// stored, so a long-lived daemon's memory does not grow with trace
-// detail. The tree is: a root span covering the job's whole life, a
-// "queued" child, a "build" child once a worker picked the job up, and
-// an instant event at the terminal transition named by outcome. Times
-// are relative to submission; an unfinished job's open spans end "now".
-func (j *job) traceRecords() ([]obs.SpanRecord, map[int]string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	end := j.finished
-	if end.IsZero() {
-		end = time.Now()
-	}
-	rel := func(t time.Time) time.Duration {
-		d := t.Sub(j.submitted)
-		if d < 0 {
-			return 0
-		}
-		return d
-	}
-	args := map[string]int64{"job": j.seq, "queue_wait_us": j.queueWait.Microseconds()}
-	spans := []obs.SpanRecord{
-		{Name: "job " + j.id, Cat: "job", Lane: 0, Start: 0, Dur: rel(end), Args: args},
-	}
-	qEnd := j.dequeued
-	if qEnd.IsZero() {
-		qEnd = end // still queued (or canceled before pickup)
-	}
-	spans = append(spans, obs.SpanRecord{
-		Name: "queued", Cat: "job", Lane: 0, Start: 0, Dur: rel(qEnd),
-	})
-	if !j.dequeued.IsZero() {
-		spans = append(spans, obs.SpanRecord{
-			Name: "build", Cat: "job", Lane: 0, Start: rel(j.dequeued),
-			Dur: rel(end) - rel(j.dequeued),
-		})
-	}
-	if !j.finished.IsZero() {
-		spans = append(spans, obs.SpanRecord{
-			Name: j.state, Cat: "job", Lane: 0, Start: rel(j.finished), Inst: true,
-		})
-	}
-	return spans, map[int]string{0: "job " + j.id}
 }
 
 // buildOutput is what a successful build hands the job record.
@@ -383,15 +342,15 @@ func ladder(req JobRequest) core.Config {
 }
 
 // buildLocal runs one job under its context on this daemon's own
-// workers. Every job shares the server's cache and tracer; everything
-// else is per-job. The fleet layer (fleet.go) wraps this with the
-// artifact fetch and cross-daemon single-flight.
-func (s *Server) buildLocal(ctx context.Context, req JobRequest, queueWait time.Duration) (*buildOutput, error) {
+// workers, recording into the job's tracer tr. Every job shares the
+// server's cache; everything else is per-job. The fleet layer (fleet.go)
+// wraps this with the artifact fetch and cross-daemon single-flight.
+func (s *Server) buildLocal(ctx context.Context, req JobRequest, queueWait time.Duration, tr *obs.Tracer) (*buildOutput, error) {
 	if req.Kind == KindDebloat {
-		return s.debloat(ctx, req, queueWait)
+		return s.debloat(ctx, req, queueWait, tr)
 	}
 	if req.Kind == KindReoutline {
-		return s.reoutline(ctx, req, queueWait)
+		return s.reoutline(ctx, req, queueWait, tr)
 	}
 	app, man, err := loadApp(req)
 	if err != nil {
@@ -407,7 +366,7 @@ func (s *Server) buildLocal(ctx context.Context, req JobRequest, queueWait time.
 		cfg.Workers = s.cfg.BuildWorkers
 	}
 	cfg.Cache = s.cfg.Cache
-	cfg.Tracer = s.cfg.Tracer
+	cfg.Tracer = tr
 
 	var res *core.Result
 	if req.Config == "hfopti" {
@@ -447,7 +406,7 @@ func (s *Server) buildLocal(ctx context.Context, req JobRequest, queueWait time.
 		stats.NetWordsSaved = o.NetWordsSaved()
 	}
 	if req.Lint {
-		findings, err := analysis.LintCtx(ctx, res.Image, cfg.Workers, s.cfg.Tracer)
+		findings, err := analysis.LintCtx(ctx, res.Image, cfg.Workers, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -462,12 +421,12 @@ func (s *Server) buildLocal(ctx context.Context, req JobRequest, queueWait time.
 // everything unreachable from the requested roots, and hand back the
 // smaller image with removal statistics. The pass itself re-verifies the
 // output with the full lint before returning it.
-func (s *Server) debloat(ctx context.Context, req JobRequest, queueWait time.Duration) (*buildOutput, error) {
+func (s *Server) debloat(ctx context.Context, req JobRequest, queueWait time.Duration, tr *obs.Tracer) (*buildOutput, error) {
 	img, err := oat.Unmarshal(req.Oat)
 	if err != nil {
 		return nil, fmt.Errorf("parsing oat image: %w", err)
 	}
-	cfg := core.DebloatConfig{Workers: req.Workers, Tracer: s.cfg.Tracer}
+	cfg := core.DebloatConfig{Workers: req.Workers, Tracer: tr}
 	if cfg.Workers == 0 {
 		cfg.Workers = s.cfg.BuildWorkers
 	}
@@ -504,7 +463,7 @@ func (s *Server) debloat(ctx context.Context, req JobRequest, queueWait time.Dur
 		LintFindings:    -1,
 	}
 	if req.Lint {
-		findings, err := analysis.LintCtx(ctx, res, cfg.Workers, s.cfg.Tracer)
+		findings, err := analysis.LintCtx(ctx, res, cfg.Workers, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -519,12 +478,12 @@ func (s *Server) debloat(ctx context.Context, req JobRequest, queueWait time.Dur
 // back into rewritable form, re-run outlining over it, and hand back the
 // smaller image. The pass re-verifies its own output (validation plus the
 // paired equivalence rules) before returning it.
-func (s *Server) reoutline(ctx context.Context, req JobRequest, queueWait time.Duration) (*buildOutput, error) {
+func (s *Server) reoutline(ctx context.Context, req JobRequest, queueWait time.Duration, tr *obs.Tracer) (*buildOutput, error) {
 	img, err := oat.Unmarshal(req.Oat)
 	if err != nil {
 		return nil, fmt.Errorf("parsing oat image: %w", err)
 	}
-	cfg := core.ReoutlineConfig{Workers: req.Workers, Tracer: s.cfg.Tracer}
+	cfg := core.ReoutlineConfig{Workers: req.Workers, Tracer: tr}
 	if cfg.Workers == 0 {
 		cfg.Workers = s.cfg.BuildWorkers
 	}
@@ -568,7 +527,7 @@ func (s *Server) reoutline(ctx context.Context, req JobRequest, queueWait time.D
 		stats.NetWordsSaved = o.NetWordsSaved()
 	}
 	if req.Lint {
-		findings, err := analysis.LintCtx(ctx, res, cfg.Workers, s.cfg.Tracer)
+		findings, err := analysis.LintCtx(ctx, res, cfg.Workers, tr)
 		if err != nil {
 			return nil, err
 		}

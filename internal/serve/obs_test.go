@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -71,6 +72,97 @@ func TestJobTraceEndpoint(t *testing.T) {
 		t.Fatal(err)
 	} else if resp.Body.Close(); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job trace: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// traceEvent is the part of a Chrome trace event the tests read.
+type traceEvent struct {
+	Name string `json:"name"`
+	Cat  string `json:"cat"`
+	Ph   string `json:"ph"`
+}
+
+// decodeTrace parses a Chrome trace-event document.
+func decodeTrace(t *testing.T, data []byte) []traceEvent {
+	t.Helper()
+	var doc struct {
+		TraceEvents []traceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	return doc.TraceEvents
+}
+
+// TestJobTracersBoundedAndFeedParent: each job records into its own child
+// tracer. The daemon's tracer aggregates every job without holding a
+// span, a retained job's trace carries its real build, and an evicted
+// job's trace goes with the job.
+func TestJobTracersBoundedAndFeedParent(t *testing.T) {
+	tr := obs.New()
+	_, ts := newTestServer(t, Config{Scale: 0.05, Workers: 1, Retention: 2, Tracer: tr})
+	var ids []string
+	for i := 0; i < 4; i++ {
+		resp, st := postJob(t, ts, JobRequest{App: "Taobao", Config: "ltbo"})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d: %s", i, resp.StatusCode, st.Error)
+		}
+		if got := waitTerminal(t, ts, st.ID); got.State != StateDone {
+			t.Fatalf("job %d state %s: %s", i, got.State, got.Error)
+		}
+		ids = append(ids, st.ID)
+	}
+
+	var buf bytes.Buffer
+	if err := tr.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range decodeTrace(t, buf.Bytes()) {
+		if ev.Ph != "M" {
+			t.Errorf("daemon trace holds a %q event %q", ev.Ph, ev.Name)
+		}
+	}
+
+	compile := -1 // one job's compile tasks; the jobs are identical
+	for _, id := range ids[2:] {
+		resp, err := http.Get(ts.URL + "/jobs/" + id + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("trace of %s: status %d, %v", id, resp.StatusCode, err)
+		}
+		stages, n := 0, 0
+		for _, ev := range decodeTrace(t, data) {
+			switch ev.Cat {
+			case "stage":
+				stages++
+			case "compile":
+				n++
+			}
+		}
+		if stages == 0 {
+			t.Errorf("trace of %s has no stage spans", id)
+		}
+		if compile >= 0 && n != compile {
+			t.Errorf("identical jobs traced %d and %d compile tasks", compile, n)
+		}
+		compile = n
+	}
+	for _, id := range ids[:2] {
+		resp, err := http.Get(ts.URL + "/jobs/" + id + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("evicted job %s trace: status %d, want 404", id, resp.StatusCode)
+		}
+	}
+	if got := tr.Snapshot().Tasks["compile"].Count; compile <= 0 || got != 4*compile {
+		t.Errorf("daemon counted %d compile tasks, want 4 x %d", got, compile)
 	}
 }
 

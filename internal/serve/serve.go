@@ -2,8 +2,8 @@
 // over the existing pipeline. It composes the pieces the previous work
 // built — core.BuildCtx for cancellable builds, the bounded par pool
 // inside every stage, one process-wide content-addressed cache.Cache, and
-// one process-wide obs.Tracer — into an HTTP daemon with real serving
-// semantics:
+// one process-wide obs.Tracer with a child per job — into an HTTP daemon
+// with real serving semantics:
 //
 //   - a bounded job queue in front of a fixed pool of build workers, with
 //     queue-depth backpressure: a submit that finds the queue full is
@@ -72,10 +72,12 @@ type Config struct {
 	// FleetWait bounds how long a single-flight loser waits for the
 	// winner's artifact before building locally anyway. Default 30s.
 	FleetWait time.Duration
-	// Tracer, when non-nil, records every job's build telemetry into one
-	// process-wide recording, exported by /metrics. Job lifecycle spans
-	// (queued, terminal state) are stitched into it on obs.LaneServe with
-	// the job's numeric ID as the "job" correlation arg.
+	// Tracer, when non-nil, aggregates every job's build telemetry for
+	// /metrics. Each job records its lifecycle and build into its own
+	// Tracer.Child, which serves /jobs/{id}/trace and is freed when
+	// Retention evicts the job; the children fold into this tracer's
+	// Snapshot as they record, and nothing lands in its span log. With a
+	// nil Tracer, /jobs/{id}/trace serves the valid empty trace.
 	Tracer *obs.Tracer
 	// Log, when non-nil, receives structured JSON job and HTTP access
 	// events. Logging observes committed state transitions and never
@@ -227,6 +229,9 @@ func (s *Server) submit(req JobRequest) (*job, error) {
 	j.seq = s.nextID
 	j.id = fmt.Sprintf("j%d", s.nextID)
 	s.mu.Unlock()
+	j.tr = s.cfg.Tracer.Child()
+	j.life = j.tr.Start("job", "job "+j.id).Arg("job", j.seq)
+	j.phase = j.tr.Start("job", StateQueued)
 	select {
 	case s.queue <- j:
 		// Register only admitted jobs: a rejected submit leaves no trace
@@ -276,11 +281,8 @@ func (s *Server) worker() {
 // job's context, so cancellation mid-build stops at the pool's next task
 // pickup.
 func (s *Server) runJob(j *job) {
-	now := time.Now()
-	wait := now.Sub(j.submitted)
+	wait := time.Since(j.submitted)
 	s.queueWait.Observe(wait.Microseconds())
-	s.cfg.Tracer.SpanAt("serve", "queued", obs.LaneServe, j.submitted, now,
-		map[string]int64{"job": j.seq})
 
 	j.mu.Lock()
 	if terminal(j.state) { // cancelled while queued; already finished
@@ -288,7 +290,10 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	j.queueWait = wait
-	j.dequeued = now
+	j.phase.End()
+	j.life.Arg("queue_wait_us", wait.Microseconds())
+	j.phase = j.tr.Start("job", "build")
+	req := j.req
 	if err := j.ctx.Err(); err != nil {
 		j.mu.Unlock()
 		s.finishJob(j, nil, err)
@@ -297,25 +302,28 @@ func (s *Server) runJob(j *job) {
 	j.state = StateRunning
 	j.mu.Unlock()
 	s.cfg.Log.Log("job_start", map[string]any{
-		"job": j.id, "kind": j.req.Kind, "app": j.req.App,
+		"job": j.id, "kind": req.Kind, "app": req.App,
 		"queue_wait_us": wait.Microseconds(),
 	})
 
 	s.running.Add(1)
-	out, err := s.build(j.ctx, j.req, wait)
+	out, err := s.build(j.ctx, req, wait, j.tr)
 	s.running.Add(-1)
 	s.finishJob(j, out, err)
 }
 
 // finishJob moves a job to its terminal state exactly once; later calls
-// (a cancel racing the worker) are no-ops.
+// (a cancel racing the worker) are no-ops. It drops the request payload,
+// which nothing reads after the build, and closes the job's trace before
+// the terminal state becomes visible, so a client that saw the state
+// also sees the trace.
 func (s *Server) finishJob(j *job, out *buildOutput, err error) {
 	j.mu.Lock()
 	if terminal(j.state) {
 		j.mu.Unlock()
 		return
 	}
-	j.finished = time.Now()
+	finished := time.Now()
 	switch {
 	case err == nil:
 		j.state = StateDone
@@ -332,20 +340,17 @@ func (s *Server) finishJob(j *job, out *buildOutput, err error) {
 		j.errMsg = err.Error()
 		s.failed.Add(1)
 	}
+	j.req.Dex, j.req.Oat = nil, nil
+	j.phase.End()
+	j.tr.Instant("job", j.state, nil)
+	j.life.End()
 	state, errMsg := j.state, j.errMsg
-	started, finished := j.dequeued, j.finished
 	close(j.doneCh)
 	j.mu.Unlock()
 	j.cancel() // release the deadline timer
 
 	wall := finished.Sub(j.submitted)
 	s.jobDur.Observe(wall.Microseconds())
-	if !started.IsZero() {
-		// The run span is named by outcome, so the serve lane of the
-		// global trace reads as a timeline of terminal states.
-		s.cfg.Tracer.SpanAt("serve", string(state), obs.LaneServe,
-			started, finished, map[string]int64{"job": j.seq})
-	}
 	s.cfg.Log.Log("job_finish", map[string]any{
 		"job": j.id, "state": string(state), "wall_us": wall.Microseconds(),
 		"error": errMsg,

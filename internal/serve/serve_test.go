@@ -533,6 +533,68 @@ func TestDexPayloadSubmit(t *testing.T) {
 	}
 }
 
+// TestTerminalJobsDropPayload: a terminal job's record no longer holds
+// its request payload, and its endpoints still answer — for a dex job
+// that finished and for a debloat job cancelled while queued.
+func TestTerminalJobsDropPayload(t *testing.T) {
+	prof, _ := workload.AppByName("Taobao", 0.05)
+	app, _, err := workload.Generate(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := dex.Marshal(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noPayload := func(j *job) {
+		t.Helper()
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		if j.req.Dex != nil || j.req.Oat != nil {
+			t.Errorf("%s job %s keeps %d dex and %d oat bytes", j.state, j.id, len(j.req.Dex), len(j.req.Oat))
+		}
+	}
+	get := func(ts *httptest.Server, id, endpoint string, want int) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/jobs/" + id + endpoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s of %s: status %d, want %d", endpoint, id, resp.StatusCode, want)
+		}
+	}
+
+	s, ts := newTestServer(t, Config{Workers: 1})
+	resp, st := postJob(t, ts, JobRequest{Dex: payload, Config: "ltbo", Lint: true})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, st.Error)
+	}
+	if fin := waitTerminal(t, ts, st.ID); fin.State != StateDone {
+		t.Fatalf("job finished %s (%s), want done", fin.State, fin.Error)
+	}
+	j, _ := s.lookup(st.ID)
+	noPayload(j)
+	for _, ep := range []string{"/stats", "/lint", "/image"} {
+		get(ts, st.ID, ep, http.StatusOK)
+	}
+
+	q := queueOnlyServer(4)
+	qj, err := q.submit(JobRequest{Kind: KindDebloat, Oat: fetchImage(t, ts, st.ID)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.cancelJob(qj)
+	<-qj.doneCh
+	noPayload(qj)
+	qts := httptest.NewServer(q.Handler())
+	defer qts.Close()
+	for _, ep := range []string{"/stats", "/lint", "/image"} {
+		get(qts, qj.id, ep, http.StatusConflict)
+	}
+}
+
 // TestDrain: queued and running jobs finish, later submits are refused,
 // and the drain state shows in /healthz.
 func TestDrain(t *testing.T) {

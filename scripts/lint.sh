@@ -1,6 +1,7 @@
 #!/bin/sh
-# lint.sh runs the static checkers: go vet always, and staticcheck when a
-# binary is available. staticcheck is pinned to 2025.1 (the release
+# lint.sh runs the static checkers: gofmt and go vet always, and
+# staticcheck when a binary is available. Any file gofmt would rewrite
+# fails the run. staticcheck is pinned to 2025.1 (the release
 # validated against this module's go directive); any other version prints
 # a warning but still runs, since analyzer sets drift between releases.
 #
@@ -12,6 +13,13 @@ set -eu
 
 GO="${GO:-go}"
 STATICCHECK_VERSION="2025.1"
+
+unformatted="$("$("$GO" env GOROOT)/bin/gofmt" -l .)"
+if [ -n "$unformatted" ]; then
+    echo "lint.sh: files not gofmt-clean:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 "$GO" vet ./...
 

@@ -87,12 +87,13 @@ grep -q "^calibrod_submits_invalid_total $WANT_413\$" "$DIR/metrics.prom" \
 grep -q '^calibrod_job_duration_seconds_bucket' "$DIR/metrics.prom" \
 	|| { echo "replay-smoke: prom missing latency histogram" >&2; exit 1; }
 
-# Per-job trace: submit one more job and fetch its span tree.
+# Per-job trace: submit one more job and fetch its lifecycle and build spans.
 ID="$($CTL submit -app Taobao -config ltbo)"
 $CTL wait "$ID" >/dev/null
 $CTL trace "$ID" >"$DIR/trace.json"
 grep -q '"queued"' "$DIR/trace.json" || { echo "replay-smoke: trace missing queued span" >&2; exit 1; }
 grep -q '"done"' "$DIR/trace.json" || { echo "replay-smoke: trace missing terminal event" >&2; exit 1; }
+grep -q '"cat":"stage"' "$DIR/trace.json" || { echo "replay-smoke: trace missing build stage spans" >&2; exit 1; }
 
 # The JSON log saw the traffic.
 grep -q '"event":"job_finish"' "$JLOG" || { echo "replay-smoke: log missing job_finish events" >&2; exit 1; }

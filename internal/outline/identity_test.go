@@ -4,18 +4,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/outline"
 	"repro/internal/workload"
 )
-
-var updateIdentity = flag.Bool("update", false, "rewrite the detector byte-identity golden file")
 
 // TestDetectorByteIdentityPin pins the exact images the outliner produces
 // on a fixed ladder slice. The golden file was generated before the
@@ -61,20 +57,5 @@ func TestDetectorByteIdentityPin(t *testing.T) {
 		fmt.Fprintf(&sb, "%s %s\n", c.name, hex.EncodeToString(sum[:]))
 	}
 
-	golden := filepath.Join("testdata", "identity.golden")
-	if *updateIdentity {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update)", err)
-	}
-	if sb.String() != string(want) {
-		t.Errorf("outlined images changed:\n got:\n%s want:\n%s", sb.String(), string(want))
-	}
+	outline.CheckGolden(t, "identity.golden", sb.String())
 }

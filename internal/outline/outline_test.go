@@ -2,7 +2,13 @@ package outline
 
 import (
 	"context"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/a64"
@@ -25,6 +31,27 @@ func genApp(t *testing.T, seed int64, methods int) (*dex.App, *workload.Manifest
 		t.Fatal(err)
 	}
 	return app, man
+}
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
+
+// checkGolden compares got with testdata/name, rewriting the file first
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s changed:\n got:\n%s want:\n%s", name, got, want)
+	}
 }
 
 func compile(t *testing.T, app *dex.App, cto bool) []*codegen.CompiledMethod {
@@ -305,6 +332,52 @@ func TestAnalyze(t *testing.T) {
 	if short <= long {
 		t.Errorf("short repeats (%d) do not dominate long ones (%d)", short, long)
 	}
+}
+
+// TestAnalyzePin pins both §2.2 estimates of one fixed baseline build:
+// the Table 1 totals, the Figure 3 length histograms and the top repeats.
+// Regenerate (deliberately) with `go test ./internal/outline -update`.
+func TestAnalyzePin(t *testing.T) {
+	prof, ok := workload.AppByName("Wechat", 0.05)
+	if !ok {
+		t.Fatal("no Wechat profile")
+	}
+	app, _, err := workload.Generate(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	methods := compile(t, app, false)
+	var sb strings.Builder
+	for _, bounded := range []bool{false, true} {
+		a := Analyze(methods, bounded)
+		fmt.Fprintf(&sb, "bounded=%t total_words=%d estimated_saved_words=%d\n",
+			bounded, a.TotalWords, a.EstimatedSavedWords)
+		for _, hist := range []struct {
+			name string
+			m    map[int]int64
+		}{{"families", widen(a.RepeatFamilies)}, {"occurrences", a.OccurrencesByLength}} {
+			lengths := make([]int, 0, len(hist.m))
+			for l := range hist.m {
+				lengths = append(lengths, l)
+			}
+			sort.Ints(lengths)
+			for _, l := range lengths {
+				fmt.Fprintf(&sb, "%s length=%d %d\n", hist.name, l, hist.m[l])
+			}
+		}
+		for _, r := range a.Top {
+			fmt.Fprintf(&sb, "top length=%d count=%d %08x\n", r.Length, r.Count, r.Words)
+		}
+	}
+	checkGolden(t, "analyze.golden", sb.String())
+}
+
+func widen(m map[int]int) map[int]int64 {
+	out := make(map[int]int64, len(m))
+	for k, v := range m {
+		out[k] = int64(v)
+	}
+	return out
 }
 
 func TestCountPatterns(t *testing.T) {

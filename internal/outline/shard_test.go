@@ -3,6 +3,9 @@ package outline
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -24,27 +27,23 @@ func imageBytes(t *testing.T, seed int64, methods int, opts Options) []byte {
 	return data
 }
 
-// TestShardedOneShardMatchesGlobal pins the property that makes
-// DetectShards a tunable rather than a fork: the sharded machinery at one
-// shard — forced through the merge and the method-coordinate selection —
-// serializes to exactly the bytes of the sequence-coordinate global path.
-func TestShardedOneShardMatchesGlobal(t *testing.T) {
+// TestDetectShardsPin pins the images the outliner produces at one, two
+// and four detection shards, under both detection backends and two
+// rounds. The digests were generated from the outliner that still had a
+// separate sharded selection, so the single detect-and-select path is
+// held to its bytes at every shard count.
+// Regenerate (deliberately) with `go test ./internal/outline -update`.
+func TestDetectShardsPin(t *testing.T) {
+	var sb strings.Builder
 	for _, seed := range []int64{1, 7, 99} {
 		for _, detector := range []DetectorKind{DetectorSuffixTree, DetectorSuffixArray} {
-			base := Options{Detector: detector, Rounds: 2}
-			global := imageBytes(t, seed, 120, base)
-
-			forced := base
-			forced.DetectShards = 1
-			forced.forceSharded = true
-			sharded := imageBytes(t, seed, 120, forced)
-
-			if !bytes.Equal(global, sharded) {
-				t.Fatalf("seed %d detector %d: sharded(1) image differs from global (%d vs %d bytes)",
-					seed, detector, len(sharded), len(global))
+			for _, shards := range []int{1, 2, 4} {
+				data := imageBytes(t, seed, 120, Options{Detector: detector, Rounds: 2, DetectShards: shards})
+				fmt.Fprintf(&sb, "seed=%d detector=%d shards=%d %x\n", seed, detector, shards, sha256.Sum256(data))
 			}
 		}
 	}
+	checkGolden(t, "shards.golden", sb.String())
 }
 
 // TestShardedDeterminism pins the contract for real shard counts: the

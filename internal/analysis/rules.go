@@ -400,8 +400,8 @@ func Rules() []Rule {
 	return out
 }
 
-// RuleByName looks up a registered rule.
-func RuleByName(name string) (Rule, bool) {
+// ruleByName looks up a registered rule.
+func ruleByName(name string) (Rule, bool) {
 	for _, r := range registry {
 		if r.Name() == name {
 			return r, true
@@ -425,15 +425,6 @@ func DefaultRuleSpec() *RuleSpec {
 		if !r.Interprocedural() {
 			s.enabled[r.Name()] = true
 		}
-	}
-	return s
-}
-
-// AllRuleSpec enables every registered rule with default roots.
-func AllRuleSpec() *RuleSpec {
-	s := DefaultRuleSpec()
-	for _, r := range registry {
-		s.enabled[r.Name()] = true
 	}
 	return s
 }
@@ -484,13 +475,13 @@ func ParseRuleSpec(spec string) (*RuleSpec, error) {
 			}
 		case strings.HasPrefix(item, "-"):
 			name := item[1:]
-			if _, ok := RuleByName(name); !ok {
+			if _, ok := ruleByName(name); !ok {
 				return nil, fmt.Errorf("unknown rule %q", name)
 			}
 			delete(s.enabled, name)
 		case strings.Contains(item, "="):
 			name, sevName, _ := strings.Cut(item, "=")
-			if _, ok := RuleByName(name); !ok {
+			if _, ok := ruleByName(name); !ok {
 				return nil, fmt.Errorf("unknown rule %q", name)
 			}
 			var sev Severity
@@ -507,7 +498,7 @@ func ParseRuleSpec(spec string) (*RuleSpec, error) {
 			s.enabled[name] = true
 			s.severity[name] = sev
 		default:
-			if _, ok := RuleByName(item); !ok {
+			if _, ok := ruleByName(item); !ok {
 				return nil, fmt.Errorf("unknown rule %q", item)
 			}
 			s.enabled[item] = true
@@ -576,7 +567,7 @@ func RunRulesPaired(ctx context.Context, img, orig *oat.Image, spec *RuleSpec, r
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		r, ok := RuleByName(name)
+		r, ok := ruleByName(name)
 		if !ok {
 			continue
 		}

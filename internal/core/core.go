@@ -108,15 +108,6 @@ func CTOLTBOPl(k int) Config {
 	return c
 }
 
-// CTOLTBOPlHf adds hot-function filtering on top of CTOLTBOPl; the caller
-// supplies the profile from a prior instrumented run.
-func CTOLTBOPlHf(k int, p *profiler.Profile) Config {
-	c := CTOLTBOPl(k)
-	c.HotFilter = true
-	c.Profile = p
-	return c
-}
-
 // Result is a completed build.
 type Result struct {
 	Image   *oat.Image

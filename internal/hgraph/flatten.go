@@ -6,12 +6,12 @@ import (
 	"repro/internal/dex"
 )
 
-// Flatten linearizes a graph back into dex bytecode: blocks are laid out in
+// flatten linearizes a graph back into dex bytecode: blocks are laid out in
 // ID order, branch targets become instruction indices, and explicit gotos
 // are inserted where a block's fall-through successor is not the next block
 // in layout order. The result is a method body with the same semantics as
 // the graph, suitable for the reference interpreter.
-func Flatten(g *Graph) ([]dex.Insn, error) {
+func flatten(g *Graph) ([]dex.Insn, error) {
 	type slot struct {
 		in       Insn
 		isGoto   bool // synthesized goto
@@ -104,7 +104,7 @@ func Flatten(g *Graph) ([]dex.Insn, error) {
 // FlattenInto builds a copy of m with its body replaced by the flattened
 // graph, for feeding optimized code back to the reference interpreter.
 func FlattenInto(g *Graph, m *dex.Method) (*dex.Method, error) {
-	code, err := Flatten(g)
+	code, err := flatten(g)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package outline
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/a64"
@@ -41,38 +42,19 @@ type RepeatInfo struct {
 // with true it applies the outliner's full correctness constraints, which
 // is what LTBO can actually capture.
 func Analyze(methods []*codegen.CompiledMethod, respectBoundaries bool) *Analysis {
-	total := len(methods)
-	for _, cm := range methods {
-		total += len(cm.Code)
-	}
-	sym := newSymbolizer(total)
-	seq := make([]uint32, 0, total)
-	var posWords int
-
-	for _, cm := range methods {
-		var sep []bool
+	units := make([]Sequence, len(methods))
+	group := make([]int, len(methods))
+	for i, cm := range methods {
 		if respectBoundaries {
-			sep = separatorWords(cm, false)
+			units[i] = methodSeq{cm: cm}
 		} else {
-			sep = make([]bool, len(cm.Code))
-			for _, d := range cm.Meta.EmbeddedData {
-				for off := d.Start; off < d.End; off += a64.WordSize {
-					if off/a64.WordSize < len(sep) {
-						sep[off/a64.WordSize] = true
-					}
-				}
-			}
+			units[i] = dataSeq{cm: cm}
 		}
-		for w, word := range cm.Code {
-			if sep[w] {
-				seq = append(seq, sym.separator())
-			} else {
-				seq = append(seq, sym.word(word))
-				posWords++
-			}
-		}
-		seq = append(seq, sym.separator())
+		group[i] = i
 	}
+	// context.TODO never cancels, and cancellation is buildSequence's only
+	// error.
+	seq, pos, _ := buildSequence(context.TODO(), units, group, Options{}, &Stats{})
 
 	a := &Analysis{
 		TotalWords:          totalWords(methods),
@@ -89,8 +71,11 @@ func Analyze(methods []*codegen.CompiledMethod, respectBoundaries bool) *Analysi
 		a.OccurrencesByLength[r.Length] += int64(r.Count)
 	}
 
-	// Greedy benefit-ordered non-overlapping selection, identical to the
-	// outliner's, to estimate achievable savings (Figure 2 model).
+	// Greedy benefit-ordered non-overlapping selection to estimate
+	// achievable savings (Figure 2 model). Unlike the outliner's, it marks
+	// a family's occurrences taken before testing whether the family
+	// clears the benefit bar, so a rejected family still blocks later
+	// ones; DESIGN.md records what that costs the Table 1 estimate.
 	sort.Slice(repeats, func(i, j int) bool {
 		bi := suffixtree.Benefit(repeats[i].Length, repeats[i].Count)
 		bj := suffixtree.Benefit(repeats[j].Length, repeats[j].Count)
@@ -149,10 +134,28 @@ func Analyze(methods []*codegen.CompiledMethod, respectBoundaries bool) *Analysi
 		a.Top = append(a.Top, RepeatInfo{
 			Length: repeats[i].Length,
 			Count:  repeats[i].Count,
-			Words:  sym.wordsOf(tree.Label(repeats[i].Node)),
+			Words:  wordsAt(units, pos, tree.FirstOccurrence(repeats[i].Node), repeats[i].Length),
 		})
 	}
 	return a
+}
+
+// dataSeq is the idealized Table 1 view of a method: only embedded data
+// separates code (method boundaries still do, as for every unit).
+type dataSeq struct{ cm *codegen.CompiledMethod }
+
+func (d dataSeq) Words() []uint32 { return d.cm.Code }
+
+func (d dataSeq) Mask() []bool {
+	sep := make([]bool, len(d.cm.Code))
+	for _, r := range d.cm.Meta.EmbeddedData {
+		for off := r.Start; off < r.End; off += a64.WordSize {
+			if off/a64.WordSize < len(sep) {
+				sep[off/a64.WordSize] = true
+			}
+		}
+	}
+	return sep
 }
 
 func totalWords(methods []*codegen.CompiledMethod) int {

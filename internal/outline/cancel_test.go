@@ -20,10 +20,10 @@ func (c countingSeq) Mask() []bool {
 }
 
 // TestNestedPoolsCancel covers the pools that run nested inside a group
-// task: the separator scan (buildSequence) and sharded detection
-// (outlineGroupSharded). On an already-cancelled context both must return
-// context.Canceled, no partial result, and start no scan, at the serial
-// and the parallel pool width alike.
+// task: the separator scan (buildSequence) and the shard fan-out of
+// outlineGroup, at one and at four shards. On an already-cancelled context
+// both must return context.Canceled, no partial result, and start no
+// scan, at the serial and the parallel pool width alike.
 func TestNestedPoolsCancel(t *testing.T) {
 	app, _ := genApp(t, 5, 60)
 	cms := compile(t, app, true)
@@ -49,16 +49,19 @@ func TestNestedPoolsCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		opts := Options{Workers: workers, DetectShards: 3}.withDefaults()
+		opts := Options{Workers: workers}.withDefaults()
 		seq, pos, err := buildSequence(ctx, units, group, opts, &st)
 		if !errors.Is(err, context.Canceled) || seq != nil || pos != nil {
 			t.Errorf("workers=%d: buildSequence = (%d symbols, %d positions, %v), want (nil, nil, context.Canceled)",
 				workers, len(seq), len(pos), err)
 		}
-		funcs, _, err := outlineGroupSharded(ctx, units, group, opts)
-		if !errors.Is(err, context.Canceled) || funcs != nil {
-			t.Errorf("workers=%d: outlineGroupSharded = (%d functions, %v), want (nil, context.Canceled)",
-				workers, len(funcs), err)
+		for _, shards := range []int{1, 4} {
+			opts.DetectShards = shards
+			funcs, _, err := outlineGroup(ctx, units, group, opts)
+			if !errors.Is(err, context.Canceled) || funcs != nil {
+				t.Errorf("workers=%d shards=%d: outlineGroup = (%d functions, %v), want (nil, context.Canceled)",
+					workers, shards, len(funcs), err)
+			}
 		}
 	}
 	if got := scans.Load(); got != 0 {

@@ -60,19 +60,16 @@ type Options struct {
 	Detector DetectorKind
 	// DetectShards splits each group's sequence construction and repeat
 	// detection into N shards that fan out on the worker pool, merging the
-	// per-shard candidate sets by content before one global selection.
-	// This is the paper's global-structure-vs-parallel-detection tradeoff
-	// (Table 6) as a tunable: <= 1 keeps the exact global structure per
-	// group (and is byte-identical to it by construction); N >= 2 trades a
-	// little detection power — a repeat whose occurrences all land in
-	// different shards is invisible — for a parallel detection stage.
+	// per-shard candidate sets by content before the group's one
+	// selection. This is the paper's global-structure-vs-parallel-detection
+	// tradeoff (Table 6) as a tunable: <= 1 builds the exact global
+	// structure per group; N >= 2 trades a little detection power — a
+	// repeat whose occurrences all land in different shards is invisible —
+	// for a parallel detection stage.
 	// Orthogonal to Parallel, which partitions what is *selected over*;
 	// DetectShards only partitions what is *detected over*, selection
 	// stays global within the group.
 	DetectShards int
-	// forceSharded routes groups through the sharded machinery even at one
-	// shard; tests use it to pin the byte-identity of the two routes.
-	forceSharded bool
 	// Workers bounds the goroutines the outliner uses for the group
 	// fan-out, the per-method separator scans, and the per-method
 	// rewrites; <= 0 selects runtime.GOMAXPROCS(0). Distinct from
@@ -259,6 +256,17 @@ func accumulate(total, pass *Stats) {
 	total.Rewrite += pass.Rewrite
 }
 
+// foldSlowest folds the stats of one of several concurrent tasks (groups
+// or shards) into st: symbol counts add, and each phase keeps the slowest
+// task's time, since the tasks overlap on the pool.
+func (st *Stats) foldSlowest(task *Stats) {
+	st.SequenceSymbols += task.SequenceSymbols
+	st.SepScan = max(st.SepScan, task.SepScan)
+	st.Symbolize = max(st.Symbolize, task.Symbolize)
+	st.TreeBuild = max(st.TreeBuild, task.TreeBuild)
+	st.Detect = max(st.Detect, task.Detect)
+}
+
 // runPass performs one detect/outline/patch cycle.
 func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Options, symBase int) ([]oat.Blob, *Stats, error) {
 	stats := &Stats{}
@@ -321,21 +329,7 @@ func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Option
 	var blobs []oat.Blob
 	var rewrites []rewritePlan
 	for gi, res := range results {
-		stats.SequenceSymbols += res.stats.SequenceSymbols
-		// Groups run in parallel: phase totals take the slowest group,
-		// not the sum over the pool.
-		if res.stats.SepScan > stats.SepScan {
-			stats.SepScan = res.stats.SepScan
-		}
-		if res.stats.Symbolize > stats.Symbolize {
-			stats.Symbolize = res.stats.Symbolize
-		}
-		if res.stats.TreeBuild > stats.TreeBuild {
-			stats.TreeBuild = res.stats.TreeBuild
-		}
-		if res.stats.Detect > stats.Detect {
-			stats.Detect = res.stats.Detect
-		}
+		stats.foldSlowest(&res.stats)
 		if opts.Tracer != nil {
 			occ := 0
 			for _, f := range res.funcs {

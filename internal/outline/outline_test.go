@@ -352,18 +352,11 @@ func TestAnalyzePin(t *testing.T) {
 		a := Analyze(methods, bounded)
 		fmt.Fprintf(&sb, "bounded=%t total_words=%d estimated_saved_words=%d\n",
 			bounded, a.TotalWords, a.EstimatedSavedWords)
-		for _, hist := range []struct {
-			name string
-			m    map[int]int64
-		}{{"families", widen(a.RepeatFamilies)}, {"occurrences", a.OccurrencesByLength}} {
-			lengths := make([]int, 0, len(hist.m))
-			for l := range hist.m {
-				lengths = append(lengths, l)
-			}
-			sort.Ints(lengths)
-			for _, l := range lengths {
-				fmt.Fprintf(&sb, "%s length=%d %d\n", hist.name, l, hist.m[l])
-			}
+		for _, l := range sortedLengths(a.RepeatFamilies) {
+			fmt.Fprintf(&sb, "families length=%d %d\n", l, a.RepeatFamilies[l])
+		}
+		for _, l := range sortedLengths(a.OccurrencesByLength) {
+			fmt.Fprintf(&sb, "occurrences length=%d %d\n", l, a.OccurrencesByLength[l])
 		}
 		for _, r := range a.Top {
 			fmt.Fprintf(&sb, "top length=%d count=%d %08x\n", r.Length, r.Count, r.Words)
@@ -372,12 +365,13 @@ func TestAnalyzePin(t *testing.T) {
 	checkGolden(t, "analyze.golden", sb.String())
 }
 
-func widen(m map[int]int) map[int]int64 {
-	out := make(map[int]int64, len(m))
-	for k, v := range m {
-		out[k] = int64(v)
+func sortedLengths[V any](m map[int]V) []int {
+	lengths := make([]int, 0, len(m))
+	for l := range m {
+		lengths = append(lengths, l)
 	}
-	return out
+	sort.Ints(lengths)
+	return lengths
 }
 
 func TestCountPatterns(t *testing.T) {

@@ -14,10 +14,9 @@ import (
 
 // Sequence is one unit of detector input: a run of instruction words plus
 // the legality mask that marks positions no repeat may include. The
-// interface is deliberately free of compile-time types — the link-time
-// path adapts *codegen.CompiledMethod onto it (methodSeq), and the
-// post-hoc re-outliner (internal/reoutline) adapts lifted method bodies —
-// so both paths share one detection and selection machine.
+// outliner adapts each candidate *codegen.CompiledMethod onto it
+// (methodSeq); the §2.2 redundancy analysis adapts methods with its own,
+// idealized mask (dataSeq); tests substitute fakes.
 type Sequence interface {
 	// Words returns the unit's instruction words. The slice must stay
 	// valid and unchanged for the duration of the detection pass.
@@ -121,17 +120,7 @@ func usesLR(i a64.Inst) bool {
 // separator symbols from the same counter, so the two can never collide.
 type symbolizer struct {
 	dict map[uint32]uint32
-	rev  []uint32 // symbol -> original word (separators hold 0)
 	next uint32
-}
-
-// newSymbolizer returns a symbolizer sized for a sequence of sizeHint
-// symbols (the rev table gets one entry per distinct word or separator).
-func newSymbolizer(sizeHint int) *symbolizer {
-	return &symbolizer{
-		dict: make(map[uint32]uint32, 256),
-		rev:  make([]uint32, 0, sizeHint),
-	}
 }
 
 func (s *symbolizer) word(w uint32) uint32 {
@@ -141,24 +130,13 @@ func (s *symbolizer) word(w uint32) uint32 {
 	id := s.next
 	s.next++
 	s.dict[w] = id
-	s.rev = append(s.rev, w)
 	return id
 }
 
 func (s *symbolizer) separator() uint32 {
 	id := s.next
 	s.next++
-	s.rev = append(s.rev, 0)
 	return id
-}
-
-// wordsOf translates a symbol label back to instruction words.
-func (s *symbolizer) wordsOf(label []uint32) []uint32 {
-	out := make([]uint32, len(label))
-	for i, id := range label {
-		out[i] = s.rev[id]
-	}
-	return out
 }
 
 // buildSequence symbolizes a group of units into one sequence. The
@@ -191,7 +169,7 @@ func buildSequence(ctx context.Context, units []Sequence, group []int, opts Opti
 	for _, mi := range group {
 		total += len(units[mi].Words())
 	}
-	sym := newSymbolizer(total)
+	sym := &symbolizer{dict: make(map[uint32]uint32, 256)}
 	seq := make([]uint32, 0, total)
 	pos := make([]position, 0, total)
 	for gi, mi := range group {
@@ -257,31 +235,29 @@ func detectRepeats(seq []uint32, opts Options, st *Stats) []repeatCand {
 	return cands
 }
 
-// outlineGroup runs detection and selection over one unit group and
-// returns the functions to create (with their chosen occurrences).
-//
-// Two detection routes share this entry: the paper's global structure (one
-// sequence, one tree, selection in sequence coordinates) and the sharded
-// route of shard.go (DetectShards >= 2), which partitions the group's
-// sequence construction and detection and then selects globally in unit
-// coordinates. With one shard the two routes are byte-identical — the
-// property shard_test.go pins — which is what makes DetectShards a tunable
-// rather than a fork.
-func outlineGroup(ctx context.Context, units []Sequence, group []int, opts Options) ([]outlinedFunc, Stats, error) {
-	if opts.DetectShards > 1 || opts.forceSharded {
-		return outlineGroupSharded(ctx, units, group, opts)
+// wordsAt reads length instruction words starting at sequence position
+// start through the position map. Repeats never contain separators, so
+// every position in the run maps to a unit word.
+func wordsAt(units []Sequence, pos []position, start, length int) []uint32 {
+	words := make([]uint32, length)
+	for k := range words {
+		p := pos[start+k]
+		words[k] = units[p.method].Words()[p.word]
 	}
+	return words
+}
+
+// outlineGroup runs detection and selection over one unit group and
+// returns the functions to create (with their chosen occurrences). It is
+// the one route for every DetectShards value: detectShards returns the
+// candidates in one sequence coordinate, and a single greedy selection
+// runs over it. With one shard that is the paper's global structure.
+func outlineGroup(ctx context.Context, units []Sequence, group []int, opts Options) ([]outlinedFunc, Stats, error) {
 	var st Stats
-	seq, pos, err := buildSequence(ctx, units, group, opts, &st)
+	pos, repeats, err := detectShards(ctx, units, group, opts, &st)
 	if err != nil {
 		return nil, st, err
 	}
-	st.SequenceSymbols = len(seq)
-	if len(seq) == 0 {
-		return nil, st, nil
-	}
-
-	repeats := detectRepeats(seq, opts, &st)
 	t1 := time.Now()
 	// Rank by potential benefit, longest first among ties, the detector's
 	// ordinal as the deterministic tie-break.
@@ -297,7 +273,7 @@ func outlineGroup(ctx context.Context, units []Sequence, group []int, opts Optio
 		return repeats[a].ord < repeats[b].ord
 	})
 
-	taken := make([]bool, len(seq))
+	taken := make([]bool, len(pos))
 	var funcs []outlinedFunc
 	for _, rep := range repeats {
 		if suffixtree.Benefit(rep.length, rep.count) < opts.MinBenefit {
@@ -327,11 +303,7 @@ func outlineGroup(ctx context.Context, units []Sequence, group []int, opts Optio
 		if len(chosen) < 2 || suffixtree.Benefit(rep.length, len(chosen)) < opts.MinBenefit {
 			continue
 		}
-		f := outlinedFunc{}
-		first := chosen[0]
-		for p := first; p < first+rep.length; p++ {
-			f.words = append(f.words, units[pos[p].method].Words()[pos[p].word])
-		}
+		f := outlinedFunc{words: wordsAt(units, pos, chosen[0], rep.length)}
 		for _, o := range chosen {
 			for p := o; p < o+rep.length; p++ {
 				taken[p] = true

@@ -1,6 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -124,5 +129,81 @@ func TestRunDebloat(t *testing.T) {
 	// A malformed -roots entry is an error, not a silent default.
 	if err := run([]string{"-debloat", full, "-roots", "zero"}, &strings.Builder{}); err == nil {
 		t.Error("bad -roots entry did not error")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden file")
+
+// digestGolden pins the SHA-256 of the -o image of every request shape
+// the CLI and calibrod both accept. internal/serve's
+// TestRequestDigestsMatchCLI submits the same requests to an in-process
+// daemon and checks them against this file.
+const digestGolden = "testdata/request_digests.golden"
+
+// TestRequestDigestGolden runs every ladder configuration on a generated
+// app, both -i input formats, and -debloat composed with -reoutline, and
+// pins the written images' digests.
+func TestRequestDigestGolden(t *testing.T) {
+	dir := t.TempDir()
+	prof, ok := workload.AppByName("Taobao", 0.05)
+	if !ok {
+		t.Fatal("Taobao profile missing")
+	}
+	app, _, err := workload.Generate(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := dex.Marshal(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dexPath := filepath.Join(dir, "app.dex")
+	if err := os.WriteFile(dexPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	type digestCase struct {
+		name string
+		args []string
+	}
+	var cases []digestCase
+	for _, config := range []string{"baseline", "cto", "ltbo", "plopti", "hfopti"} {
+		cases = append(cases, digestCase{"app-" + config, []string{"-app", "Taobao", "-scale", "0.05", "-config", config}})
+	}
+	cases = append(cases,
+		// hfopti profiles the script over the leading-methods drivers, so
+		// these two also pin that convention.
+		digestCase{"dex-container", []string{"-i", dexPath, "-config", "hfopti"}},
+		digestCase{"asm-text", []string{"-i", "testdata/textapp.s", "-config", "hfopti", "-trees", "1"}},
+		// Runs after app-cto, whose image it rewrites.
+		digestCase{"debloat-reoutline", []string{"-debloat", filepath.Join(dir, "app-cto.oat"), "-roots", "0", "-reoutline"}},
+	)
+	var got bytes.Buffer
+	for _, c := range cases {
+		outPath := filepath.Join(dir, c.name+".oat")
+		var buf strings.Builder
+		if err := run(append(c.args, "-o", outPath), &buf); err != nil {
+			t.Fatalf("%s: %v\noutput:\n%s", c.name, err, buf.String())
+		}
+		img, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(img)
+		fmt.Fprintf(&got, "%s %s\n", c.name, hex.EncodeToString(sum[:]))
+	}
+
+	if *update {
+		if err := os.WriteFile(digestGolden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(digestGolden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("image digests drifted from %s:\ngot:\n%s\nwant:\n%s", digestGolden, got.Bytes(), want)
 	}
 }

@@ -155,6 +155,17 @@ func run(args []string, out io.Writer) error {
 		return flushTelemetry(out, tracer, *tracePath, *metricsPath, *statsFlag, stopProfile, *pprofPath)
 	}
 
+	cfg, err := core.Named(*config, *trees)
+	if err != nil {
+		return err
+	}
+	cfg.Rounds = *rounds
+	cfg.DetectShards = *shards
+	cfg.DedupFunctions = *dedup
+	cfg.Workers = *workers
+	cfg.Tracer = tracer
+	cfg.Cache = cc
+
 	var app *dex.App
 	var man *workload.Manifest
 	if *inPath != "" {
@@ -162,32 +173,15 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if len(data) >= 4 && string(data[:4]) == "dex\n" {
-			app, err = dex.UnmarshalApp(data)
-		} else {
-			app, err = dex.ParseText(string(data))
-		}
-		if err != nil {
+		if app, man, err = workload.Load(data); err != nil {
 			return err
-		}
-		// Convention: the leading methods are the activities; smaller
-		// hand-written apps may have fewer than three.
-		n := 3
-		if app.NumMethods() < n {
-			n = app.NumMethods()
-		}
-		man = &workload.Manifest{}
-		for i := 0; i < n; i++ {
-			man.Drivers = append(man.Drivers, dex.MethodID(i))
 		}
 	} else {
 		prof, ok := workload.AppByName(*appName, *scale)
 		if !ok {
 			return fmt.Errorf("unknown app %q", *appName)
 		}
-		var err error
-		app, man, err = workload.Generate(prof)
-		if err != nil {
+		if app, man, err = workload.Generate(prof); err != nil {
 			return err
 		}
 	}
@@ -196,31 +190,11 @@ func run(args []string, out io.Writer) error {
 		app.Name, stats.Methods, stats.Native, stats.Insns)
 
 	script := workload.Script(man, *runs, 1)
-	tune := func(c core.Config) core.Config {
-		c.Rounds = *rounds
-		c.DetectShards = *shards
-		c.DedupFunctions = *dedup
-		c.Workers = *workers
-		c.Tracer = tracer
-		c.Cache = cc
-		return c
-	}
 	var res *core.Result
-	var err error
-	ctx := context.Background()
-	switch *config {
-	case "baseline":
-		res, err = core.BuildCtx(ctx, app, tune(core.Baseline()))
-	case "cto":
-		res, err = core.BuildCtx(ctx, app, tune(core.CTOOnly()))
-	case "ltbo":
-		res, err = core.BuildCtx(ctx, app, tune(core.CTOLTBO()))
-	case "plopti":
-		res, err = core.BuildCtx(ctx, app, tune(core.CTOLTBOPl(*trees)))
-	case "hfopti":
-		res, _, err = core.ProfileGuidedBuildCtx(ctx, app, tune(core.CTOLTBOPl(*trees)), script)
-	default:
-		return fmt.Errorf("unknown config %q", *config)
+	if cfg.HotFilter {
+		res, _, err = core.ProfileGuidedBuildCtx(context.Background(), app, cfg, script)
+	} else {
+		res, err = core.BuildCtx(context.Background(), app, cfg)
 	}
 	if err != nil {
 		return err
@@ -327,24 +301,18 @@ func runDebloat(out io.Writer, inPath, rootsSpec, outPath string, reoutline bool
 		return err
 	}
 	cfg := core.DebloatConfig{Workers: workers, Tracer: tracer}
-	if strings.TrimSpace(rootsSpec) == "" {
-		cfg.NoCallerRoots = true
-	} else {
-		for _, part := range strings.Split(rootsSpec, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			id, err := strconv.ParseUint(part, 10, 32)
-			if err != nil {
-				return fmt.Errorf("bad -roots entry %q: %v", part, err)
-			}
-			cfg.Roots = append(cfg.Roots, dex.MethodID(id))
+	for _, part := range strings.Split(rootsSpec, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
 		}
+		id, err := strconv.ParseUint(part, 10, 32)
+		if err != nil {
+			return fmt.Errorf("bad -roots entry %q: %v", part, err)
+		}
+		cfg.Roots = append(cfg.Roots, dex.MethodID(id))
 	}
-	sp := tracer.Start("stage", "debloat").Arg("methods", int64(len(img.Methods)))
 	res, stats, err := core.DebloatImageCtx(context.Background(), img, cfg)
-	sp.End()
 	if err != nil {
 		return err
 	}

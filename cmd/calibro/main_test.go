@@ -32,6 +32,21 @@ func TestRunUnknownConfig(t *testing.T) {
 	}
 }
 
+// TestRunConfigResolvedFirst: the build path rejects an unknown -config
+// before it touches -i, as calibrod rejects one before queueing; -debloat
+// ignores -config.
+func TestRunConfigResolvedFirst(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.dex")
+	err := run([]string{"-i", missing, "-config", "turbo"}, &strings.Builder{})
+	if err == nil || !strings.Contains(err.Error(), `unknown config "turbo"`) {
+		t.Errorf("-i missing -config turbo: err = %v, want unknown config", err)
+	}
+	err = run([]string{"-debloat", missing, "-config", "turbo"}, &strings.Builder{})
+	if err == nil || !os.IsNotExist(err) {
+		t.Errorf("-debloat missing -config turbo: err = %v, want the missing file", err)
+	}
+}
+
 func TestRunBadInputFile(t *testing.T) {
 	var buf strings.Builder
 	err := run([]string{"-i", filepath.Join(t.TempDir(), "nope.dex")}, &buf)

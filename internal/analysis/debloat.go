@@ -56,10 +56,14 @@ type DebloatStats struct {
 
 // DebloatCtx rewrites an image keeping only code reachable from roots,
 // running the analysis on at most workers goroutines (<= 0 selects
-// GOMAXPROCS) and recording telemetry on tracer (nil records nothing).
-// It honours ctx cancellation. The output image is byte-identical for
-// every worker width.
+// GOMAXPROCS) and recording telemetry on tracer (nil records nothing):
+// one "debloat" stage span around the whole pass, plus the admission and
+// lint spans inside it. An empty root set selects DefaultRoots. It
+// honours ctx cancellation. The output image is byte-identical for every
+// worker width.
 func DebloatCtx(ctx context.Context, img *oat.Image, roots RootSet, workers int, tracer *obs.Tracer) (*oat.Image, *DebloatStats, error) {
+	sp := tracer.Start("stage", "debloat").Arg("methods", int64(len(img.Methods)))
+	defer sp.End()
 	if len(roots.Methods) == 0 && !roots.NoCallers {
 		roots = DefaultRoots()
 	}

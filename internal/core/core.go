@@ -108,6 +108,29 @@ func CTOLTBOPl(k int) Config {
 	return c
 }
 
+// Named resolves a ladder configuration by the name the calibro -config
+// flag and calibrod's config field accept: baseline, cto, ltbo, plopti
+// (CTOLTBOPl(trees)), or hfopti (plopti with HotFilter set — the profile
+// comes from ProfileGuidedBuildCtx, which callers run whenever HotFilter
+// is set).
+func Named(name string, trees int) (Config, error) {
+	switch name {
+	case "baseline":
+		return Baseline(), nil
+	case "cto":
+		return CTOOnly(), nil
+	case "ltbo":
+		return CTOLTBO(), nil
+	case "plopti":
+		return CTOLTBOPl(trees), nil
+	case "hfopti":
+		c := CTOLTBOPl(trees)
+		c.HotFilter = true
+		return c, nil
+	}
+	return Config{}, fmt.Errorf("unknown config %q", name)
+}
+
 // Result is a completed build.
 type Result struct {
 	Image   *oat.Image
@@ -280,13 +303,10 @@ func ProfileGuidedBuildCtx(ctx context.Context, app *dex.App, cfg Config, script
 type DebloatConfig struct {
 	// Roots are the explicit entry points reachability starts from — an
 	// app's activity drivers, a JNI registration table, or a profiler's
-	// hot set. Empty Roots with NoCallerRoots unset selects the default
-	// no-caller inference.
+	// hot set. Empty Roots selects the default no-caller inference
+	// (analysis.DefaultRoots): every method the call graph records no
+	// caller for, the conservative stand-in for "externally visible".
 	Roots []dex.MethodID
-	// NoCallerRoots additionally roots every method the call graph
-	// records no caller for (the conservative stand-in for "externally
-	// visible"). It composes with explicit Roots.
-	NoCallerRoots bool
 	// Workers bounds the analysis fan-out; <= 0 selects GOMAXPROCS. The
 	// output image is byte-identical at every width.
 	Workers int
@@ -301,34 +321,12 @@ type DebloatConfig struct {
 // re-verifies its output with the full lint before returning it. It
 // honours ctx cancellation.
 func DebloatImageCtx(ctx context.Context, img *oat.Image, cfg DebloatConfig) (*oat.Image, *analysis.DebloatStats, error) {
-	roots := analysis.RootSet{Methods: cfg.Roots, NoCallers: cfg.NoCallerRoots}
-	return analysis.DebloatCtx(ctx, img, roots, cfg.Workers, cfg.Tracer)
+	return analysis.DebloatCtx(ctx, img, analysis.RootSet{Methods: cfg.Roots}, cfg.Workers, cfg.Tracer)
 }
 
 // ReoutlineConfig configures the post-hoc re-outlining of an already
-// linked image (ReoutlineImageCtx). The zero value runs a single global
-// suffix tree with the link-time default thresholds.
-type ReoutlineConfig struct {
-	// MinLength/MinBenefit tune the detector (defaults per §3.3).
-	MinLength  int
-	MinBenefit int
-	// ParallelTrees partitions the lifted methods into K suffix trees
-	// (PlOpti); <= 1 builds one global tree.
-	ParallelTrees int
-	// DetectShards shards detection inside each tree.
-	DetectShards int
-	// Rounds repeats the outlining cycle; DedupFunctions merges identical
-	// re-outlined bodies.
-	Rounds         int
-	DedupFunctions bool
-	// Detector selects the repeat-detection backend.
-	Detector outline.DetectorKind
-	// Workers bounds every parallel stage; <= 0 selects GOMAXPROCS. The
-	// output image is byte-identical at every width.
-	Workers int
-	// Tracer, when non-nil, records the per-stage spans and counters.
-	Tracer *obs.Tracer
-}
+// linked image (ReoutlineImageCtx); see reoutline.Config.
+type ReoutlineConfig = reoutline.Config
 
 // ReoutlineImageCtx re-outlines a linked image without its compile-time
 // state: it lifts every method the legality mask admits back into
@@ -339,15 +337,5 @@ type ReoutlineConfig struct {
 // refused; frozen methods ride through byte-for-byte. It honours ctx
 // cancellation.
 func ReoutlineImageCtx(ctx context.Context, img *oat.Image, cfg ReoutlineConfig) (*oat.Image, *reoutline.Stats, error) {
-	return reoutline.RunCtx(ctx, img, reoutline.Config{
-		MinLength:      cfg.MinLength,
-		MinBenefit:     cfg.MinBenefit,
-		ParallelTrees:  cfg.ParallelTrees,
-		DetectShards:   cfg.DetectShards,
-		Rounds:         cfg.Rounds,
-		DedupFunctions: cfg.DedupFunctions,
-		Detector:       cfg.Detector,
-		Workers:        cfg.Workers,
-		Tracer:         cfg.Tracer,
-	})
+	return reoutline.RunCtx(ctx, img, cfg)
 }

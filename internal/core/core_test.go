@@ -112,6 +112,28 @@ func TestAllConfigsBehaveIdentically(t *testing.T) {
 	}
 }
 
+// TestNamedLadder: every ladder name resolves to its constructor, hfopti
+// adds the hot filter to plopti, and anything else is refused.
+func TestNamedLadder(t *testing.T) {
+	hf := CTOLTBOPl(4)
+	hf.HotFilter = true
+	for name, want := range map[string]Config{
+		"baseline": Baseline(),
+		"cto":      CTOOnly(),
+		"ltbo":     CTOLTBO(),
+		"plopti":   CTOLTBOPl(4),
+		"hfopti":   hf,
+	} {
+		got, err := Named(name, 4)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("Named(%q) = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	if _, err := Named("turbo", 4); err == nil || err.Error() != `unknown config "turbo"` {
+		t.Errorf("Named(turbo) err = %v", err)
+	}
+}
+
 func TestHotFilterRequiresProfile(t *testing.T) {
 	app, _ := testApp(t, 20)
 	cfg := CTOLTBO()

@@ -46,11 +46,8 @@ import (
 )
 
 // Config tunes the pass. The zero value runs a single global suffix tree
-// with the paper's §3.3 thresholds, like the link-time default.
+// with the link-time detector's default thresholds and backend (§3.3).
 type Config struct {
-	// MinLength/MinBenefit gate the detector exactly as at link time.
-	MinLength  int
-	MinBenefit int
 	// ParallelTrees partitions the lifted methods into K independent
 	// suffix trees (PlOpti); <= 1 builds one global tree.
 	ParallelTrees int
@@ -60,8 +57,6 @@ type Config struct {
 	// re-outlined bodies across trees and rounds.
 	Rounds         int
 	DedupFunctions bool
-	// Detector selects the repeat-detection backend.
-	Detector outline.DetectorKind
 	// Workers bounds every parallel stage; <= 0 selects GOMAXPROCS. The
 	// output image is byte-identical at every width.
 	Workers int
@@ -179,13 +174,10 @@ func RunCtx(ctx context.Context, img *oat.Image, cfg Config) (*oat.Image, *Stats
 		}
 	}
 	blobs, ost, err := outline.RunVerifiedCtx(ctx, compact, outline.Options{
-		MinLength:      cfg.MinLength,
-		MinBenefit:     cfg.MinBenefit,
 		Parallel:       cfg.ParallelTrees,
 		DetectShards:   cfg.DetectShards,
 		Rounds:         cfg.Rounds,
 		DedupFunctions: cfg.DedupFunctions,
-		Detector:       cfg.Detector,
 		Workers:        cfg.Workers,
 		Tracer:         cfg.Tracer,
 		SymKind:        codegen.SymKindReoutlined,

@@ -18,6 +18,8 @@ import (
 	"repro/internal/dex"
 	"repro/internal/oat"
 	"repro/internal/obs"
+	"repro/internal/outline"
+	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -141,10 +143,8 @@ func (r JobRequest) validate() error {
 	if len(r.Oat) > 0 || len(r.Roots) > 0 {
 		return errors.New("oat and roots apply to rewrite jobs only")
 	}
-	switch r.Config {
-	case "baseline", "cto", "ltbo", "plopti", "hfopti":
-	default:
-		return fmt.Errorf("unknown config %q", r.Config)
+	if _, err := core.Named(r.Config, r.Trees); err != nil {
+		return err
 	}
 	switch {
 	case r.App != "" && len(r.Dex) > 0:
@@ -291,249 +291,185 @@ type buildOutput struct {
 	lint  []analysis.Finding
 }
 
-// loadApp materializes the job's input: a generated benchmark profile, or
-// the client's dex payload (binary container or assembly text, sniffed by
-// magic, with cmd/calibro's leading-methods-are-drivers convention).
+// loadApp materializes a build job's input: a generated benchmark
+// profile, or the client's dex payload (workload.Load).
 func loadApp(req JobRequest) (*dex.App, *workload.Manifest, error) {
-	if req.App != "" {
-		prof, ok := workload.AppByName(req.App, req.Scale)
-		if !ok {
-			return nil, nil, fmt.Errorf("unknown app %q", req.App)
-		}
-		if req.Version > 0 || req.Delta > 0 {
-			prof = workload.Update(prof, req.Version, req.Delta)
-		}
-		return workload.Generate(prof)
+	if req.App == "" {
+		return workload.Load(req.Dex)
 	}
-	var app *dex.App
-	var err error
-	if len(req.Dex) >= 4 && string(req.Dex[:4]) == "dex\n" {
-		app, err = dex.UnmarshalApp(req.Dex)
-	} else {
-		app, err = dex.ParseText(string(req.Dex))
+	prof, ok := workload.AppByName(req.App, req.Scale)
+	if !ok {
+		return nil, nil, fmt.Errorf("unknown app %q", req.App)
 	}
-	if err != nil {
-		return nil, nil, err
+	if req.Version > 0 || req.Delta > 0 {
+		prof = workload.Update(prof, req.Version, req.Delta)
 	}
-	n := 3
-	if app.NumMethods() < n {
-		n = app.NumMethods()
-	}
-	man := &workload.Manifest{}
-	for i := 0; i < n; i++ {
-		man.Drivers = append(man.Drivers, dex.MethodID(i))
-	}
-	return app, man, nil
-}
-
-// ladder maps the request's configuration name onto the evaluation
-// ladder. hfopti is handled by the caller (it needs the profiling loop).
-func ladder(req JobRequest) core.Config {
-	switch req.Config {
-	case "baseline":
-		return core.Baseline()
-	case "cto":
-		return core.CTOOnly()
-	case "ltbo":
-		return core.CTOLTBO()
-	default: // plopti, hfopti
-		return core.CTOLTBOPl(req.Trees)
-	}
+	return workload.Generate(prof)
 }
 
 // buildLocal runs one job under its context on this daemon's own
 // workers, recording into the job's tracer tr. Every job shares the
 // server's cache; everything else is per-job. The fleet layer (fleet.go)
 // wraps this with the artifact fetch and cross-daemon single-flight.
+//
+// Each kind produces its image and kind-specific stats; the tail shared by
+// all of them serializes the image, lints it on request, and fills in the
+// stats every kind reports.
 func (s *Server) buildLocal(ctx context.Context, req JobRequest, queueWait time.Duration, tr *obs.Tracer) (*buildOutput, error) {
-	if req.Kind == KindDebloat {
-		return s.debloat(ctx, req, queueWait, tr)
+	if req.Workers == 0 {
+		req.Workers = s.cfg.BuildWorkers
 	}
-	if req.Kind == KindReoutline {
-		return s.reoutline(ctx, req, queueWait, tr)
+	var img *oat.Image
+	var stats *JobStats
+	var err error
+	switch req.Kind {
+	case KindDebloat:
+		img, stats, err = debloat(ctx, req, tr)
+	case KindReoutline:
+		img, stats, err = reoutline(ctx, req, tr)
+	default:
+		img, stats, err = s.compile(ctx, req, tr)
 	}
-	app, man, err := loadApp(req)
 	if err != nil {
 		return nil, err
 	}
-	cfg := ladder(req)
+	data, err := img.Marshal()
+	if err != nil {
+		return nil, err
+	}
+	stats.Kind = req.Kind
+	stats.ImageBytes = len(data)
+	stats.Workers = par.Workers(req.Workers)
+	stats.QueueWaitUS = queueWait.Microseconds()
+	stats.LintFindings = -1
+	out := &buildOutput{image: data, stats: stats}
+	if req.Lint {
+		if out.lint, err = analysis.LintCtx(ctx, img, req.Workers, tr); err != nil {
+			return nil, err
+		}
+		stats.LintFindings = len(out.lint)
+	}
+	return out, nil
+}
+
+// compile runs a build-kind job: load or generate the app and build it
+// under the requested ladder configuration, through the server's cache.
+func (s *Server) compile(ctx context.Context, req JobRequest, tr *obs.Tracer) (*oat.Image, *JobStats, error) {
+	app, man, err := loadApp(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg, err := core.Named(req.Config, req.Trees)
+	if err != nil {
+		return nil, nil, err
+	}
 	cfg.DetectShards = req.Shards
 	cfg.Rounds = req.Rounds
 	cfg.DedupFunctions = req.Dedup
 	cfg.VerifyImage = req.Verify
 	cfg.Workers = req.Workers
-	if cfg.Workers == 0 {
-		cfg.Workers = s.cfg.BuildWorkers
-	}
 	cfg.Cache = s.cfg.Cache
 	cfg.Tracer = tr
 
 	var res *core.Result
-	if req.Config == "hfopti" {
-		script := workload.Script(man, req.Runs, 1)
-		res, _, err = core.ProfileGuidedBuildCtx(ctx, app, cfg, script)
+	if cfg.HotFilter {
+		res, _, err = core.ProfileGuidedBuildCtx(ctx, app, cfg, workload.Script(man, req.Runs, 1))
 	} else {
 		res, err = core.BuildCtx(ctx, app, cfg)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	data, err := res.Image.Marshal()
-	if err != nil {
-		return nil, err
-	}
-
-	out := &buildOutput{image: data}
 	stats := &JobStats{
-		Kind:         KindBuild,
-		App:          app.Name,
-		Config:       req.Config,
-		Methods:      app.NumMethods(),
-		TextBytes:    res.TextBytes(),
-		ImageBytes:   len(data),
-		Workers:      res.Workers,
-		QueueWaitUS:  queueWait.Microseconds(),
-		CompileUS:    res.CompileTime.Microseconds(),
-		OutlineUS:    res.OutlineTime.Microseconds(),
-		LinkUS:       res.LinkTime.Microseconds(),
-		VerifyUS:     res.VerifyTime.Microseconds(),
-		WallUS:       res.WallTime.Microseconds(),
-		LintFindings: -1,
+		App:       app.Name,
+		Config:    req.Config,
+		Methods:   app.NumMethods(),
+		TextBytes: res.TextBytes(),
+		CompileUS: res.CompileTime.Microseconds(),
+		OutlineUS: res.OutlineTime.Microseconds(),
+		LinkUS:    res.LinkTime.Microseconds(),
+		VerifyUS:  res.VerifyTime.Microseconds(),
+		WallUS:    res.WallTime.Microseconds(),
 	}
-	if o := res.Outline; o != nil {
-		stats.OutlinedFunctions = o.OutlinedFunctions
-		stats.OutlinedOccurrences = o.OutlinedOccurrences
-		stats.NetWordsSaved = o.NetWordsSaved()
-	}
-	if req.Lint {
-		findings, err := analysis.LintCtx(ctx, res.Image, cfg.Workers, tr)
-		if err != nil {
-			return nil, err
-		}
-		out.lint = findings
-		stats.LintFindings = len(findings)
-	}
-	out.stats = stats
-	return out, nil
+	stats.setOutline(res.Outline)
+	return res.Image, stats, nil
 }
 
-// debloat runs a debloat-kind job: parse the client's image, remove
-// everything unreachable from the requested roots, and hand back the
-// smaller image with removal statistics. The pass itself re-verifies the
-// output with the full lint before returning it.
-func (s *Server) debloat(ctx context.Context, req JobRequest, queueWait time.Duration, tr *obs.Tracer) (*buildOutput, error) {
+// setOutline copies the outliner's effect into the stats; nil (outlining
+// off) leaves them zero.
+func (st *JobStats) setOutline(o *outline.Stats) {
+	if o != nil {
+		st.OutlinedFunctions = o.OutlinedFunctions
+		st.OutlinedOccurrences = o.OutlinedOccurrences
+		st.NetWordsSaved = o.NetWordsSaved()
+	}
+}
+
+// debloat runs a debloat-kind job: parse the client's image and remove
+// everything unreachable from the requested roots (no roots selects the
+// no-caller inference). The pass itself re-verifies the output with the
+// full lint before returning it.
+func debloat(ctx context.Context, req JobRequest, tr *obs.Tracer) (*oat.Image, *JobStats, error) {
 	img, err := oat.Unmarshal(req.Oat)
 	if err != nil {
-		return nil, fmt.Errorf("parsing oat image: %w", err)
+		return nil, nil, fmt.Errorf("parsing oat image: %w", err)
 	}
 	cfg := core.DebloatConfig{Workers: req.Workers, Tracer: tr}
-	if cfg.Workers == 0 {
-		cfg.Workers = s.cfg.BuildWorkers
-	}
 	for _, id := range req.Roots {
 		cfg.Roots = append(cfg.Roots, dex.MethodID(id))
 	}
-	if len(cfg.Roots) == 0 {
-		cfg.NoCallerRoots = true
-	}
 	start := time.Now()
-	res, dstats, err := core.DebloatImageCtx(ctx, img, cfg)
+	res, ds, err := core.DebloatImageCtx(ctx, img, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	wall := time.Since(start)
-	data, err := res.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	out := &buildOutput{image: data}
-	stats := &JobStats{
-		Kind:            KindDebloat,
-		Methods:         dstats.MethodsTotal,
-		TextBytes:       dstats.TextAfter,
-		TextBytesBefore: dstats.TextBefore,
-		ImageBytes:      len(data),
-		Workers:         cfg.Workers,
-		MethodsRemoved:  dstats.MethodsRemoved,
-		OutlinedRemoved: dstats.BlobsRemoved,
-		ThunksRemoved:   dstats.ThunksRemoved,
-		Imprecise:       dstats.Imprecise,
-		QueueWaitUS:     queueWait.Microseconds(),
-		WallUS:          wall.Microseconds(),
-		LintFindings:    -1,
-	}
-	if req.Lint {
-		findings, err := analysis.LintCtx(ctx, res, cfg.Workers, tr)
-		if err != nil {
-			return nil, err
-		}
-		out.lint = findings
-		stats.LintFindings = len(findings)
-	}
-	out.stats = stats
-	return out, nil
+	return res, &JobStats{
+		Methods:         ds.MethodsTotal,
+		TextBytes:       ds.TextAfter,
+		TextBytesBefore: ds.TextBefore,
+		MethodsRemoved:  ds.MethodsRemoved,
+		OutlinedRemoved: ds.BlobsRemoved,
+		ThunksRemoved:   ds.ThunksRemoved,
+		Imprecise:       ds.Imprecise,
+		WallUS:          time.Since(start).Microseconds(),
+	}, nil
 }
 
 // reoutline runs a reoutline-kind job: parse the client's image, lift it
-// back into rewritable form, re-run outlining over it, and hand back the
-// smaller image. The pass re-verifies its own output (validation plus the
-// paired equivalence rules) before returning it.
-func (s *Server) reoutline(ctx context.Context, req JobRequest, queueWait time.Duration, tr *obs.Tracer) (*buildOutput, error) {
+// back into rewritable form, and re-run outlining over it. The pass
+// re-verifies its own output (validation plus the paired equivalence
+// rules) before returning it.
+func reoutline(ctx context.Context, req JobRequest, tr *obs.Tracer) (*oat.Image, *JobStats, error) {
 	img, err := oat.Unmarshal(req.Oat)
 	if err != nil {
-		return nil, fmt.Errorf("parsing oat image: %w", err)
+		return nil, nil, fmt.Errorf("parsing oat image: %w", err)
 	}
-	cfg := core.ReoutlineConfig{Workers: req.Workers, Tracer: tr}
-	if cfg.Workers == 0 {
-		cfg.Workers = s.cfg.BuildWorkers
-	}
-	cfg.ParallelTrees = req.Trees
-	cfg.DetectShards = req.Shards
-	cfg.Rounds = req.Rounds
-	cfg.DedupFunctions = req.Dedup
 	start := time.Now()
-	res, rstats, err := core.ReoutlineImageCtx(ctx, img, cfg)
+	res, rs, err := core.ReoutlineImageCtx(ctx, img, core.ReoutlineConfig{
+		ParallelTrees:  req.Trees,
+		DetectShards:   req.Shards,
+		Rounds:         req.Rounds,
+		DedupFunctions: req.Dedup,
+		Workers:        req.Workers,
+		Tracer:         tr,
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	wall := time.Since(start)
-	data, err := res.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	out := &buildOutput{image: data}
 	stats := &JobStats{
-		Kind:             KindReoutline,
-		Methods:          rstats.MethodsTotal,
-		TextBytes:        rstats.TextAfter,
-		TextBytesBefore:  rstats.TextBefore,
-		ImageBytes:       len(data),
-		Workers:          cfg.Workers,
-		MethodsLifted:    rstats.MethodsLifted,
-		MethodsFrozen:    rstats.MethodsFrozen,
-		OutlinedCreated:  rstats.BlobsCreated,
-		OutlinedRetained: rstats.BlobsRetained,
-		OutlinedMerged:   rstats.BlobsDeduped,
-		QueueWaitUS:      queueWait.Microseconds(),
-		OutlineUS:        rstats.DetectTime.Microseconds(),
-		LinkUS:           rstats.RelinkTime.Microseconds(),
-		VerifyUS:         rstats.VerifyTime.Microseconds(),
-		WallUS:           wall.Microseconds(),
-		LintFindings:     -1,
+		Methods:          rs.MethodsTotal,
+		TextBytes:        rs.TextAfter,
+		TextBytesBefore:  rs.TextBefore,
+		MethodsLifted:    rs.MethodsLifted,
+		MethodsFrozen:    rs.MethodsFrozen,
+		OutlinedCreated:  rs.BlobsCreated,
+		OutlinedRetained: rs.BlobsRetained,
+		OutlinedMerged:   rs.BlobsDeduped,
+		OutlineUS:        rs.DetectTime.Microseconds(),
+		LinkUS:           rs.RelinkTime.Microseconds(),
+		VerifyUS:         rs.VerifyTime.Microseconds(),
+		WallUS:           time.Since(start).Microseconds(),
 	}
-	if o := rstats.Outline; o != nil {
-		stats.OutlinedFunctions = o.OutlinedFunctions
-		stats.OutlinedOccurrences = o.OutlinedOccurrences
-		stats.NetWordsSaved = o.NetWordsSaved()
-	}
-	if req.Lint {
-		findings, err := analysis.LintCtx(ctx, res, cfg.Workers, tr)
-		if err != nil {
-			return nil, err
-		}
-		out.lint = findings
-		stats.LintFindings = len(findings)
-	}
-	out.stats = stats
-	return out, nil
+	stats.setOutline(rs.Outline)
+	return res, stats, nil
 }

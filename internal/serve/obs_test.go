@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -163,6 +164,43 @@ func TestJobTracersBoundedAndFeedParent(t *testing.T) {
 	}
 	if got := tr.Snapshot().Tasks["compile"].Count; compile <= 0 || got != 4*compile {
 		t.Errorf("daemon counted %d compile tasks, want 4 x %d", got, compile)
+	}
+}
+
+// TestDebloatJobStageSpan: a debloat job records its "debloat" stage span
+// into its own trace and the daemon's stage totals, as re-outline jobs
+// record theirs.
+func TestDebloatJobStageSpan(t *testing.T) {
+	_, oatData := linkedTaobao(t, core.CTOOnly())
+	tr := obs.New()
+	_, ts := newTestServer(t, Config{Workers: 1, Tracer: tr})
+	resp, st := postJob(t, ts, JobRequest{Kind: KindDebloat, Oat: oatData})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, st.Error)
+	}
+	if got := waitTerminal(t, ts, st.ID); got.State != StateDone {
+		t.Fatalf("job state %s: %s", got.State, got.Error)
+	}
+	tresp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(tresp.Body)
+	tresp.Body.Close()
+	if err != nil || tresp.StatusCode != http.StatusOK {
+		t.Fatalf("trace: status %d, %v", tresp.StatusCode, err)
+	}
+	var stages []string
+	for _, ev := range decodeTrace(t, data) {
+		if ev.Cat == "stage" {
+			stages = append(stages, ev.Name)
+		}
+	}
+	if len(stages) != 1 || stages[0] != "debloat" {
+		t.Errorf("debloat job stage spans = %q, want [debloat]", stages)
+	}
+	if _, ok := tr.Snapshot().Stages["debloat"]; !ok {
+		t.Errorf("daemon stage totals miss debloat: %v", tr.Snapshot().Stages)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"repro/internal/dex"
 	"repro/internal/oat"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -125,14 +126,17 @@ func directImage(t *testing.T, req JobRequest) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ladder(req)
+	cfg, err := core.Named(req.Config, req.Trees)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Rounds = req.Rounds
 	cfg.DedupFunctions = req.Dedup
 	cfg.VerifyImage = req.Verify
 	cfg.Workers = req.Workers
 
 	var res *core.Result
-	if req.Config == "hfopti" {
+	if cfg.HotFilter {
 		res, _, err = core.ProfileGuidedBuildCtx(context.Background(), app, cfg, workload.Script(man, req.Runs, 1))
 	} else {
 		res, err = core.BuildCtx(context.Background(), app, cfg)
@@ -738,11 +742,11 @@ func TestUnknownJob404(t *testing.T) {
 	}
 }
 
-// TestDebloatJob drives the debloat job kind end to end over HTTP: build
-// an image directly, submit it for debloating rooted at the first
-// activity, and check the returned image is smaller-or-equal, parses, and
-// the stats report the removal.
-func TestDebloatJob(t *testing.T) {
+// linkedTaobao builds the small Taobao profile directly under cfg and
+// returns the build with its serialized image, the input of the rewrite
+// job tests.
+func linkedTaobao(t *testing.T, cfg core.Config) (*core.Result, []byte) {
+	t.Helper()
 	prof, ok := workload.AppByName("Taobao", 0.05)
 	if !ok {
 		t.Fatal("Taobao profile missing")
@@ -751,14 +755,44 @@ func TestDebloatJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.BuildCtx(context.Background(), app, core.CTOLTBO())
+	res, err := core.BuildCtx(context.Background(), app, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oatData, err := res.Image.Marshal()
+	data, err := res.Image.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res, data
+}
+
+// TestRewriteJobsReportResolvedWorkers: under the daemon's default pool
+// width (BuildWorkers 0), debloat and reoutline jobs report the width
+// their pool actually ran at, as build jobs do.
+func TestRewriteJobsReportResolvedWorkers(t *testing.T) {
+	_, oatData := linkedTaobao(t, core.CTOOnly())
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, kind := range []string{KindDebloat, KindReoutline} {
+		resp, st := postJob(t, ts, JobRequest{Kind: kind, Oat: oatData})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s submit: status %d: %s", kind, resp.StatusCode, st.Error)
+		}
+		final := waitTerminal(t, ts, st.ID)
+		if final.State != StateDone {
+			t.Fatalf("%s job state %s (%s), want done", kind, final.State, final.Error)
+		}
+		if got, want := final.Stats.Workers, par.Workers(0); got != want {
+			t.Errorf("%s job reports workers %d, its pool ran %d wide", kind, got, want)
+		}
+	}
+}
+
+// TestDebloatJob drives the debloat job kind end to end over HTTP: build
+// an image directly, submit it for debloating rooted at the first
+// activity, and check the returned image is smaller-or-equal, parses, and
+// the stats report the removal.
+func TestDebloatJob(t *testing.T) {
+	res, oatData := linkedTaobao(t, core.CTOLTBO())
 
 	_, ts := newTestServer(t, Config{Workers: 1})
 	resp, st := postJob(t, ts, JobRequest{Kind: KindDebloat, Oat: oatData, Roots: []uint32{0}, Lint: true})
@@ -797,22 +831,7 @@ func TestDebloatJob(t *testing.T) {
 // re-outlining, and check the returned image is smaller, parses, and the
 // stats report the lift census.
 func TestReoutlineJob(t *testing.T) {
-	prof, ok := workload.AppByName("Taobao", 0.05)
-	if !ok {
-		t.Fatal("Taobao profile missing")
-	}
-	app, _, err := workload.Generate(prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.BuildCtx(context.Background(), app, core.CTOOnly())
-	if err != nil {
-		t.Fatal(err)
-	}
-	oatData, err := res.Image.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, oatData := linkedTaobao(t, core.CTOOnly())
 
 	_, ts := newTestServer(t, Config{Workers: 1})
 	resp, st := postJob(t, ts, JobRequest{Kind: KindReoutline, Oat: oatData, Lint: true})

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"math/rand"
 
 	"repro/internal/dex"
@@ -65,6 +66,29 @@ func AppByName(name string, scale float64) (Profile, bool) {
 		return p, true
 	}
 	return Profile{}, false
+}
+
+// Load parses an app supplied as a file rather than generated: a
+// serialized dex container (recognized by its "dex\n" prefix) or the
+// smali-like assembly text. Such an app carries no manifest, so its
+// leading methods — up to the generator's driver count, fewer for small
+// hand-written apps — stand in as the activity drivers.
+func Load(data []byte) (*dex.App, *Manifest, error) {
+	var app *dex.App
+	var err error
+	if bytes.HasPrefix(data, []byte("dex\n")) {
+		app, err = dex.UnmarshalApp(data)
+	} else {
+		app, err = dex.ParseText(string(data))
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	man := &Manifest{}
+	for i := 0; i < min(numDrivers, app.NumMethods()); i++ {
+		man.Drivers = append(man.Drivers, dex.MethodID(i))
+	}
+	return app, man, nil
 }
 
 // Run is one scripted operation: invoke an entry method with arguments

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dex"
@@ -165,5 +166,51 @@ func TestMultidexLayout(t *testing.T) {
 	}
 	if app.Files[0].Name != "classes.dex" || app.Files[1].Name != "classes2.dex" {
 		t.Errorf("file names: %s, %s", app.Files[0].Name, app.Files[1].Name)
+	}
+}
+
+// TestLoadFormatsAndDrivers: Load reads both the dex container and the
+// assembly text of one app to the same methods, and takes the leading
+// methods, at most three, as drivers.
+func TestLoadFormatsAndDrivers(t *testing.T) {
+	app, _, err := Generate(Profile{Name: "g", Seed: 3, Methods: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	container, err := dex.Marshal(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, man, err := Load(container)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumMethods() != app.NumMethods() {
+		t.Errorf("container: %d methods, want %d", got.NumMethods(), app.NumMethods())
+	}
+	if want := []dex.MethodID{0, 1, 2}; !slices.Equal(man.Drivers, want) {
+		t.Errorf("container drivers %v, want %v", man.Drivers, want)
+	}
+
+	src := `
+.app Tiny
+.file classes.dex
+.class LT
+.method only regs=2 ins=1
+    return v1
+.end method
+.end class
+.end file
+`
+	got, man, err = Load([]byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Name != "Tiny" || !slices.Equal(man.Drivers, []dex.MethodID{0}) {
+		t.Errorf("text: app %q drivers %v, want Tiny [0]", got.Name, man.Drivers)
+	}
+
+	if _, _, err := Load([]byte("dex\ngarbage")); err == nil {
+		t.Error("a corrupt container loaded")
 	}
 }

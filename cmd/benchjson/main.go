@@ -32,6 +32,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"log"
 	"os"
@@ -56,8 +57,8 @@ type result struct {
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
-// run is one archived benchmark invocation in append mode.
-type run struct {
+// archivedRun is one archived benchmark invocation in append mode.
+type archivedRun struct {
 	Time       string   `json:"time,omitempty"` // RFC 3339 UTC; empty for migrated legacy results
 	HostCPUs   int      `json:"host_cpus,omitempty"`
 	GoMaxProcs int      `json:"go_max_procs,omitempty"`
@@ -69,27 +70,46 @@ type run struct {
 // document is both on-disk shapes: exactly one of Results (flat,
 // overwrite mode) or Runs (history, append mode) is populated.
 type document struct {
-	Results []result `json:"results,omitempty"`
-	Runs    []run    `json:"runs,omitempty"`
+	Results []result      `json:"results,omitempty"`
+	Runs    []archivedRun `json:"runs,omitempty"`
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
-	out := flag.String("o", "benchmarks.json", "write the parsed results to this file")
-	appendMode := flag.Bool("append", false, "append a timestamped run to -o instead of overwriting it")
-	note := flag.String("note", "", "free-form label stored with the run (append mode only)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	results := parseStdin()
+// run parses args, echoes stdin to out while collecting the result lines,
+// and writes the archive; a one-line summary goes to the log.
+func run(args []string, stdin io.Reader, out io.Writer) error {
+	flags := flag.NewFlagSet("benchjson", flag.ContinueOnError)
+	path := flags.String("o", "benchmarks.json", "write the parsed results to this file")
+	appendMode := flags.Bool("append", false, "append a timestamped run to -o instead of overwriting it")
+	note := flags.String("note", "", "free-form label stored with the run (append mode only)")
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
+	if flags.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments: %v", flags.Args())
+	}
+
+	results, err := parse(stdin, out)
+	if err != nil {
+		return err
+	}
 	if len(results) == 0 {
-		log.Fatal("no benchmark results on stdin")
+		return errors.New("no benchmark results on stdin")
 	}
 
 	var doc document
 	if *appendMode {
-		doc = loadHistory(*out)
-		doc.Runs = append(doc.Runs, run{
+		if doc, err = loadHistory(*path); err != nil {
+			return err
+		}
+		doc.Runs = append(doc.Runs, archivedRun{
 			Time:       time.Now().UTC().Format(time.RFC3339),
 			HostCPUs:   runtime.NumCPU(),
 			GoMaxProcs: runtime.GOMAXPROCS(0),
@@ -102,27 +122,30 @@ func main() {
 	}
 	data, err := json.MarshalIndent(&doc, "", "  ")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		log.Fatal(err)
+	if err := os.WriteFile(*path, append(data, '\n'), 0o644); err != nil {
+		return err
 	}
 	if *appendMode {
-		fmt.Fprintf(os.Stderr, "benchjson: appended run %d (%d results) to %s\n",
-			len(doc.Runs), len(results), *out)
+		log.Printf("appended run %d (%d results) to %s", len(doc.Runs), len(results), *path)
 	} else {
-		fmt.Fprintf(os.Stderr, "benchjson: wrote %d results to %s\n", len(results), *out)
+		log.Printf("wrote %d results to %s", len(results), *path)
 	}
+	return nil
 }
 
-// parseStdin echoes every line and collects the benchmark result lines.
-func parseStdin() []result {
+// parse echoes every line of in to out and collects the benchmark result
+// lines.
+func parse(in io.Reader, out io.Writer) ([]result, error) {
 	var results []result
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Println(line)
+		if _, err := fmt.Fprintln(out, line); err != nil {
+			return nil, err
+		}
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
@@ -142,34 +165,31 @@ func parseStdin() []result {
 		}
 		results = append(results, r)
 	}
-	if err := sc.Err(); err != nil {
-		log.Fatal(err)
-	}
-	return results
+	return results, sc.Err()
 }
 
 // loadHistory reads an existing archive for append mode. A missing file
 // starts an empty history; a legacy flat document is migrated into the
 // first run so old baselines stay diffable against new entries. Anything
-// unparseable is fatal rather than silently clobbered.
-func loadHistory(path string) document {
+// unparseable is an error rather than silently clobbered.
+func loadHistory(path string) (document, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return document{}
+		return document{}, nil
 	}
 	if err != nil {
-		log.Fatal(err)
+		return document{}, err
 	}
 	var doc document
 	if err := json.Unmarshal(data, &doc); err != nil {
-		log.Fatalf("existing %s is not a benchjson document: %v", path, err)
+		return document{}, fmt.Errorf("existing %s is not a benchjson document: %v", path, err)
 	}
 	if len(doc.Results) > 0 {
-		doc.Runs = append([]run{{
+		doc.Runs = append([]archivedRun{{
 			Note:    "migrated from pre-append flat archive; host metadata unrecorded",
 			Results: doc.Results,
 		}}, doc.Runs...)
 		doc.Results = nil
 	}
-	return doc
+	return doc, nil
 }

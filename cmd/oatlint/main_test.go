@@ -266,11 +266,13 @@ func TestLintPairedOrig(t *testing.T) {
 	// Swap two instruction words inside the first method: still a valid
 	// image by the unpaired rules' lights is too much to ask, but the
 	// paired replay must flag the divergence from the original either way.
-	bad := *reout
-	bad.Text = append([]uint32(nil), reout.Text...)
+	bad := &calibro.Image{
+		Text:    append([]uint32(nil), reout.Text...),
+		Methods: reout.Methods, Thunks: reout.Thunks, Outlined: reout.Outlined,
+	}
 	w := bad.Methods[0].Offset / 4
 	bad.Text[w+1], bad.Text[w+2] = bad.Text[w+2], bad.Text[w+1]
-	badPath := write("bad.oat", &bad)
+	badPath := write("bad.oat", bad)
 	out.Reset()
 	errOut.Reset()
 	if code := run([]string{"-orig", origPath, badPath}, &out, &errOut); code != 1 {

@@ -3,6 +3,8 @@ package analysis
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/oat"
 	"repro/internal/obs"
@@ -19,20 +21,25 @@ import (
 // which is what makes the image editor's relocation total rather than
 // heuristic. The call graph of an admitted image is returned for the
 // caller's own analysis.
+//
+// An image whose content has not changed since a pass attached its
+// analysis (debloat's re-verification, or an earlier Admit) is not
+// analyzed again: Admit applies every check above to the stored report
+// and call graph instead, so the verdict is the one a fresh analysis
+// would give. Admit attaches what it computes to img.
 func Admit(ctx context.Context, img *oat.Image, workers int, tracer *obs.Tracer) (*CallGraph, error) {
-	rep, lay, err := analyzeImage(ctx, img, workers, tracer)
+	an, err := carriedAnalysis(ctx, img, workers, tracer)
 	if err != nil {
 		return nil, err
 	}
-	if err := refuseErrors(rep.Findings); err != nil {
+	if err := firstError(an.rep.Findings); err != nil {
 		return nil, err
 	}
-	var cgfs findings
-	cg, err := buildCallGraphFrom(ctx, lay, workers, &cgfs)
+	cg, cgfs, err := an.callGraph(ctx, workers)
 	if err != nil {
 		return nil, err
 	}
-	if err := refuseErrors(cgfs.list); err != nil {
+	if err := firstError(cgfs); err != nil {
 		return nil, err
 	}
 	if id, off, pinned := PinnedIndirect(img, cg); pinned {
@@ -41,13 +48,84 @@ func Admit(ctx context.Context, img *oat.Image, workers int, tracer *obs.Tracer)
 	return cg, nil
 }
 
-// refuseErrors fails on the first error-severity finding in canonical order.
-func refuseErrors(fs []Finding) error {
-	sortFindings(fs)
+// firstError fails on the first error-severity finding of a list already
+// in canonical order.
+func firstError(fs []Finding) error {
 	for _, f := range fs {
 		if f.Severity == SevError {
 			return fmt.Errorf("analysis: refusing an unsound image: %s", f)
 		}
 	}
 	return nil
+}
+
+// imageAnalysis is the analysis an image carries from one pass to the
+// next (oat.Image.Attach): the full verification pass's report and
+// layout, plus the call graph and lift legality mask once a pass has
+// built them. oat hands it back only while the image's content is what
+// was analyzed. Everything in it is read-only once stored, so concurrent
+// passes over one image share it; mu guards the lazily built parts.
+type imageAnalysis struct {
+	rep *Report // findings in canonical order
+	lay *layout // blob bodies decoded
+
+	mu         sync.Mutex
+	cg         *CallGraph
+	cgFindings []Finding // the walk's own, in canonical order
+	frozen     []bool    // LiftFrozen(img, cg)
+}
+
+// attachedAnalysis returns the analysis img carries, or nil when it
+// carries none or its content changed since.
+func attachedAnalysis(img *oat.Image) *imageAnalysis {
+	an, _ := img.Attachment().(*imageAnalysis)
+	return an
+}
+
+// carriedAnalysis returns img's attached analysis, counting the reuse as
+// analysis.reused, or runs the full verification pass and attaches it.
+func carriedAnalysis(ctx context.Context, img *oat.Image, workers int, tracer *obs.Tracer) (*imageAnalysis, error) {
+	if an := attachedAnalysis(img); an != nil {
+		tracer.Count("analysis.reused", 1)
+		return an, nil
+	}
+	rep, lay, err := analyzeImage(ctx, img, workers, tracer)
+	if err != nil {
+		return nil, err
+	}
+	sortFindings(rep.Findings)
+	an := &imageAnalysis{rep: rep, lay: lay}
+	img.Attach(an)
+	return an, nil
+}
+
+// callGraph returns the image's call graph and the walk's own findings,
+// built over the stored layout on first use.
+func (an *imageAnalysis) callGraph(ctx context.Context, workers int) (*CallGraph, []Finding, error) {
+	an.mu.Lock()
+	defer an.mu.Unlock()
+	if an.cg == nil {
+		var fs findings
+		cg, err := buildCallGraphFrom(ctx, an.lay, workers, &fs)
+		if err != nil {
+			return nil, nil, err
+		}
+		sortFindings(fs.list)
+		an.cg, an.cgFindings = cg, fs.list
+	}
+	return an.cg, an.cgFindings, nil
+}
+
+// liftFrozen returns a copy of the freeze mask under the stored call
+// graph, computed on first use; ok is false when cg is another graph.
+func (an *imageAnalysis) liftFrozen(cg *CallGraph) (frozen []bool, ok bool) {
+	an.mu.Lock()
+	defer an.mu.Unlock()
+	if cg == nil || cg != an.cg {
+		return nil, false
+	}
+	if an.frozen == nil {
+		an.frozen = liftFrozen(an.lay.img, cg)
+	}
+	return slices.Clone(an.frozen), true
 }

@@ -26,7 +26,8 @@ import (
 //     whole image live, so the worst failure mode is removing nothing.
 //  3. Re-verification: the emitted image is run through oat.Validate and
 //     the full lint; a warning or error fails the debloat instead of
-//     shipping a corrupt image.
+//     shipping a corrupt image. The output carries that analysis, so
+//     admitting it next reuses it (see Admit).
 //
 // Method records are never deleted or renumbered — the method table is
 // indexed by dex.MethodID, and every materialized ArtMethod address in
@@ -120,12 +121,16 @@ func DebloatCtx(ctx context.Context, img *oat.Image, roots RootSet, workers int,
 	if err := out.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("analysis: debloat produced an invalid image: %w", err)
 	}
-	lint, err := LintCtx(ctx, out, workers, tracer)
+	// The analysis rides along on the output, so a pass that admits it
+	// next (the re-outliner) does not analyze the same bytes again.
+	an, err := carriedAnalysis(ctx, out, workers, tracer)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(lint) > 0 {
-		return nil, nil, fmt.Errorf("analysis: debloat produced a lintable image: %s", lint[0])
+	for _, f := range an.rep.Findings {
+		if f.Severity >= SevWarn {
+			return nil, nil, fmt.Errorf("analysis: debloat produced a lintable image: %s", f)
+		}
 	}
 	if tracer != nil {
 		tracer.Count("debloat.methods_removed", int64(stats.MethodsRemoved))

@@ -34,8 +34,19 @@ import (
 // LiftFrozen computes the per-method freeze mask of an image under its
 // call graph, indexed by method-table slot. The re-outliner may freeze
 // additional methods for defensive reasons (a lift step it cannot prove
-// safe); it must never lift a method this mask freezes.
+// safe); it must never lift a method this mask freezes. The mask of an
+// image that carries its analysis (see Admit) under the carried call
+// graph is computed once and copied out on every later call.
 func LiftFrozen(img *oat.Image, cg *CallGraph) []bool {
+	if an := attachedAnalysis(img); an != nil {
+		if frozen, ok := an.liftFrozen(cg); ok {
+			return frozen
+		}
+	}
+	return liftFrozen(img, cg)
+}
+
+func liftFrozen(img *oat.Image, cg *CallGraph) []bool {
 	frozen := make([]bool, len(img.Methods))
 	for i := range img.Methods {
 		rec := &img.Methods[i]

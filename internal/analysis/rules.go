@@ -56,11 +56,14 @@ type RuleContext struct {
 
 	// orig is the pre-pass image of a paired run (oatlint -orig, or the
 	// re-outliner's self-check); nil on single-image runs, in which case
-	// the paired rules emit nothing. Its layout and call graph are built
-	// lazily like the primary image's.
-	orig    *oat.Image
-	origLay *layout
-	origCG  *CallGraph
+	// the paired rules emit nothing. Its layout and call graph come from
+	// the analysis it carries (origAn, looked up on first use) or are
+	// built lazily like the primary image's.
+	orig       *oat.Image
+	origLooked bool
+	origAn     *imageAnalysis
+	origLay    *layout
+	origCG     *CallGraph
 
 	spec *RuleSpec
 	out  findings
@@ -79,6 +82,10 @@ func (rc *RuleContext) Orig() *oat.Image { return rc.orig }
 // they are discarded here.
 func (rc *RuleContext) origLayout() *layout {
 	if rc.origLay == nil && rc.orig != nil {
+		if an := rc.origAnalysis(); an != nil {
+			rc.origLay = an.lay
+			return rc.origLay
+		}
 		var fs findings
 		rc.origLay = buildLayout(rc.orig, &fs)
 		for _, r := range rc.origLay.regions {
@@ -90,11 +97,29 @@ func (rc *RuleContext) origLayout() *layout {
 	return rc.origLay
 }
 
+// origAnalysis returns the analysis the original image carries (counted
+// as analysis.reused), or nil.
+func (rc *RuleContext) origAnalysis() *imageAnalysis {
+	if !rc.origLooked {
+		rc.origLooked = true
+		if rc.origAn = attachedAnalysis(rc.orig); rc.origAn != nil {
+			rc.tracer.Count("analysis.reused", 1)
+		}
+	}
+	return rc.origAn
+}
+
 // origCallGraph returns the memoized call graph of the original image.
 func (rc *RuleContext) origCallGraph() (*CallGraph, error) {
 	if rc.origCG == nil && rc.orig != nil {
-		var fs findings
-		cg, err := buildCallGraphFrom(rc.ctx, rc.origLayout(), rc.workers, &fs)
+		var cg *CallGraph
+		var err error
+		if an := rc.origAnalysis(); an != nil {
+			cg, _, err = an.callGraph(rc.ctx, rc.workers)
+		} else {
+			var fs findings
+			cg, err = buildCallGraphFrom(rc.ctx, rc.origLayout(), rc.workers, &fs)
+		}
 		if err != nil {
 			return nil, err
 		}

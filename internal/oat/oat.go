@@ -9,6 +9,7 @@ package oat
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/a64"
 	"repro/internal/abi"
@@ -46,6 +47,8 @@ type Image struct {
 	Methods  []MethodRecord // indexed by dex.MethodID
 	Thunks   []FuncRecord
 	Outlined []FuncRecord
+
+	att atomic.Pointer[attachment] // see Attach
 }
 
 // TextBytes returns the text-segment size in bytes: the paper's primary

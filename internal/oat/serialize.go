@@ -41,50 +41,52 @@ const (
 
 var sectionNames = []string{"", ".text", ".oat.tables", ".shstrtab"}
 
-// Marshal serializes the image to the on-disk ELF format.
+// Marshal serializes the image to the on-disk ELF format. The whole file
+// is one exact-size buffer filled with direct little-endian appends, so
+// the allocation count does not grow with the image.
 func (img *Image) Marshal() ([]byte, error) {
-	text := make([]byte, len(img.Text)*a64.WordSize)
-	for i, w := range img.Text {
-		binary.LittleEndian.PutUint32(text[i*4:], w)
-	}
-	tables := img.encodeTables()
-
 	// String table: \0 then each name \0.
-	var shstr bytes.Buffer
+	shstr := []byte{0}
 	nameOff := make([]uint32, len(sectionNames))
-	shstr.WriteByte(0)
 	for i, n := range sectionNames[1:] {
-		nameOff[i+1] = uint32(shstr.Len())
-		shstr.WriteString(n)
-		shstr.WriteByte(0)
+		nameOff[i+1] = uint32(len(shstr))
+		shstr = append(append(shstr, n...), 0)
 	}
 
 	// Layout: ehdr | .text | .oat.tables | .shstrtab | section headers.
 	textOff := uint64(elfHeaderSize)
-	tablesOff := textOff + uint64(len(text))
-	strOff := tablesOff + uint64(len(tables))
-	shOff := strOff + uint64(shstr.Len())
-	shOff = (shOff + 7) &^ 7
+	textSize := uint64(len(img.Text) * a64.WordSize)
+	tablesOff := textOff + textSize
+	tablesSize := uint64(img.tablesSize())
+	strOff := tablesOff + tablesSize
+	shOff := (strOff + uint64(len(shstr)) + 7) &^ 7
+	shNum := uint64(len(sectionNames))
 
-	var buf bytes.Buffer
-	w := func(vs ...any) {
-		for _, v := range vs {
-			binary.Write(&buf, binary.LittleEndian, v) //nolint:errcheck // bytes.Buffer cannot fail
-		}
-	}
+	le := binary.LittleEndian
+	buf := make([]byte, 0, shOff+shNum*sectionEntrySize)
 	// ELF header.
-	buf.Write([]byte{0x7F, 'E', 'L', 'F', 2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	w(uint16(elfTypeDyn), uint16(elfMachineA64), uint32(1))
-	w(uint64(0), uint64(0), shOff)                    // entry, phoff, shoff
-	w(uint32(0), uint16(elfHeaderSize))               // flags, ehsize
-	w(uint16(0), uint16(0))                           // phentsize, phnum
-	w(uint16(sectionEntrySize), uint16(4), uint16(3)) // shentsize, shnum, shstrndx
+	buf = append(buf, 0x7F, 'E', 'L', 'F', 2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	buf = le.AppendUint16(buf, elfTypeDyn)
+	buf = le.AppendUint16(buf, elfMachineA64)
+	buf = le.AppendUint32(buf, 1)                // version
+	buf = le.AppendUint64(buf, 0)                // entry
+	buf = le.AppendUint64(buf, 0)                // phoff
+	buf = le.AppendUint64(buf, shOff)            // shoff
+	buf = le.AppendUint32(buf, 0)                // flags
+	buf = le.AppendUint16(buf, elfHeaderSize)    // ehsize
+	buf = le.AppendUint16(buf, 0)                // phentsize
+	buf = le.AppendUint16(buf, 0)                // phnum
+	buf = le.AppendUint16(buf, sectionEntrySize) // shentsize
+	buf = le.AppendUint16(buf, uint16(shNum))    // shnum
+	buf = le.AppendUint16(buf, uint16(shNum-1))  // shstrndx
 
-	buf.Write(text)
-	buf.Write(tables)
-	buf.Write(shstr.Bytes())
-	for buf.Len() < int(shOff) {
-		buf.WriteByte(0)
+	for _, w := range img.Text {
+		buf = le.AppendUint32(buf, w)
+	}
+	buf = img.appendTables(buf)
+	buf = append(buf, shstr...)
+	for uint64(len(buf)) < shOff {
+		buf = append(buf, 0)
 	}
 
 	type sh struct {
@@ -94,17 +96,26 @@ func (img *Image) Marshal() ([]byte, error) {
 		link, info     uint32
 		align, entsize uint64
 	}
-	sections := []sh{
+	sections := [...]sh{
 		{}, // SHN_UNDEF
 		{name: nameOff[1], typ: shtProgbits, flags: shfAlloc | shfExecinstr,
-			addr: abi.TextBase, off: textOff, size: uint64(len(text)), align: 4},
-		{name: nameOff[2], typ: shtProgbits, off: tablesOff, size: uint64(len(tables)), align: 4},
-		{name: nameOff[3], typ: shtStrtab, off: strOff, size: uint64(shstr.Len()), align: 1},
+			addr: abi.TextBase, off: textOff, size: textSize, align: 4},
+		{name: nameOff[2], typ: shtProgbits, off: tablesOff, size: tablesSize, align: 4},
+		{name: nameOff[3], typ: shtStrtab, off: strOff, size: uint64(len(shstr)), align: 1},
 	}
 	for _, s := range sections {
-		w(s.name, s.typ, s.flags, s.addr, s.off, s.size, s.link, s.info, s.align, s.entsize)
+		buf = le.AppendUint32(buf, s.name)
+		buf = le.AppendUint32(buf, s.typ)
+		buf = le.AppendUint64(buf, s.flags)
+		buf = le.AppendUint64(buf, s.addr)
+		buf = le.AppendUint64(buf, s.off)
+		buf = le.AppendUint64(buf, s.size)
+		buf = le.AppendUint32(buf, s.link)
+		buf = le.AppendUint32(buf, s.info)
+		buf = le.AppendUint64(buf, s.align)
+		buf = le.AppendUint64(buf, s.entsize)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // Unmarshal parses a serialized ELF image.
@@ -182,31 +193,42 @@ func Unmarshal(data []byte) (*Image, error) {
 	return img, nil
 }
 
-// encodeTables serializes the Android-specific content.
-func (img *Image) encodeTables() []byte {
-	var buf bytes.Buffer
-	w := func(vs ...any) {
-		for _, v := range vs {
-			binary.Write(&buf, binary.LittleEndian, v) //nolint:errcheck // bytes.Buffer cannot fail
+// tablesSize is the exact byte size of the encoded .oat.tables payload.
+func (img *Image) tablesSize() int {
+	words := 4 + 4*(len(img.Thunks)+len(img.Outlined))
+	for _, m := range img.Methods {
+		words += 9 + 2*len(m.Meta.PCRel) + len(m.Meta.Terminators) +
+			2*len(m.Meta.EmbeddedData) + 2*len(m.Meta.Slowpaths) + 3*len(m.StackMap)
+	}
+	return 4 * words
+}
+
+// appendTables appends the encoded Android-specific content to buf.
+func (img *Image) appendTables(buf []byte) []byte {
+	le := binary.LittleEndian
+	u32 := func(v uint32) { buf = le.AppendUint32(buf, v) }
+	u32(Magic)
+	u32(uint32(len(img.Methods)))
+	u32(uint32(len(img.Thunks)))
+	u32(uint32(len(img.Outlined)))
+	for _, fs := range [][]FuncRecord{img.Thunks, img.Outlined} {
+		for _, f := range fs {
+			buf = le.AppendUint64(buf, uint64(f.Sym))
+			u32(uint32(f.Offset))
+			u32(uint32(f.Size))
 		}
 	}
-	w(uint32(Magic), uint32(len(img.Methods)), uint32(len(img.Thunks)), uint32(len(img.Outlined)))
-
-	writeFunc := func(f FuncRecord) { w(uint64(f.Sym), uint32(f.Offset), uint32(f.Size)) }
-	for _, f := range img.Thunks {
-		writeFunc(f)
-	}
-	for _, f := range img.Outlined {
-		writeFunc(f)
-	}
 	writeRanges := func(rs []a64.Range) {
-		w(uint32(len(rs)))
+		u32(uint32(len(rs)))
 		for _, r := range rs {
-			w(uint32(r.Start), uint32(r.End))
+			u32(uint32(r.Start))
+			u32(uint32(r.End))
 		}
 	}
 	for _, m := range img.Methods {
-		w(uint32(m.ID), uint32(m.Offset), uint32(m.Size))
+		u32(uint32(m.ID))
+		u32(uint32(m.Offset))
+		u32(uint32(m.Size))
 		flags := uint32(0)
 		if m.Meta.HasIndirectJump {
 			flags |= 1
@@ -214,23 +236,26 @@ func (img *Image) encodeTables() []byte {
 		if m.Meta.IsNative {
 			flags |= 2
 		}
-		w(flags)
-		w(uint32(len(m.Meta.PCRel)))
+		u32(flags)
+		u32(uint32(len(m.Meta.PCRel)))
 		for _, r := range m.Meta.PCRel {
-			w(uint32(r.InstOff), uint32(r.TargetOff))
+			u32(uint32(r.InstOff))
+			u32(uint32(r.TargetOff))
 		}
-		w(uint32(len(m.Meta.Terminators)))
+		u32(uint32(len(m.Meta.Terminators)))
 		for _, t := range m.Meta.Terminators {
-			w(uint32(t))
+			u32(uint32(t))
 		}
 		writeRanges(m.Meta.EmbeddedData)
 		writeRanges(m.Meta.Slowpaths)
-		w(uint32(len(m.StackMap)))
+		u32(uint32(len(m.StackMap)))
 		for _, s := range m.StackMap {
-			w(uint32(s.NativeOff), int32(s.DexPC), s.Live)
+			u32(uint32(s.NativeOff))
+			u32(uint32(s.DexPC))
+			u32(s.Live)
 		}
 	}
-	return buf.Bytes()
+	return buf
 }
 
 // decodeTables parses the Android-specific content into img.

@@ -210,6 +210,12 @@ type JobStats struct {
 	// lint; -1 means lint was not requested.
 	LintFindings int `json:"lint_findings"`
 
+	// AnalysesReused counts the passes that reused an image's carried
+	// analysis instead of verifying it again (the analysis.reused
+	// counter of the job's tracer): a reoutline job's re-verification
+	// reuses what admission computed on its input.
+	AnalysesReused int `json:"analyses_reused,omitempty"`
+
 	// FleetSource records how the fleet layer satisfied the job:
 	// "artifact" (fetched another daemon's finished build from the remote
 	// store), "coalesced" (long-polled a concurrent winner's artifact),
@@ -349,6 +355,7 @@ func (s *Server) buildLocal(ctx context.Context, req JobRequest, queueWait time.
 		}
 		stats.LintFindings = len(out.lint)
 	}
+	stats.AnalysesReused = int(tr.Snapshot().Counters["analysis.reused"])
 	return out, nil
 }
 

@@ -204,6 +204,51 @@ func TestDebloatJobStageSpan(t *testing.T) {
 	}
 }
 
+// TestReoutlineJobReusesAnalysis: a reoutline job verifies its output
+// against the input with the analysis admission attached to the input,
+// and says so in its stats, the daemon's JSON metrics and the Prometheus
+// exposition.
+func TestReoutlineJobReusesAnalysis(t *testing.T) {
+	_, oatData := linkedTaobao(t, core.CTOOnly())
+	_, ts := newTestServer(t, Config{Workers: 1, Tracer: obs.New()})
+	resp, st := postJob(t, ts, JobRequest{Kind: KindReoutline, Oat: oatData})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, st.Error)
+	}
+	final := waitTerminal(t, ts, st.ID)
+	if final.State != StateDone {
+		t.Fatalf("job state %s: %s", final.State, final.Error)
+	}
+	if final.Stats.AnalysesReused != 1 {
+		t.Errorf("stats.AnalysesReused = %d, want 1", final.Stats.AnalysesReused)
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Metrics
+	err = json.NewDecoder(mresp.Body).Decode(&m)
+	mresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Telemetry == nil || m.Telemetry.Counters["analysis.reused"] != 1 {
+		t.Errorf("/metrics telemetry does not count the reuse: %+v", m.Telemetry)
+	}
+	presp, err := http.Get(ts.URL + "/metrics?format=prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, err := io.ReadAll(presp.Body)
+	presp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `calibro_events_total{name="analysis.reused"} 1`; !strings.Contains(string(prom), want) {
+		t.Errorf("exposition lacks %q", want)
+	}
+}
+
 // TestPromExposition is the golden-shape test: after real traffic the
 // exposition parses line by line, every family is declared exactly once,
 // samples belong to declared families, and the serving counters carry

@@ -345,12 +345,14 @@ func (s *Server) finishJob(j *job, out *buildOutput, err error) {
 	j.tr.Instant("job", j.state, nil)
 	j.life.End()
 	state, errMsg := j.state, j.errMsg
+	// Count the duration before any poller or waiter can see the terminal
+	// state, so a client that saw the job end also sees it in /metrics.
+	wall := finished.Sub(j.submitted)
+	s.jobDur.Observe(wall.Microseconds())
 	close(j.doneCh)
 	j.mu.Unlock()
 	j.cancel() // release the deadline timer
 
-	wall := finished.Sub(j.submitted)
-	s.jobDur.Observe(wall.Microseconds())
 	s.cfg.Log.Log("job_finish", map[string]any{
 		"job": j.id, "state": string(state), "wall_us": wall.Microseconds(),
 		"error": errMsg,

@@ -3,13 +3,18 @@
 // a suffix tree over the binary code, and reports the estimated code-size
 // reduction (Table 1), the sequence-length/repeat-count distribution
 // (Figure 3), and the hottest repeated patterns (Observation 3, Figure 4).
+//
+// Usage:
+//
+//	redscan [-app Wechat] [-scale 0.25] [-bounded] [-top 5]
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
 	"sort"
 
 	"repro/internal/a64"
@@ -20,35 +25,53 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("redscan: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "redscan:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("redscan", flag.ContinueOnError)
+	fs.SetOutput(out)
 	var (
-		appName = flag.String("app", "Wechat", "app profile name")
-		scale   = flag.Float64("scale", 0.25, "app scale factor")
-		bounded = flag.Bool("bounded", false, "apply the outliner's correctness constraints to the scan")
-		top     = flag.Int("top", 5, "how many top repeats to disassemble")
+		appName = fs.String("app", "Wechat", "app profile name")
+		scale   = fs.Float64("scale", 0.25, "app scale factor")
+		bounded = fs.Bool("bounded", false, "apply the outliner's correctness constraints to the scan")
+		top     = fs.Int("top", 5, "how many top repeats to disassemble")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
+	if !(*scale > 0) {
+		return fmt.Errorf("-scale %v: must be positive", *scale)
+	}
+	if *top < 0 {
+		return fmt.Errorf("-top %d: must not be negative", *top)
+	}
 
 	prof, ok := workload.AppByName(*appName, *scale)
 	if !ok {
-		log.Fatalf("unknown app %q", *appName)
+		return fmt.Errorf("unknown app %q", *appName)
 	}
 	app, _, err := workload.Generate(prof)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	methods, err := codegen.CompileCtx(context.Background(), app, codegen.Options{Optimize: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	a := outline.Analyze(methods, *bounded)
-	fmt.Printf("%s: %d instruction words of binary code\n", app.Name, a.TotalWords)
-	fmt.Printf("estimated reduction ratio (Table 1 model): %s (%d words)\n",
+	fmt.Fprintf(out, "%s: %d instruction words of binary code\n", app.Name, a.TotalWords)
+	fmt.Fprintf(out, "estimated reduction ratio (Table 1 model): %s (%d words)\n",
 		report.Pct(a.EstimatedReduction), a.EstimatedSavedWords)
 
-	fmt.Println("\nsequence length vs number of repeats (Figure 3):")
+	fmt.Fprintln(out, "\nsequence length vs number of repeats (Figure 3):")
 	lengths := make([]int, 0, len(a.OccurrencesByLength))
 	for l := range a.OccurrencesByLength {
 		lengths = append(lengths, l)
@@ -56,28 +79,29 @@ func main() {
 	sort.Ints(lengths)
 	for _, l := range lengths {
 		if l > 24 {
-			fmt.Printf("  (lengths above 24 omitted: %d more)\n", len(lengths)-24)
+			fmt.Fprintf(out, "  (lengths above 24 omitted: %d more)\n", len(lengths)-24)
 			break
 		}
-		fmt.Printf("  len %2d: %8s occurrences in %d families\n",
+		fmt.Fprintf(out, "  len %2d: %8s occurrences in %d families\n",
 			l, report.Count(a.OccurrencesByLength[l]), a.RepeatFamilies[l])
 	}
 
 	pc := outline.CountPatterns(methods)
-	fmt.Println("\nART-specific pattern sites (Figure 4):")
-	fmt.Printf("  Java function call (ldr x30,[x0,#entry]; blr x30):  %s\n", report.Count(int64(pc.JavaCall)))
-	fmt.Printf("  stack overflow check (sub x16,sp,#0x2000; ldr wzr): %s\n", report.Count(int64(pc.StackCheck)))
-	fmt.Printf("  pAllocObjectResolved call (ldr x30,[x19,#o]; blr):  %s (all entrypoints: %s)\n",
+	fmt.Fprintln(out, "\nART-specific pattern sites (Figure 4):")
+	fmt.Fprintf(out, "  Java function call (ldr x30,[x0,#entry]; blr x30):  %s\n", report.Count(int64(pc.JavaCall)))
+	fmt.Fprintf(out, "  stack overflow check (sub x16,sp,#0x2000; ldr wzr): %s\n", report.Count(int64(pc.StackCheck)))
+	fmt.Fprintf(out, "  pAllocObjectResolved call (ldr x30,[x19,#o]; blr):  %s (all entrypoints: %s)\n",
 		report.Count(int64(pc.NativeAlloc)), report.Count(int64(pc.NativeCall)))
 
-	fmt.Println("\ntop repeated sequences:")
+	fmt.Fprintln(out, "\ntop repeated sequences:")
 	for i, r := range a.Top {
 		if i >= *top {
 			break
 		}
-		fmt.Printf("  #%d: length %d, %d occurrences\n", i+1, r.Length, r.Count)
+		fmt.Fprintf(out, "  #%d: length %d, %d occurrences\n", i+1, r.Length, r.Count)
 		for _, line := range a64.Disassemble(r.Words, 0) {
-			fmt.Printf("      %s\n", line)
+			fmt.Fprintf(out, "      %s\n", line)
 		}
 	}
+	return nil
 }

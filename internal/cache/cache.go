@@ -66,6 +66,7 @@ type Hasher struct {
 	h   hash.Hash
 	n   int
 	buf [512]byte
+	sum Key // Sum's output, here so the digest does not escape per key
 }
 
 // hasherPool recycles Hashers (each carries a 512-byte staging buffer and
@@ -118,6 +119,18 @@ func (h *Hasher) Bool(b bool) {
 	h.Int(v)
 }
 
+// Bytes writes a length-prefixed byte string. A long one goes to the
+// hash state in one write, past the staging buffer.
+func (h *Hasher) Bytes(b []byte) {
+	h.Int(int64(len(b)))
+	if h.n+len(b) <= len(h.buf) {
+		h.n += copy(h.buf[h.n:], b)
+		return
+	}
+	h.flush()
+	h.h.Write(b)
+}
+
 // Str writes a length-prefixed string.
 func (h *Hasher) Str(s string) {
 	h.Int(int64(len(s)))
@@ -135,8 +148,8 @@ func (h *Hasher) Str(s string) {
 // Hasher must not be reused afterwards.
 func (h *Hasher) Sum() Key {
 	h.flush()
-	var k Key
-	h.h.Sum(k[:0])
+	h.h.Sum(h.sum[:0])
+	k := h.sum
 	hasherPool.Put(h)
 	return k
 }

@@ -19,6 +19,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,7 +33,10 @@ import (
 // CacheKey — or their order or encoding — change; stale on-disk caches
 // then read as misses instead of being silently poisoned. The pinned
 // golden in TestCacheKeyStability guards against accidental drift.
-const cacheSchema = "calibro/method-key/v1"
+//
+// v2 hashes the compact encoding below instead of v1's eight bytes per
+// field; the inputs covered are the same.
+const cacheSchema = "calibro/method-key/v2"
 
 // CacheKey returns the content address of m's compiled form under opts.
 // methods is the app-wide table (indexed by dex.MethodID) used to resolve
@@ -40,50 +44,93 @@ const cacheSchema = "calibro/method-key/v1"
 // callee's numeric ID, so hashing the callee signature too keeps one
 // on-disk cache safe across apps where the same ID names different
 // methods.
+//
+// The key runs once per method per build, warm or cold, and on a fully
+// warm build it is a large part of what codegen costs. So the method is
+// encoded compactly (appendMethodKey) into a pooled scratch buffer and
+// hashed as one length-prefixed field, which allocates nothing per method.
 func CacheKey(m *dex.Method, methods []*dex.Method, opts Options) cache.Key {
+	bp := keyScratch.Get().(*[]byte)
+	b := appendMethodKey((*bp)[:0], m, methods, opts)
 	h := cache.NewHasher(cacheSchema)
-	// The option knobs that reach the emitter. Workers and Tracer are
-	// excluded by the determinism contract: they change scheduling and
-	// observation, never output.
-	h.Bool(opts.CTO)
-	h.Bool(opts.Optimize)
+	h.Bytes(b)
+	*bp = b
+	keyScratch.Put(bp)
+	return h.Sum()
+}
+
+// keyScratch recycles CacheKey's encoding buffers.
+var keyScratch = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1024)
+	return &b
+}}
+
+// The tag byte before an invoke's callee signature.
+const (
+	calleeUnresolved byte = 0
+	calleeResolved   byte = 1
+)
+
+// appendMethodKey appends the schema-v2 key material of m under opts:
+// opcode, registers, flags and the native entrypoint as single bytes,
+// every other integer as a varint (zig-zag where it is signed), lists and
+// strings behind a uvarint length, and a tag byte before an invoke's
+// optional callee signature. Each field's encoding is prefix-free and the
+// field order is fixed, so two different methods never append the same
+// bytes.
+func appendMethodKey(b []byte, m *dex.Method, methods []*dex.Method, opts Options) []byte {
+	// The option knobs that reach the emitter, one bit each. Workers and
+	// Tracer are excluded by the determinism contract: they change
+	// scheduling and observation, never output.
+	b = append(b, bit(opts.CTO)|bit(opts.Optimize)<<1)
 	// The method's own shape and bytecode. Its MethodID is deliberately
 	// not hashed: emitted code never depends on the method's own slot.
-	h.Int(int64(m.NumRegs))
-	h.Int(int64(m.NumIns))
-	h.Bool(m.Native)
-	h.Int(int64(len(m.Pool)))
+	b = binary.AppendVarint(b, int64(m.NumRegs))
+	b = binary.AppendVarint(b, int64(m.NumIns))
+	b = append(b, bit(m.Native))
+	b = binary.AppendUvarint(b, uint64(len(m.Pool)))
 	for _, v := range m.Pool {
-		h.Uint(v)
+		b = binary.AppendUvarint(b, v)
 	}
-	h.Int(int64(len(m.Code)))
-	for _, in := range m.Code {
-		h.Int(int64(in.Op))
-		h.Int(int64(in.A))
-		h.Int(int64(in.B))
-		h.Int(int64(in.C))
-		h.Int(in.Lit)
-		h.Int(int64(in.Target))
-		h.Int(int64(len(in.Targets)))
+	b = binary.AppendUvarint(b, uint64(len(m.Code)))
+	for i := range m.Code {
+		in := &m.Code[i]
+		b = append(b, byte(in.Op), in.A, in.B, in.C)
+		b = binary.AppendVarint(b, in.Lit)
+		b = binary.AppendVarint(b, int64(in.Target))
+		b = binary.AppendUvarint(b, uint64(len(in.Targets)))
 		for _, t := range in.Targets {
-			h.Int(int64(t))
+			b = binary.AppendVarint(b, int64(t))
 		}
-		h.Int(int64(in.Method))
-		h.Int(int64(in.Native))
-		if in.Op == dex.OpInvoke {
-			if id := int(in.Method); id < len(methods) && methods[id] != nil {
-				callee := methods[id]
-				h.Str(callee.Class)
-				h.Str(callee.Name)
-				h.Int(int64(callee.NumRegs))
-				h.Int(int64(callee.NumIns))
-				h.Bool(callee.Native)
-			} else {
-				h.Str("<unresolved>")
-			}
+		b = binary.AppendUvarint(b, uint64(in.Method))
+		b = append(b, byte(in.Native))
+		if in.Op != dex.OpInvoke {
+			continue
 		}
+		id := int(in.Method)
+		if id >= len(methods) || methods[id] == nil {
+			b = append(b, calleeUnresolved)
+			continue
+		}
+		callee := methods[id]
+		b = append(b, calleeResolved)
+		b = binary.AppendUvarint(b, uint64(len(callee.Class)))
+		b = append(b, callee.Class...)
+		b = binary.AppendUvarint(b, uint64(len(callee.Name)))
+		b = append(b, callee.Name...)
+		b = binary.AppendVarint(b, int64(callee.NumRegs))
+		b = binary.AppendVarint(b, int64(callee.NumIns))
+		b = append(b, bit(callee.Native))
 	}
-	return h.Sum()
+	return b
+}
+
+// bit is a boolean as a key byte, 0 or 1.
+func bit(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // cacheEntryVersion guards the payload layout below, inside the store's
@@ -183,16 +230,18 @@ func DecodeCachedMethod(m *dex.Method, payload []byte) (*CompiledMethod, error) 
 	cm.Meta.HasIndirectJump = flags&1 != 0
 	cm.Meta.IsNative = flags&2 != 0
 	npc := r.u32()
+	cm.Meta.PCRel = makeFor[a64.Reloc](r, npc, 8)
 	for i := uint32(0); i < npc && r.err == nil; i++ {
 		cm.Meta.PCRel = append(cm.Meta.PCRel, a64.Reloc{InstOff: int(r.u32()), TargetOff: int(r.u32())})
 	}
 	nt := r.u32()
+	cm.Meta.Terminators = makeFor[int](r, nt, 4)
 	for i := uint32(0); i < nt && r.err == nil; i++ {
 		cm.Meta.Terminators = append(cm.Meta.Terminators, int(r.u32()))
 	}
 	readRanges := func() []a64.Range {
 		n := r.u32()
-		var rs []a64.Range
+		rs := makeFor[a64.Range](r, n, 8)
 		for i := uint32(0); i < n && r.err == nil; i++ {
 			rs = append(rs, a64.Range{Start: int(r.u32()), End: int(r.u32())})
 		}
@@ -201,12 +250,14 @@ func DecodeCachedMethod(m *dex.Method, payload []byte) (*CompiledMethod, error) 
 	cm.Meta.EmbeddedData = readRanges()
 	cm.Meta.Slowpaths = readRanges()
 	ns := r.u32()
+	cm.StackMap = makeFor[StackMapEntry](r, ns, 12)
 	for i := uint32(0); i < ns && r.err == nil; i++ {
 		cm.StackMap = append(cm.StackMap, StackMapEntry{
 			NativeOff: int(r.u32()), DexPC: int32(r.u32()), Live: r.u32(),
 		})
 	}
 	ne := r.u32()
+	cm.Ext = makeFor[a64.ExtRef](r, ne, 12)
 	for i := uint32(0); i < ne && r.err == nil; i++ {
 		cm.Ext = append(cm.Ext, a64.ExtRef{InstOff: int(r.u32()), Symbol: int(r.u64())})
 	}
@@ -217,6 +268,18 @@ func DecodeCachedMethod(m *dex.Method, payload []byte) (*CompiledMethod, error) 
 		return nil, fmt.Errorf("codegen: %d trailing bytes in cache entry", len(payload)-r.off)
 	}
 	return cm, nil
+}
+
+// makeFor returns an empty slice with room for a record list of n
+// entries of width bytes each, so the decode loop appends without
+// regrowing. It allocates only when the list is non-empty and fits in
+// what is left of the payload: a count that overruns it (a damaged entry)
+// gets nil, and the loop reports the truncation.
+func makeFor[T any](r *entryReader, n uint32, width int) []T {
+	if n == 0 || r.err != nil || int(n) > (len(r.data)-r.off)/width {
+		return nil
+	}
+	return make([]T, 0, n)
 }
 
 // entryReader is the bounds-checked little-endian reader the decoder

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/codegen"
 	"repro/internal/dex"
 	"repro/internal/workload"
@@ -36,7 +37,7 @@ func TestCacheKeyStability(t *testing.T) {
 	app := keyApp(t)
 	opts := codegen.Options{CTO: true, Optimize: true}
 	got := codegen.CacheKey(app.Methods[0], app.Methods, opts).String()
-	const golden = "b21fdc1bd18d9d040bb5a097aed67863f9a92e380a9525e0ef080e49d751f28b"
+	const golden = "5f00b71bd7ff8b3181f4502e0f0b64c8c2c27d749e3ad22d3f9555e814f91940"
 	if got != golden {
 		t.Errorf("key schema drifted:\n got  %s\n want %s\n(bump cacheSchema and update the golden if this is intentional)", got, golden)
 	}
@@ -131,6 +132,56 @@ func TestCacheKeyContent(t *testing.T) {
 	}
 }
 
+// TestCacheKeyFieldBoundaries hashes pairs of methods that differ only by
+// a value moved across the boundary between adjacent fields. A key
+// encoding that is not prefix-free (a varint without its length, a list
+// without its count, an optional part without its tag) would hash such a
+// pair to one byte stream; every pair must get two keys.
+func TestCacheKeyFieldBoundaries(t *testing.T) {
+	opts := codegen.Options{CTO: true, Optimize: true}
+	callee := func(class, name string) []*dex.Method {
+		return []*dex.Method{{ID: 0, Class: class, Name: name, NumRegs: 3, NumIns: 2}}
+	}
+	key := func(code []dex.Insn, methods []*dex.Method) cache.Key {
+		return codegen.CacheKey(&dex.Method{ID: 1, Class: "K", Name: "m", NumRegs: 4, NumIns: 1, Code: code}, methods, opts)
+	}
+	invoke := dex.Insn{Op: dex.OpInvoke, A: 0, B: 1, C: 2, Method: 0}
+	ret := dex.Insn{Op: dex.OpReturn, A: 0}
+	for _, c := range []struct {
+		name       string
+		a, b       []dex.Insn
+		ma, mb     []*dex.Method
+		sameMethod bool
+	}{
+		{name: "Lit and Target",
+			a: []dex.Insn{{Op: dex.OpConst, Lit: 5, Target: 0}, ret},
+			b: []dex.Insn{{Op: dex.OpConst, Lit: 0, Target: 5}, ret}},
+		{name: "Lit and Target, multi-byte varints",
+			a: []dex.Insn{{Op: dex.OpConst, Lit: 300, Target: 1}, ret},
+			b: []dex.Insn{{Op: dex.OpConst, Lit: 1, Target: 300}, ret}},
+		{name: "registers A and B",
+			a: []dex.Insn{{Op: dex.OpMove, A: 1, B: 0}, ret},
+			b: []dex.Insn{{Op: dex.OpMove, A: 0, B: 1}, ret}},
+		{name: "switch targets split differently",
+			a: []dex.Insn{{Op: dex.OpPackedSwitch, Targets: []int32{2, 3}}, {Op: dex.OpPackedSwitch, Targets: []int32{4}}, ret},
+			b: []dex.Insn{{Op: dex.OpPackedSwitch, Targets: []int32{2}}, {Op: dex.OpPackedSwitch, Targets: []int32{3, 4}}, ret}},
+		{name: "switch target and Method",
+			a: []dex.Insn{{Op: dex.OpPackedSwitch, Targets: []int32{1}, Method: 0}, ret},
+			b: []dex.Insn{{Op: dex.OpPackedSwitch, Targets: nil, Method: 1}, ret}},
+		{name: "resolved and unresolved callee",
+			a: []dex.Insn{invoke, ret}, ma: callee("C", "f"),
+			b: []dex.Insn{invoke, ret}, mb: nil},
+		{name: "class and name split",
+			a: []dex.Insn{invoke, ret}, ma: callee("ab", "c"),
+			b: []dex.Insn{invoke, ret}, mb: callee("a", "bc")},
+	} {
+		ka, kb := key(c.a, c.ma), key(c.b, c.mb)
+		if ka == kb {
+			t.Errorf("%s: both methods hash to %s", c.name, ka)
+		}
+	}
+}
+
 // TestCachedMethodRoundTrip encodes and decodes every method of the key
 // app and requires full structural equality, plus byte-for-byte canonical
 // re-encoding.
@@ -207,4 +258,32 @@ func TestDecodeCachedMethodRobust(t *testing.T) {
 	if _, err := codegen.DecodeCachedMethod(m, skew); err == nil {
 		t.Fatal("version-skewed entry decoded")
 	}
+}
+
+// benchKey keeps BenchmarkCacheKey's result live.
+var benchKey cache.Key
+
+// BenchmarkCacheKey hashes the key of every method of a generated app,
+// the per-method cost a fully warm build pays before each cache lookup.
+// It reports the time per method and per bytecode instruction.
+func BenchmarkCacheKey(b *testing.B) {
+	app, _, err := workload.Generate(workload.Profile{Name: "keybench", Seed: 5, Methods: 400, SwitchFrac: 0.1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	insns := 0
+	for _, m := range app.Methods {
+		insns += len(m.Code)
+	}
+	opts := codegen.Options{CTO: true, Optimize: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range app.Methods {
+			benchKey = codegen.CacheKey(m, app.Methods, opts)
+		}
+	}
+	perApp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(perApp/float64(len(app.Methods)), "ns/method")
+	b.ReportMetric(perApp/float64(insns), "ns/insn")
 }

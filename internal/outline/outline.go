@@ -13,7 +13,6 @@ package outline
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/a64"
@@ -325,9 +324,25 @@ func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Option
 		return nil, stats, err
 	}
 
+	// The call-site rewrites, grouped by method in one backing array (a
+	// counting sort on the method index): method mi's plans are
+	// plans[first[mi]:first[mi+1]], in creation order.
+	first := make([]int, len(methods)+1)
+	for _, res := range results {
+		for _, f := range res.funcs {
+			for _, occ := range f.occurrences {
+				first[occ.method+1]++
+			}
+		}
+	}
+	for mi := range methods {
+		first[mi+1] += first[mi]
+	}
+	plans := make([]rewritePlan, first[len(methods)])
+	next := append([]int(nil), first[:len(methods)]...)
+
 	// Merge deterministically in group order.
 	var blobs []oat.Blob
-	var rewrites []rewritePlan
 	for gi, res := range results {
 		stats.foldSlowest(&res.stats)
 		if opts.Tracer != nil {
@@ -356,9 +371,8 @@ func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Option
 			for _, occ := range f.occurrences {
 				stats.OutlinedOccurrences++
 				stats.WordsRemoved += len(f.words) - 1 // bl replaces the sequence
-				rewrites = append(rewrites, rewritePlan{
-					method: occ.method, start: occ.wordOff, length: len(f.words), sym: sym,
-				})
+				plans[next[occ.method]] = rewritePlan{start: occ.wordOff, length: len(f.words), sym: sym}
+				next[occ.method]++
 			}
 		}
 	}
@@ -367,23 +381,20 @@ func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Option
 	// instructions, one method at a time. Each rewrite touches only its
 	// own method, so the rewrites fan out on the pool; iterating methods
 	// in ascending index order makes the first reported error — and the
-	// Rewrite timing's attribution — independent of map iteration order.
+	// Rewrite timing's attribution — independent of scheduling.
 	start := time.Now()
-	byMethod := map[int][]rewritePlan{}
-	for _, rp := range rewrites {
-		byMethod[rp.method] = append(byMethod[rp.method], rp)
+	var order []int
+	for mi := range methods {
+		if first[mi+1] > first[mi] {
+			order = append(order, mi)
+		}
 	}
-	order := make([]int, 0, len(byMethod))
-	for mi := range byMethod {
-		order = append(order, mi)
-	}
-	sort.Ints(order)
 	rwObserver := opts.Tracer.PoolObserver("outline.rewrite", func(i int) string {
 		return methods[order[i]].M.FullName()
 	})
 	if err := par.EachObsCtx(ctx, opts.Workers, len(order), rwObserver, func(i int) error {
 		mi := order[i]
-		if err := rewriteMethod(methods[mi], byMethod[mi]); err != nil {
+		if err := rewriteMethod(methods[mi], plans[first[mi]:first[mi+1]]); err != nil {
 			return fmt.Errorf("outline: %s: %w", methods[mi].M.FullName(), err)
 		}
 		return nil
@@ -406,9 +417,8 @@ type outlinedFunc struct {
 	occurrences []occurrence
 }
 
-// rewritePlan is one call-site rewrite.
+// rewritePlan is one call-site rewrite within a method.
 type rewritePlan struct {
-	method int
 	start  int // word index
 	length int // words replaced
 	sym    int

@@ -1,8 +1,9 @@
 package outline
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/a64"
 	"repro/internal/codegen"
@@ -12,8 +13,13 @@ import (
 // outlined function (§3.3.3) and patches every PC-relative instruction
 // whose displacement the rewrite changed (§3.3.4). Metadata and stack maps
 // are remapped so they stay consistent with the new code (§3.5).
+//
+// cm.Ext must be sorted by offset, as every producer hands it over (the
+// assembler, the cache codec, the re-outliner's lift, and this function
+// itself); the new call sites are merged into it in one pass, and an
+// out-of-order entry is an error.
 func rewriteMethod(cm *codegen.CompiledMethod, plans []rewritePlan) error {
-	sort.Slice(plans, func(a, b int) bool { return plans[a].start < plans[b].start })
+	slices.SortFunc(plans, func(a, b rewritePlan) int { return cmp.Compare(a.start, b.start) })
 	for i := 1; i < len(plans); i++ {
 		if plans[i].start < plans[i-1].start+plans[i-1].length {
 			return fmt.Errorf("overlapping rewrite plans at word %d", plans[i].start)
@@ -120,15 +126,38 @@ func rewriteMethod(cm *codegen.CompiledMethod, plans []rewritePlan) error {
 		}
 		cm.StackMap[i].NativeOff = no
 	}
-	for i, e := range cm.Ext {
-		no, err := mapOff(e.InstOff)
-		if err != nil {
-			return err
-		}
-		cm.Ext[i].InstOff = no
+	ext, err := mergeExt(cm.Ext, addedExt, mapOff)
+	if err != nil {
+		return err
 	}
-	cm.Ext = append(cm.Ext, addedExt...)
-	sort.Slice(cm.Ext, func(a, b int) bool { return cm.Ext[a].InstOff < cm.Ext[b].InstOff })
+	cm.Ext = ext
 	cm.Code = newCode
 	return nil
+}
+
+// mergeExt remaps the method's existing external call sites through
+// mapOff and merges the new outlined call sites into them, both in offset
+// order, in one linear pass. mapOff is monotonic, so a sorted old list
+// stays sorted; an existing site never lands on a new call's word, since
+// call sites are separators no plan covers, and on a tie the existing
+// entry goes first.
+func mergeExt(old, added []a64.ExtRef, mapOff func(int) (int, error)) ([]a64.ExtRef, error) {
+	out := make([]a64.ExtRef, 0, len(old)+len(added))
+	prev := -1
+	for _, e := range old {
+		if e.InstOff < prev {
+			return nil, fmt.Errorf("external call sites out of order at %#x", e.InstOff)
+		}
+		prev = e.InstOff
+		no, err := mapOff(e.InstOff)
+		if err != nil {
+			return nil, err
+		}
+		for len(added) > 0 && added[0].InstOff < no {
+			out = append(out, added[0])
+			added = added[1:]
+		}
+		out = append(out, a64.ExtRef{InstOff: no, Symbol: e.Symbol})
+	}
+	return append(out, added...), nil
 }

@@ -1,8 +1,9 @@
 package outline
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/a64"
@@ -118,19 +119,70 @@ func usesLR(i a64.Inst) bool {
 
 // symbolizer interns instruction words into dense symbols and mints unique
 // separator symbols from the same counter, so the two can never collide.
+//
+// The dictionary is an open-addressing (linear probing) table of
+// (word, symbol+1) pairs, symbol+1 == 0 marking an empty slot, so every
+// uint32 word is a valid key. It grows by doubling at half load and never
+// deletes. Symbols are minted in first-seen order exactly as a map would,
+// so the table changes the cost of interning, never the sequence.
 type symbolizer struct {
-	dict map[uint32]uint32
-	next uint32
+	slots []symSlot
+	shift uint // 32 - log2(len(slots)), for Fibonacci hashing
+	used  int
+	next  uint32
 }
 
+type symSlot struct {
+	word uint32
+	id1  uint32 // symbol + 1; 0 marks an empty slot
+}
+
+// symbolizerLogSize is the initial table size, 2^10 slots: 512 distinct
+// words before the first growth.
+const symbolizerLogSize = 10
+
+func newSymbolizer() *symbolizer {
+	return &symbolizer{slots: make([]symSlot, 1<<symbolizerLogSize), shift: 32 - symbolizerLogSize}
+}
+
+// symHome is w's first probe slot in a table of 2^(32-shift) slots.
+func symHome(w uint32, shift uint) uint32 { return (w * 0x9E3779B9) >> shift }
+
 func (s *symbolizer) word(w uint32) uint32 {
-	if id, ok := s.dict[w]; ok {
-		return id
+	mask := uint32(len(s.slots) - 1)
+	for i := symHome(w, s.shift); ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.id1 == 0 {
+			id := s.next
+			s.next++
+			sl.word, sl.id1 = w, id+1
+			if s.used++; 2*s.used > len(s.slots) {
+				s.grow()
+			}
+			return id
+		}
+		if sl.word == w {
+			return sl.id1 - 1
+		}
 	}
-	id := s.next
-	s.next++
-	s.dict[w] = id
-	return id
+}
+
+// grow doubles the table and reinserts every binding.
+func (s *symbolizer) grow() {
+	old := s.slots
+	s.slots = make([]symSlot, 2*len(old))
+	s.shift--
+	mask := uint32(len(s.slots) - 1)
+	for _, sl := range old {
+		if sl.id1 == 0 {
+			continue
+		}
+		i := symHome(sl.word, s.shift)
+		for s.slots[i].id1 != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = sl
+	}
 }
 
 func (s *symbolizer) separator() uint32 {
@@ -169,7 +221,7 @@ func buildSequence(ctx context.Context, units []Sequence, group []int, opts Opti
 	for _, mi := range group {
 		total += len(units[mi].Words())
 	}
-	sym := &symbolizer{dict: make(map[uint32]uint32, 256)}
+	sym := newSymbolizer()
 	seq := make([]uint32, 0, total)
 	pos := make([]position, 0, total)
 	for gi, mi := range group {
@@ -261,16 +313,13 @@ func outlineGroup(ctx context.Context, units []Sequence, group []int, opts Optio
 	t1 := time.Now()
 	// Rank by potential benefit, longest first among ties, the detector's
 	// ordinal as the deterministic tie-break.
-	sort.Slice(repeats, func(a, b int) bool {
-		ba := suffixtree.Benefit(repeats[a].length, repeats[a].count)
-		bb := suffixtree.Benefit(repeats[b].length, repeats[b].count)
-		if ba != bb {
-			return ba > bb
-		}
-		if repeats[a].length != repeats[b].length {
-			return repeats[a].length > repeats[b].length
-		}
-		return repeats[a].ord < repeats[b].ord
+	// The ordinal is unique per candidate, so this is a total order and
+	// the ranking cannot depend on the sort algorithm.
+	slices.SortFunc(repeats, func(a, b repeatCand) int {
+		return cmp.Or(
+			cmp.Compare(suffixtree.Benefit(b.length, b.count), suffixtree.Benefit(a.length, a.count)),
+			cmp.Compare(b.length, a.length),
+			cmp.Compare(a.ord, b.ord))
 	})
 
 	taken := make([]bool, len(pos))
@@ -280,7 +329,7 @@ func outlineGroup(ctx context.Context, units []Sequence, group []int, opts Optio
 			break // sorted by benefit: nothing below can qualify either
 		}
 		occs := rep.occurrences()
-		sort.Ints(occs)
+		slices.Sort(occs)
 		var chosen []int
 		lastEnd := -1
 		for _, o := range occs {

@@ -3,6 +3,7 @@ package outline
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/a64"
 	"repro/internal/codegen"
@@ -84,20 +85,26 @@ func verifyMethod(cm *codegen.CompiledMethod, mi int, before *Snapshot, bodyBySy
 		return nil
 	}
 
-	// Reconstruct the original stream. Ext entries are sorted by the
-	// rewriter; outlined call sites have SymKindOutlined symbols (or
-	// SymKindReoutlined when the post-hoc re-outliner drove the rewrite).
-	outlinedAt := map[int]int{} // new word index -> symbol
+	// Reconstruct the original stream. Outlined call sites have
+	// SymKindOutlined symbols (or SymKindReoutlined when the post-hoc
+	// re-outliner drove the rewrite); both kinds pack to a nonzero symbol,
+	// so zero marks a word that is no outlined call.
+	orig := before.codes[mi]
+	outlinedAt := make([]int, len(cm.Code)) // new word index -> symbol
 	for _, e := range cm.Ext {
 		if kind, _ := codegen.UnpackSym(e.Symbol); kind == codegen.SymKindOutlined || kind == codegen.SymKindReoutlined {
-			outlinedAt[e.InstOff/a64.WordSize] = e.Symbol
+			w := e.InstOff / a64.WordSize
+			if e.InstOff < 0 || w >= len(cm.Code) {
+				return fmt.Errorf("outline: %s has an outlined call site at %#x outside its %d words", name, e.InstOff, len(cm.Code))
+			}
+			outlinedAt[w] = e.Symbol
 		}
 	}
-	var rebuilt []uint32
+	rebuilt := make([]uint32, 0, len(orig))
 	newToOld := make([]int, len(cm.Code)) // new word index -> rebuilt (old) word index
 	for w := 0; w < len(cm.Code); w++ {
 		newToOld[w] = len(rebuilt)
-		if sym, ok := outlinedAt[w]; ok {
+		if sym := outlinedAt[w]; sym != 0 {
 			body, found := bodyBySym[sym]
 			if !found {
 				return fmt.Errorf("outline: %s calls unknown %s", name, codegen.SymName(sym))
@@ -107,7 +114,6 @@ func verifyMethod(cm *codegen.CompiledMethod, mi int, before *Snapshot, bodyBySy
 		}
 		rebuilt = append(rebuilt, cm.Code[w])
 	}
-	orig := before.codes[mi]
 	if len(rebuilt) != len(orig) {
 		return fmt.Errorf("outline: %s reconstructs to %d words, original %d", name, len(rebuilt), len(orig))
 	}
@@ -145,16 +151,22 @@ func verifyMethod(cm *codegen.CompiledMethod, mi int, before *Snapshot, bodyBySy
 	// new target word (or the outlined body head) must equal the old
 	// target word. Index the pre-state relocs by instruction word once
 	// (each instruction has at most one reloc) so the check is linear
-	// in the reloc count rather than quadratic.
-	origTarget := make(map[int]int, len(before.pcrels[mi]))
+	// in the reloc count rather than quadratic. A mapped instruction
+	// index lies in [0, len(orig)], so the table covers every lookup.
+	origTarget := make([]int, len(orig)+1)
+	for i := range origTarget {
+		origTarget[i] = noReloc
+	}
 	for _, orr := range before.pcrels[mi] {
-		origTarget[orr.InstOff/a64.WordSize] = orr.TargetOff / a64.WordSize
+		if w := orr.InstOff / a64.WordSize; orr.InstOff >= 0 && w < len(origTarget) {
+			origTarget[w] = orr.TargetOff / a64.WordSize
+		}
 	}
 	for _, r := range cm.Meta.PCRel {
 		oldInst := wordAt(newToOld, r.InstOff/a64.WordSize)
 		oldTarget := wordAt(newToOld, r.TargetOff/a64.WordSize)
-		want, found := origTarget[oldInst]
-		if !found {
+		want := origTarget[oldInst]
+		if want == noReloc {
 			return fmt.Errorf("outline: %s has a PC-relative at new offset %#x with no pre-state counterpart",
 				name, r.InstOff)
 		}
@@ -166,6 +178,9 @@ func verifyMethod(cm *codegen.CompiledMethod, mi int, before *Snapshot, bodyBySy
 
 	// Stack maps sit on calls.
 	for _, s := range cm.StackMap {
+		if w := s.NativeOff / a64.WordSize; s.NativeOff < 0 || w >= len(cm.Code) {
+			return fmt.Errorf("outline: %s safepoint at %#x is outside its %d words", name, s.NativeOff, len(cm.Code))
+		}
 		i, ok := a64.Decode(cm.Code[s.NativeOff/a64.WordSize])
 		if !ok || (i.Op != a64.OpBl && i.Op != a64.OpBlr) {
 			return fmt.Errorf("outline: %s safepoint at %#x is not a call", name, s.NativeOff)
@@ -173,6 +188,10 @@ func verifyMethod(cm *codegen.CompiledMethod, mi int, before *Snapshot, bodyBySy
 	}
 	return nil
 }
+
+// noReloc marks a word with no pre-state PC-relative record in
+// verifyMethod's target table; no word index, however corrupt, is MinInt.
+const noReloc = math.MinInt
 
 // RunVerifiedCtx is RunCtx followed by VerifyRewriteCtx against an
 // automatic snapshot, with ctx threaded through both; intended for

@@ -150,4 +150,48 @@ func TestVerifyRewriteCatchesCorruption(t *testing.T) {
 			t.Fatalf("out-of-range target not reported as a retarget: %v", err)
 		}
 	})
+	// A corrupt outlined call-site offset, past the end or before the
+	// start of its method, is an error naming the site, not a panic.
+	for _, c := range []struct {
+		name string
+		off  func(cm *codegen.CompiledMethod) int
+	}{
+		{"outlined call site past the method end", func(cm *codegen.CompiledMethod) int { return (len(cm.Code) + 16) * a64.WordSize }},
+		{"outlined call site at the method end", func(cm *codegen.CompiledMethod) int { return len(cm.Code) * a64.WordSize }},
+		{"outlined call site before the method start", func(*codegen.CompiledMethod) int { return -a64.WordSize }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			methods, snap, blobs, victim := setup()
+			cm := methods[victim]
+			for k, e := range cm.Ext {
+				if kind, _ := codegen.UnpackSym(e.Symbol); kind == codegen.SymKindOutlined {
+					cm.Ext[k].InstOff = c.off(cm)
+					break
+				}
+			}
+			err := VerifyRewriteCtx(context.Background(), methods, snap, blobs, 0, nil)
+			if err == nil || !strings.Contains(err.Error(), "outside") {
+				t.Fatalf("out-of-range call site not reported: %v", err)
+			}
+		})
+	}
+
+	t.Run("safepoint past the method end", func(t *testing.T) {
+		methods, snap, blobs, _ := setup()
+		bent := false
+		for _, cm := range methods {
+			if len(cm.StackMap) > 0 && !cm.Meta.IsNative && !cm.Meta.HasIndirectJump {
+				cm.StackMap[0].NativeOff = (len(cm.Code) + 4) * a64.WordSize
+				bent = true
+				break
+			}
+		}
+		if !bent {
+			t.Fatal("no method with a stack map")
+		}
+		err := VerifyRewriteCtx(context.Background(), methods, snap, blobs, 0, nil)
+		if err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Fatalf("out-of-range safepoint not reported: %v", err)
+		}
+	})
 }

@@ -35,10 +35,8 @@ type node struct {
 	nextSibling int32 // next child of this node's parent, -1 at the end
 	prevSibling int32 // previous child of this node's parent, -1 at the head
 	parent      int32 // set when the node is bound as a child
-
-	// Filled by finish():
-	leafCount int32
-	depth     int32 // symbols from the root to the end of this node's edge
+	depth       int32 // symbols from the root to the end of this node's edge, fixed at creation
+	leafCount   int32 // leaves in this node's subtree, filled by finish()
 }
 
 // Tree is a built suffix tree.
@@ -52,7 +50,8 @@ type Tree struct {
 	// current for every bound child, so a slot costs four bytes. Build
 	// sizes it once for the largest tree the sequence can produce, and
 	// nothing is ever deleted, so it needs neither growth nor tombstones;
-	// a split rebinds an existing key in place.
+	// a split rebinds an existing key in place. finish reuses it as
+	// scratch, and Build drops it: lookups by symbol end with construction.
 	children []int32
 	shift    uint // 64 - log2(len(children)), for Fibonacci hashing
 	// internal build state
@@ -60,7 +59,6 @@ type Tree struct {
 	activeEdge   int
 	activeLength int
 	remainder    int
-	finished     bool
 }
 
 const root int32 = 0
@@ -138,13 +136,23 @@ func Build(seq []uint32) *Tree {
 		t.extend(i)
 	}
 	t.finish()
+	t.children = nil // construction state: let it go while the tree is in use
 	return t
 }
 
-// newNode appends a node and returns its index.
-func (t *Tree) newNode(start, end int) int32 {
-	t.nodes = append(t.nodes, node{start: int32(start), end: int32(end), firstChild: -1, nextSibling: -1, prevSibling: -1})
+// newNode appends a node and returns its index. depth is final: an
+// Ukkonen split shortens the edge into an existing node from the top and
+// hangs it under a node whose depth makes up the difference, so no node's
+// depth ever changes after creation.
+func (t *Tree) newNode(start, end int, depth int32) int32 {
+	t.nodes = append(t.nodes, node{start: int32(start), end: int32(end), firstChild: -1, nextSibling: -1, prevSibling: -1, depth: depth})
 	return int32(len(t.nodes) - 1)
+}
+
+// newLeaf appends the leaf for the suffix that phase i adds under parent:
+// its edge runs from i to the end of the sequence.
+func (t *Tree) newLeaf(parent int32, i int) int32 {
+	return t.newNode(i, -1, t.nodes[parent].depth+int32(len(t.seq)-i))
 }
 
 // edgeEnd resolves a node's edge end against the current phase.
@@ -172,7 +180,7 @@ func (t *Tree) extend(i int) {
 		edgeSym := t.seq[t.activeEdge]
 		child, ok := t.childOf(t.activeNode, edgeSym)
 		if !ok {
-			leaf := t.newNode(i, -1)
+			leaf := t.newLeaf(t.activeNode, i)
 			t.setChild(t.activeNode, edgeSym, leaf)
 			addLink(t.activeNode)
 		} else {
@@ -188,9 +196,10 @@ func (t *Tree) extend(i int) {
 				addLink(t.activeNode)
 				break
 			}
-			split := t.newNode(int(t.nodes[child].start), int(t.nodes[child].start)+t.activeLength)
+			split := t.newNode(int(t.nodes[child].start), int(t.nodes[child].start)+t.activeLength,
+				t.nodes[t.activeNode].depth+int32(t.activeLength))
 			t.setChild(t.activeNode, edgeSym, split)
-			leaf := t.newNode(i, -1)
+			leaf := t.newLeaf(split, i)
 			t.setChild(split, t.seq[i], leaf)
 			t.nodes[child].start += int32(t.activeLength)
 			t.setChild(split, t.seq[t.nodes[child].start], child)
@@ -206,46 +215,56 @@ func (t *Tree) extend(i int) {
 	}
 }
 
-// finish computes leaf counts and depths bottom-up.
+// finish computes leaf counts bottom-up without walking the tree. Every
+// leaf counts into its parent; then the internal nodes, in decreasing
+// depth, add their totals into their parents. A child is strictly deeper
+// than its parent, so each node's count is complete before it is added
+// on. The depth order is a counting sort over the internal nodes' depths,
+// which reads the node array linearly where a child-list walk would miss
+// the cache on nearly every step. The root starts at zero, so the tree of
+// an empty sequence has no leaves.
 func (t *Tree) finish() {
-	if t.finished {
-		return
-	}
-	t.finished = true
-	n := int32(len(t.seq))
-	// Iterative post-order.
-	type frame struct {
-		node  int32
-		stage int
-	}
-	stack := []frame{{node: root}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		nd := &t.nodes[f.node]
-		if f.stage == 0 {
-			f.stage = 1
-			if f.node != root {
-				parentDepth := t.nodes[nd.parent].depth
-				end := nd.end
-				if end == -1 {
-					end = n
-				}
-				nd.depth = parentDepth + end - nd.start
-			}
-			if nd.firstChild == -1 {
-				nd.leafCount = 1
-				stack = stack[:len(stack)-1]
-				continue
-			}
-			for c := nd.firstChild; c != -1; c = t.nodes[c].nextSibling {
-				stack = append(stack, frame{node: c})
-			}
+	maxDepth := int32(0)
+	internal := 0
+	for idx := 1; idx < len(t.nodes); idx++ {
+		nd := &t.nodes[idx]
+		if nd.firstChild == -1 {
+			nd.leafCount = 1
+			t.nodes[nd.parent].leafCount++
 			continue
 		}
-		for c := nd.firstChild; c != -1; c = t.nodes[c].nextSibling {
-			nd.leafCount += t.nodes[c].leafCount
+		internal++
+		maxDepth = max(maxDepth, nd.depth)
+	}
+	if internal == 0 {
+		return
+	}
+	// The child table is dead once construction ends, and it holds at
+	// least 4n+4 slots, room for both scratch arrays: bucket (one slot per
+	// depth, at most n) and order (one per internal node, at most n).
+	// bucket[d] ends as the first slot of depth d in order, which lists
+	// the internal nodes deepest first.
+	bucket := t.children[:maxDepth+1]
+	order := t.children[maxDepth+1 : int(maxDepth)+1+internal]
+	clear(bucket)
+	for idx := 1; idx < len(t.nodes); idx++ {
+		if nd := &t.nodes[idx]; nd.firstChild != -1 {
+			bucket[nd.depth]++
 		}
-		stack = stack[:len(stack)-1]
+	}
+	sum := int32(0)
+	for d := maxDepth; d >= 0; d-- {
+		sum, bucket[d] = sum+bucket[d], sum
+	}
+	for idx := 1; idx < len(t.nodes); idx++ {
+		if nd := &t.nodes[idx]; nd.firstChild != -1 {
+			order[bucket[nd.depth]] = int32(idx)
+			bucket[nd.depth]++
+		}
+	}
+	for _, idx := range order {
+		nd := &t.nodes[idx]
+		t.nodes[nd.parent].leafCount += nd.leafCount
 	}
 }
 
@@ -253,7 +272,7 @@ func (t *Tree) finish() {
 func (t *Tree) NumNodes() int { return len(t.nodes) }
 
 // NumLeaves returns the number of leaves, which equals the number of
-// suffixes represented.
+// suffixes represented: zero for an empty sequence.
 func (t *Tree) NumLeaves() int { return int(t.nodes[root].leafCount) }
 
 // Repeat describes a repeated subsequence found in the tree: an internal

@@ -99,6 +99,72 @@ func TestMississippi(t *testing.T) {
 	}
 }
 
+// TestLeafCountEdgeCases covers the sequences too short to have an
+// internal node: an empty sequence has no suffixes and so no leaves, and
+// a one-symbol sequence has exactly one.
+func TestLeafCountEdgeCases(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		seq    []uint32
+		leaves int
+	}{
+		{"nil", nil, 0},
+		{"empty", []uint32{}, 0},
+		{"one symbol", []uint32{7}, 1},
+		{"two symbols", []uint32{7, 8}, 2},
+	} {
+		tr := Build(c.seq)
+		if got := tr.NumLeaves(); got != c.leaves {
+			t.Errorf("%s: leaves = %d, want %d", c.name, got, c.leaves)
+		}
+		if reps := tr.Repeats(1, 2); len(reps) != 0 {
+			t.Errorf("%s: repeats = %v, want none", c.name, reps)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
+// TestDepthAndCountsMatchWalk checks the depths set at node creation and
+// the leaf counts of the depth-ordered fold against a walk from the root:
+// a node's depth is its parent's plus its edge length, and its leaf count
+// is the sum over its children.
+func TestDepthAndCountsMatchWalk(t *testing.T) {
+	for _, seq := range [][]uint32{sym("banana$"), sym("mississippi$"), random16(3000), outlinerShaped(3000, 4)} {
+		tr := Build(seq)
+		stack := []int32{root}
+		for len(stack) > 0 {
+			idx := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			nd := &tr.nodes[idx]
+			if idx != root {
+				end := nd.end
+				if end == -1 {
+					end = int32(len(seq))
+				}
+				if want := tr.nodes[nd.parent].depth + end - nd.start; nd.depth != want {
+					t.Fatalf("node %d: depth %d, want %d", idx, nd.depth, want)
+				}
+			}
+			if nd.firstChild == -1 {
+				if nd.leafCount != 1 {
+					t.Fatalf("leaf %d: count %d", idx, nd.leafCount)
+				}
+				continue
+			}
+			sum := int32(0)
+			for c := nd.firstChild; c != -1; c = tr.nodes[c].nextSibling {
+				sum += tr.nodes[c].leafCount
+				stack = append(stack, c)
+			}
+			if nd.leafCount != sum {
+				t.Fatalf("node %d: count %d, children sum %d", idx, nd.leafCount, sum)
+			}
+		}
+	}
+}
+
 // TestOccurrencesMatchBruteForce cross-checks every repeat's occurrence
 // list against a naive scanner on random sequences.
 func TestOccurrencesMatchBruteForce(t *testing.T) {

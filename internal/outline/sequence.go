@@ -324,13 +324,14 @@ func outlineGroup(ctx context.Context, units []Sequence, group []int, opts Optio
 
 	taken := make([]bool, len(pos))
 	var funcs []outlinedFunc
+	var chosen []int // reused across repeats
 	for _, rep := range repeats {
 		if suffixtree.Benefit(rep.length, rep.count) < opts.MinBenefit {
 			break // sorted by benefit: nothing below can qualify either
 		}
 		occs := rep.occurrences()
 		slices.Sort(occs)
-		var chosen []int
+		chosen = chosen[:0]
 		lastEnd := -1
 		for _, o := range occs {
 			if o < lastEnd {
@@ -352,7 +353,10 @@ func outlineGroup(ctx context.Context, units []Sequence, group []int, opts Optio
 		if len(chosen) < 2 || suffixtree.Benefit(rep.length, len(chosen)) < opts.MinBenefit {
 			continue
 		}
-		f := outlinedFunc{words: wordsAt(units, pos, chosen[0], rep.length)}
+		f := outlinedFunc{
+			words:       wordsAt(units, pos, chosen[0], rep.length),
+			occurrences: make([]occurrence, 0, len(chosen)),
+		}
 		for _, o := range chosen {
 			for p := o; p < o+rep.length; p++ {
 				taken[p] = true

@@ -305,29 +305,29 @@ func (t *Tree) Repeats(minLen, minCount int) []Repeat {
 
 // Occurrences returns the start positions (in seq) of the repeat rooted at
 // the given node, one per descendant leaf. The order is deterministic (a
-// depth-first walk, last child first) but not increasing; callers sort as
-// needed.
+// depth-first walk in child-list order) but not increasing; callers sort
+// as needed. The walk follows the parent and sibling links instead of
+// keeping a stack, so the result, sized from the node's leaf count, is
+// its one allocation.
 func (t *Tree) Occurrences(nodeIdx int) []int {
 	n := len(t.seq)
-	var occ []int
-	var stack []int32
-	stack = append(stack, int32(nodeIdx))
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := &t.nodes[cur]
-		if nd.firstChild == -1 {
-			// Leaf: the suffix starts at n - depth; the repeat occurrence
-			// starts there too (the repeat is a prefix of the suffix).
-			suffixStart := n - int(nd.depth)
-			occ = append(occ, suffixStart)
-			continue
+	top := int32(nodeIdx)
+	occ := make([]int, 0, t.nodes[top].leafCount)
+	for cur := top; ; {
+		for t.nodes[cur].firstChild != -1 {
+			cur = t.nodes[cur].firstChild
 		}
-		for c := nd.firstChild; c != -1; c = t.nodes[c].nextSibling {
-			stack = append(stack, c)
+		// A leaf: its suffix starts at n - depth, and so does the repeat,
+		// a prefix of that suffix.
+		occ = append(occ, n-int(t.nodes[cur].depth))
+		for cur != top && t.nodes[cur].nextSibling == -1 {
+			cur = t.nodes[cur].parent
 		}
+		if cur == top {
+			return occ
+		}
+		cur = t.nodes[cur].nextSibling
 	}
-	return occ
 }
 
 // Label returns the subsequence represented by a node (the path label).

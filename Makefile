@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: ci build vet lint test test-short race layerbench-check fuzz bench bench-obs bench-cache bench-smoke serve-smoke replay-smoke fleet-smoke bench-serve reoutline-smoke bench-reoutline
+.PHONY: ci build vet lint test test-short race layerbench-check fuzz bench bench-smoke serve-smoke replay-smoke fleet-smoke reoutline-smoke
 
 # ci is the gate every change must pass: compile everything, lint
 # everything (vet always, staticcheck when installed), run the full test
 # suite, run the short suite under the race detector (the build pipeline
-# fans out per-method work since -j), smoke the observability benchmarks,
-# smoke the serving daemon, replay the fixed-seed workload with its
-# asserted served/rejected counts, smoke the multi-daemon fleet against a
-# shared calibrocached, smoke the post-hoc re-outlining pipeline, and
-# compile the layer benchmark module against the current API.
+# fans out per-method work since -j), run each bench-smoke benchmark
+# once, smoke the serving daemon, replay the fixed-seed workload with
+# its asserted served/rejected counts, smoke the multi-daemon fleet
+# against a shared calibrocached, smoke the post-hoc re-outlining
+# pipeline, and compile the layer benchmark module against the current
+# API.
 ci: build lint test race layerbench-check bench-smoke serve-smoke replay-smoke fleet-smoke reoutline-smoke
 
 build:
@@ -64,36 +65,23 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# bench-obs measures the parallel-build and telemetry benchmarks and
-# appends a timestamped run (ns/op per case, extra metrics, host CPU
-# count) to BENCH_obs.json via cmd/benchjson -append, so the scaling
-# history across commits stays diffable instead of each run clobbering
-# the last.
-bench-obs:
-	$(GO) test -run xxx -bench 'BenchmarkCompileWorkers|BenchmarkBuildTraced' -benchmem . \
-		| $(GO) run ./cmd/benchjson -append -o BENCH_obs.json
-
-# bench-cache measures the cold-vs-warm compilation cache benchmark on
-# the largest app and archives the results (warm/cold ns/op plus the warm
-# hit rate) in BENCH_cache.json via cmd/benchjson.
-bench-cache:
-	$(GO) test -run xxx -bench 'BenchmarkBuildColdVsWarm' -benchmem . \
-		| $(GO) run ./cmd/benchjson -o BENCH_cache.json
-
-# bench-smoke is the ci guard for the same benchmarks: one iteration each
-# at the -short scale, proving they still run — plus the -j scaling
-# assertion (BenchmarkCompileScalingSmoke), which fails the build if a
-# j=8 compile stops beating j=1 by at least 1.5x. The assertion
-# self-skips on hosts with fewer than 4 CPUs, where the ladder is
-# legitimately flat. The suffix-tree construction benchmark runs once per
-# size, the image-only analysis benchmark once per ladder app, and the
-# cache-key and image-marshal kernels once each, so they keep compiling.
+# bench-smoke is the ci guard for the benchmark functions below: one
+# iteration each at the -short scale, proving they still run — plus the
+# -j scaling assertion (BenchmarkCompileScalingSmoke), which fails the
+# build if a j=8 compile stops beating j=1 by at least 1.5x. The
+# assertion self-skips on hosts with fewer than 4 CPUs, where the ladder
+# is legitimately flat. The suffix-tree construction benchmark runs once
+# per size, the image-only analysis and post-hoc re-outlining benchmarks
+# once per ladder app, and the cache-key and image-marshal kernels once
+# each, so they keep compiling. Archived measurements come from
+# layerbench (`bash layerbench/run.sh`), not from these runs.
 bench-smoke:
 	$(GO) test -short -run xxx -bench 'BenchmarkCompileWorkers|BenchmarkCompileScalingSmoke|BenchmarkBuildTraced|BenchmarkBuildColdVsWarm' -benchtime 1x . >/dev/null
 	$(GO) test -run xxx -bench BenchmarkBuild -benchtime 1x ./internal/suffixtree >/dev/null
 	$(GO) test -short -run xxx -bench BenchmarkAnalyze -benchtime 1x -benchmem ./internal/analysis >/dev/null
 	$(GO) test -run xxx -bench BenchmarkCacheKey -benchtime 1x -benchmem ./internal/codegen >/dev/null
 	$(GO) test -run xxx -bench BenchmarkMarshal -benchtime 1x -benchmem ./internal/oat >/dev/null
+	$(GO) test -short -run xxx -bench BenchmarkReoutline -benchtime 1x ./internal/reoutline >/dev/null
 
 # serve-smoke boots calibrod on a random port, drives one job end to end
 # via calibroctl, checks /healthz and /metrics, and requires a clean
@@ -120,17 +108,3 @@ fleet-smoke:
 # oatdump, and the -debloat composition.
 reoutline-smoke:
 	GO=$(GO) sh scripts/reoutline_smoke.sh
-
-# bench-reoutline measures the post-hoc re-outlining pass per ladder app
-# (bytes saved plus per-stage wall clocks) and appends a timestamped run
-# to BENCH_reoutline.json via cmd/benchjson -append.
-bench-reoutline:
-	$(GO) test -run xxx -bench 'BenchmarkReoutline' -benchmem ./internal/reoutline \
-		| $(GO) run ./cmd/benchjson -append -o BENCH_reoutline.json
-
-# bench-serve replays the seeded serving workload at full scale and
-# appends client-observed latency percentiles, queue wait, cache hit
-# rate, and served/rejected counts to BENCH_serve.json (host CPU count
-# stamped alongside, via cmd/benchjson -append).
-bench-serve:
-	GO=$(GO) sh scripts/bench_serve.sh

@@ -21,18 +21,11 @@
 // The report prints served/failed/rejected totals, client-observed
 // latency and queue-wait percentiles (from the same bounded histogram
 // type the daemon uses), and the daemon's cache hit rate over the run.
-// With -bench the summary line is formatted like `go test -bench`
-// output, so `calibroload ... | benchjson -append -o BENCH_serve.json`
-// archives runs with host metadata:
-//
-//	BenchmarkServeReplay/apps=7/rate=20 <served> <mean> ns/op \
-//	    <p50_us> p50_us <p95_us> p95_us ... <rejected> rejected
 //
 // Fleet mode: -fleet replays the identical plan against several daemons,
 // routing each submit through the same consistent-hash ring calibroctl
 // uses (affinity by app@version; hostile bodies go to the first daemon).
-// The reported hit rate then sums all daemons' counters, and the bench
-// name gains a /fleet=N component.
+// The reported hit rate then sums all daemons' counters.
 //
 // Exit status 0 when every submit was answered (even with 4xx), 1 on
 // transport errors or when nothing was served.
@@ -100,7 +93,6 @@ func run(args []string, out io.Writer) error {
 		hostile      = fs.Float64("hostile", 0.1, "fraction of submits sent as oversized bodies")
 		hostileBytes = fs.Int("hostile-bytes", 128<<10, "payload size of a hostile submit")
 		timeout      = fs.Duration("timeout", 60*time.Second, "per-job client-side wait bound")
-		bench        = fs.Bool("bench", false, "print a go test -bench style summary line for benchjson")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -188,23 +180,6 @@ func run(args []string, out io.Writer) error {
 		qs.P50US, qs.P95US, qs.P99US, qs.MaxUS)
 	fmt.Fprintf(out, "calibroload: cache_hit_rate=%.3f\n", hitRate)
 
-	if *bench {
-		mean := 0.0
-		if ls.Count > 0 {
-			mean = float64(ls.TotalUS) * 1e3 / float64(ls.Count)
-		}
-		name := fmt.Sprintf("BenchmarkServeReplay/apps=%d/rate=%g", len(apps), *rate)
-		if ring != nil {
-			name += fmt.Sprintf("/fleet=%d", len(bases))
-		}
-		fmt.Fprintf(out,
-			name+" %d %.1f ns/op"+
-				" %d p50_us %d p95_us %d p99_us %d max_us"+
-				" %d qwait_p95_us %.3f hit_rate %d served %d rejected\n",
-			cnt.served, mean,
-			ls.P50US, ls.P95US, ls.P99US, ls.MaxUS,
-			qs.P95US, hitRate, cnt.served, rejected)
-	}
 	if cnt.errs > 0 {
 		return fmt.Errorf("%d submits hit transport errors", cnt.errs)
 	}

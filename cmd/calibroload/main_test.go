@@ -36,16 +36,16 @@ func stubDaemon(t *testing.T, status int) (addr string, submits *atomic.Int64) {
 }
 
 // quick makes a replay of n submits that fires within milliseconds.
-func quick(addr string, n int, extra ...string) []string {
-	return append([]string{"-addr", addr, "-n", fmt.Sprint(n), "-rate", "1000", "-hostile", "0"}, extra...)
+func quick(addr string, n int) []string {
+	return []string{"-addr", addr, "-n", fmt.Sprint(n), "-rate", "1000", "-hostile", "0"}
 }
 
 // TestRunServed replays against a daemon that serves everything: every
-// submit is counted served, and -bench prints the benchjson line.
+// submit is counted served.
 func TestRunServed(t *testing.T) {
 	addr, submits := stubDaemon(t, http.StatusAccepted)
 	var out bytes.Buffer
-	if err := run(quick(addr, 5, "-bench"), &out); err != nil {
+	if err := run(quick(addr, 5), &out); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	if submits.Load() != 5 {
@@ -54,7 +54,6 @@ func TestRunServed(t *testing.T) {
 	for _, want := range []string{
 		"served=5 failed=0 canceled=0 rejected=0",
 		"cache_hit_rate=1.000",
-		"BenchmarkServeReplay/apps=7/rate=1000 5 ",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output lacks %q:\n%s", want, out.String())

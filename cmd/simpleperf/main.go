@@ -18,7 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"sort"
 
@@ -30,38 +30,62 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("simpleperf: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "simpleperf:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("simpleperf", flag.ContinueOnError)
+	fs.SetOutput(out)
 	var (
-		appName  = flag.String("app", "Wechat", "app profile name")
-		scale    = flag.Float64("scale", 0.1, "app scale factor")
-		runs     = flag.Int("runs", 20, "scripted rounds")
-		top      = flag.Int("top", 15, "functions to list")
-		coverage = flag.Float64("coverage", 0.8, "hot-set cycle coverage fraction")
-		period   = flag.Int64("period", 0, "sampling period in instructions (0 = default)")
-		jsonPath = flag.String("json", "", "dump the full profile and hot set as JSON to this file")
+		appName  = fs.String("app", "Wechat", "app profile name")
+		scale    = fs.Float64("scale", 0.1, "app scale factor")
+		runs     = fs.Int("runs", 20, "scripted rounds")
+		top      = fs.Int("top", 15, "functions to list")
+		coverage = fs.Float64("coverage", 0.8, "hot-set cycle coverage fraction")
+		period   = fs.Int64("period", 0, "sampling period in instructions (0 = default)")
+		jsonPath = fs.String("json", "", "dump the full profile and hot set as JSON to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
+	switch {
+	case !(*scale > 0):
+		return fmt.Errorf("-scale %v: must be positive", *scale)
+	case !(*coverage > 0 && *coverage <= 1):
+		return fmt.Errorf("-coverage %v: must be in (0, 1]", *coverage)
+	case *top < 0:
+		return fmt.Errorf("-top %d: must not be negative", *top)
+	case *runs <= 0:
+		return fmt.Errorf("-runs %d: must be positive", *runs)
+	case *period < 0:
+		return fmt.Errorf("-period %d: must not be negative", *period)
+	}
 
 	prof, ok := workload.AppByName(*appName, *scale)
 	if !ok {
-		log.Fatalf("unknown app %q", *appName)
+		return fmt.Errorf("unknown app %q", *appName)
 	}
 	app, man, err := workload.Generate(prof)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := core.BuildCtx(context.Background(), app, core.Baseline())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	script := workload.Script(man, *runs, 1)
 	p, err := profiler.Collect(res.Image, script, *period)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("%s: %s samples over %d scripted operations (%s in shared code)\n",
+	fmt.Fprintf(out, "%s: %s samples over %d scripted operations (%s in shared code)\n",
 		app.Name, report.Count(p.TotalSamples), len(script), report.Count(p.OtherSamples))
 
 	hot := p.HotSet(*coverage)
@@ -89,16 +113,17 @@ func main() {
 			report.Pct(float64(cum)/float64(methodTotal)),
 			mark)
 	}
-	fmt.Println(t)
-	fmt.Printf("generator planted %d hot kernels; profiler hot set holds %d methods\n",
+	fmt.Fprintln(out, t)
+	fmt.Fprintf(out, "generator planted %d hot kernels; profiler hot set holds %d methods\n",
 		len(man.Hot), len(hot))
 
 	if *jsonPath != "" {
 		if err := writeJSON(*jsonPath, app, p, hot, *coverage); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("wrote profile %s\n", *jsonPath)
+		fmt.Fprintf(out, "wrote profile %s\n", *jsonPath)
 	}
+	return nil
 }
 
 // profileJSON is the -json document: the complete sample attribution (the

@@ -11,8 +11,8 @@ import (
 
 // BenchmarkReoutline measures the post-hoc pass per ladder app on a
 // build without link-time outlining: wall time per pass plus, as extra
-// metrics, the bytes it saved and each stage's share of the work —
-// the numbers `make bench-reoutline` archives in BENCH_reoutline.json.
+// metrics, the bytes it saved and each stage's share of the work.
+// `make bench-smoke` runs it once per app at the -short scale.
 func BenchmarkReoutline(b *testing.B) {
 	scale := 0.05
 	if testing.Short() {

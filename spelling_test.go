@@ -8,6 +8,7 @@ import (
 	"os"
 	pathpkg "path"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,6 +36,53 @@ func TestOneSpellingPerOperation(t *testing.T) {
 	sort.Strings(twins)
 	for _, tw := range twins {
 		t.Errorf("second spelling of one operation: %s", tw)
+	}
+}
+
+// TestDocsNameOnlyWhatExists keeps the user-facing documents honest about
+// the tree: every `make <target>` they cite is a Makefile target, every
+// cmd/<name> is a command directory, and every BENCH_*.json archive is
+// in the repository. CHANGES.md and ROADMAP.md are history and may name
+// what has since been deleted.
+func TestDocsNameOnlyWhatExists(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`).FindAllStringSubmatch(string(makefile), -1) {
+		targets[m[1]] = true
+	}
+	var (
+		makeRE  = regexp.MustCompile("(?m)(?:^|`)make ([a-z][a-z0-9-]*)")
+		cmdRE   = regexp.MustCompile(`\bcmd/([a-z][a-z0-9]*)`)
+		benchRE = regexp.MustCompile(`\bBENCH_[A-Za-z0-9_]+\.json`)
+	)
+	exists := func(path string) bool {
+		_, err := os.Stat(path)
+		return err == nil
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(data)
+		for _, m := range makeRE.FindAllStringSubmatch(text, -1) {
+			if !targets[m[1]] {
+				t.Errorf("%s cites `make %s`, which is not a Makefile target", doc, m[1])
+			}
+		}
+		for _, m := range cmdRE.FindAllStringSubmatch(text, -1) {
+			if !exists(filepath.Join("cmd", m[1])) {
+				t.Errorf("%s cites cmd/%s, which does not exist", doc, m[1])
+			}
+		}
+		for _, name := range benchRE.FindAllString(text, -1) {
+			if !exists(name) {
+				t.Errorf("%s cites %s, which is not in the repository", doc, name)
+			}
+		}
 	}
 }
 

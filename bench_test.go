@@ -65,10 +65,12 @@ var bench struct {
 }
 
 // suite generates the six apps once per scale.
-func suite(tb testing.TB) []*appBundle {
+func suite(tb testing.TB) []*appBundle { return suiteAt(tb, benchScale()) }
+
+// suiteAt is suite at an explicit scale.
+func suiteAt(tb testing.TB, s float64) []*appBundle {
 	bench.mu.Lock()
 	defer bench.mu.Unlock()
-	s := benchScale()
 	if bench.apps != nil && bench.scale == s {
 		return bench.apps
 	}

@@ -11,10 +11,8 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/emu"
-	"repro/internal/oat"
 	"repro/internal/outline"
 	"repro/internal/report"
 )
@@ -24,20 +22,17 @@ func ablationApp(b *testing.B) *appBundle {
 	return suite(b)[1]
 }
 
-func outlineWith(b *testing.B, ab *appBundle, opts outline.Options) (*oat.Image, *outline.Stats) {
-	methods, err := codegen.CompileCtx(context.Background(), ab.app, codegen.Options{CTO: true, Optimize: true})
+// sweep builds the ablation app under CTO+LTBO with one outliner knob
+// set, through the same verified build every ladder config runs.
+// Its outliner statistics are in the result's Outline.
+func sweep(b *testing.B, ab *appBundle, set func(*core.Config)) *BuildResult {
+	cfg := core.CTOLTBO()
+	set(&cfg)
+	res, err := core.BuildCtx(context.Background(), ab.app, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	blobs, stats, err := outline.RunCtx(context.Background(), methods, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	img, err := oat.Link(methods, blobs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return img, stats
+	return res
 }
 
 // BenchmarkAblationMinLength sweeps the minimum repeat length (§3.3
@@ -53,13 +48,13 @@ func BenchmarkAblationMinLength(b *testing.B) {
 		}
 		var first float64
 		for _, minLen := range []int{2, 3, 4, 6, 8} {
-			img, stats := outlineWith(b, ab, outline.Options{MinLength: minLen})
-			red := float64(base-img.TextBytes()) / float64(base)
+			res := sweep(b, ab, func(c *core.Config) { c.MinLength = minLen })
+			red := float64(base-res.TextBytes()) / float64(base)
 			if minLen == 2 {
 				first = red
 			}
-			t.AddRow(fmt.Sprint(minLen), fmt.Sprint(img.TextBytes()),
-				report.Pct(red), fmt.Sprint(stats.OutlinedFunctions))
+			t.AddRow(fmt.Sprint(minLen), fmt.Sprint(res.TextBytes()),
+				report.Pct(red), fmt.Sprint(res.Outline.OutlinedFunctions))
 		}
 		if i == 0 {
 			fmt.Println(t)
@@ -78,10 +73,10 @@ func BenchmarkAblationMinBenefit(b *testing.B) {
 			Header: []string{"min benefit", "reduction", "functions", "occurrences"},
 		}
 		for _, minB := range []int{1, 2, 4, 8, 16, 32} {
-			img, stats := outlineWith(b, ab, outline.Options{MinBenefit: minB})
+			res := sweep(b, ab, func(c *core.Config) { c.MinBenefit = minB })
 			t.AddRow(fmt.Sprint(minB),
-				report.Reduction(base, img.TextBytes()),
-				fmt.Sprint(stats.OutlinedFunctions), fmt.Sprint(stats.OutlinedOccurrences))
+				report.Reduction(base, res.TextBytes()),
+				fmt.Sprint(res.Outline.OutlinedFunctions), fmt.Sprint(res.Outline.OutlinedOccurrences))
 		}
 		if i == 0 {
 			fmt.Println(t)
@@ -101,10 +96,10 @@ func BenchmarkAblationRounds(b *testing.B) {
 			Header: []string{"rounds", "reduction", "functions", "net words saved"},
 		}
 		for _, rounds := range []int{1, 2, 3, 4} {
-			img, stats := outlineWith(b, ab, outline.Options{Rounds: rounds})
+			res := sweep(b, ab, func(c *core.Config) { c.Rounds = rounds })
 			t.AddRow(fmt.Sprint(rounds),
-				report.Reduction(base, img.TextBytes()),
-				fmt.Sprint(stats.OutlinedFunctions), fmt.Sprint(stats.NetWordsSaved()))
+				report.Reduction(base, res.TextBytes()),
+				fmt.Sprint(res.Outline.OutlinedFunctions), fmt.Sprint(res.Outline.NetWordsSaved()))
 		}
 		if i == 0 {
 			fmt.Println(t)
@@ -118,7 +113,7 @@ func BenchmarkAblationRounds(b *testing.B) {
 func BenchmarkAblationHotFraction(b *testing.B) {
 	ab := ablationApp(b)
 	baseline := build(b, ab, "baseline")
-	baseCycles, _, _ := runScript(b, baseline.Image, ab.script)
+	baseCycles := scripted(b, ab, "baseline", emu.InOrderCosts).cycles
 	prof, err := CollectProfile(baseline.Image, ab.script)
 	if err != nil {
 		b.Fatal(err)
@@ -139,7 +134,7 @@ func BenchmarkAblationHotFraction(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cycles, _, _ := runScript(b, res.Image, ab.script)
+			cycles := runScript(b, res.Image, ab.script, emu.InOrderCosts).cycles
 			hotN := 0
 			if frac > 0 {
 				hotN = len(prof.HotSet(frac))
@@ -165,10 +160,10 @@ func BenchmarkAblationTreeCount(b *testing.B) {
 			Header: []string{"trees", "reduction", "tree build", "detect"},
 		}
 		for _, k := range []int{1, 2, 4, 8, 16, 32} {
-			img, stats := outlineWith(b, ab, outline.Options{Parallel: k})
+			res := sweep(b, ab, func(c *core.Config) { c.ParallelTrees = k })
 			t.AddRow(fmt.Sprint(k),
-				report.Reduction(base, img.TextBytes()),
-				stats.TreeBuild.Round(100_000).String(), stats.Detect.Round(100_000).String())
+				report.Reduction(base, res.TextBytes()),
+				res.Outline.TreeBuild.Round(100_000).String(), res.Outline.Detect.Round(100_000).String())
 		}
 		if i == 0 {
 			fmt.Println(t)
@@ -192,11 +187,11 @@ func BenchmarkAblationDetector(b *testing.B) {
 			name string
 			kind outline.DetectorKind
 		}{{"suffix tree", outline.DetectorSuffixTree}, {"suffix array", outline.DetectorSuffixArray}} {
-			img, stats := outlineWith(b, ab, outline.Options{Detector: d.kind})
+			res := sweep(b, ab, func(c *core.Config) { c.Detector = d.kind })
 			t.AddRow(d.name,
-				report.Reduction(base, img.TextBytes()),
-				stats.TreeBuild.Round(100_000).String(),
-				stats.Detect.Round(100_000).String())
+				report.Reduction(base, res.TextBytes()),
+				res.Outline.TreeBuild.Round(100_000).String(),
+				res.Outline.Detect.Round(100_000).String())
 		}
 		if i == 0 {
 			fmt.Println(t)
@@ -223,10 +218,10 @@ func BenchmarkAblationDedup(b *testing.B) {
 			{"8 trees", 8, false},
 			{"8 trees + dedup", 8, true},
 		} {
-			img, stats := outlineWith(b, ab, outline.Options{Parallel: cfg.trees, DedupFunctions: cfg.dedup})
+			res := sweep(b, ab, func(c *core.Config) { c.ParallelTrees, c.DedupFunctions = cfg.trees, cfg.dedup })
 			t.AddRow(cfg.name,
-				report.Reduction(base, img.TextBytes()),
-				fmt.Sprint(stats.OutlinedFunctions))
+				report.Reduction(base, res.TextBytes()),
+				fmt.Sprint(res.Outline.OutlinedFunctions))
 		}
 		if i == 0 {
 			fmt.Println(t)
@@ -242,9 +237,6 @@ func BenchmarkAblationDedup(b *testing.B) {
 // EXPERIMENTS.md is cost model rather than algorithm.
 func BenchmarkAblationCostModel(b *testing.B) {
 	ab := ablationApp(b)
-	baseline := build(b, ab, "baseline")
-	plopti := build(b, ab, "plopti")
-	hfopti := build(b, ab, "hfopti")
 	for i := 0; i < b.N; i++ {
 		t := &report.Table{
 			Title:  "\nAblation: cycle degradation under different core models (paper: +1.51% / +0.90%)",
@@ -257,25 +249,11 @@ func BenchmarkAblationCostModel(b *testing.B) {
 			{"in-order (default)", emu.InOrderCosts},
 			{"out-of-order (Tensor-G2-like)", emu.OutOfOrderCosts},
 		} {
-			measure := func(res *BuildResult) int64 {
-				m := emu.New(res.Image)
-				m.Costs = cm.costs
-				var cycles int64
-				for _, r := range ab.script {
-					out, err := m.Run(r.Entry, r.Args[:])
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles += out.Cycles
-				}
-				return cycles
+			degradation := func(cfg string) string {
+				base := scripted(b, ab, "baseline", cm.costs).cycles
+				return report.Pct(float64(scripted(b, ab, cfg, cm.costs).cycles-base) / float64(base))
 			}
-			base := measure(baseline)
-			pl := measure(plopti)
-			hf := measure(hfopti)
-			t.AddRow(cm.name,
-				report.Pct(float64(pl-base)/float64(base)),
-				report.Pct(float64(hf-base)/float64(base)))
+			t.AddRow(cm.name, degradation("plopti"), degradation("hfopti"))
 		}
 		if i == 0 {
 			fmt.Println(t)

@@ -24,6 +24,8 @@ import (
 	"time"
 
 	"repro/internal/codegen"
+	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/outline"
 	"repro/internal/report"
 	"repro/internal/suffixtree"
@@ -44,24 +46,20 @@ func benchScale() float64 {
 // scriptRounds is the paper's "run the test script 20 times".
 const scriptRounds = 20
 
+// appBundle is one generated app with its script and the harness's memo
+// of its builds and script runs (both guarded by bench.mu).
 type appBundle struct {
 	prof   AppProfile
 	app    *App
-	man    *AppManifest
 	script []ScriptRun
-}
-
-type buildKey struct {
-	app    string
-	config string
+	builds map[string]*BuildResult
+	runs   map[runKey]scriptTotals
 }
 
 var bench struct {
-	mu     sync.Mutex
-	scale  float64
-	apps   []*appBundle
-	builds map[buildKey]*BuildResult
-	profs  map[string]*Profile
+	mu    sync.Mutex
+	scale float64
+	apps  []*appBundle
 }
 
 // suite generates the six apps once per scale.
@@ -76,69 +74,102 @@ func suiteAt(tb testing.TB, s float64) []*appBundle {
 	}
 	bench.scale = s
 	bench.apps = nil
-	bench.builds = map[buildKey]*BuildResult{}
-	bench.profs = map[string]*Profile{}
 	for _, prof := range AppProfiles(s) {
 		app, man, err := GenerateApp(prof)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		bench.apps = append(bench.apps, &appBundle{
-			prof: prof, app: app, man: man,
+			prof: prof, app: app,
 			script: Script(man, scriptRounds, 1),
+			builds: map[string]*BuildResult{},
+			runs:   map[runKey]scriptTotals{},
 		})
 	}
 	return bench.apps
 }
 
-// build memoizes builds per (app, config name).
+// appNamed returns the suite's bundle for the named app.
+func appNamed(tb testing.TB, apps []*appBundle, name string) *appBundle {
+	for _, ab := range apps {
+		if ab.prof.Name == name {
+			return ab
+		}
+	}
+	tb.Fatalf("no app %q in the suite", name)
+	return nil
+}
+
+// build memoizes one build per (app, ladder config name). core.Named
+// resolves the name, as it does for cmd/calibro and calibrod, and a
+// hot-filtered config runs the Figure 6 profile-guided loop over the
+// app's script.
 func build(tb testing.TB, ab *appBundle, name string) *BuildResult {
 	bench.mu.Lock()
 	defer bench.mu.Unlock()
-	key := buildKey{ab.prof.Name, name}
-	if r, ok := bench.builds[key]; ok {
+	if r, ok := ab.builds[name]; ok {
 		return r
 	}
+	cfg, err := core.Named(name, 8)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	var res *BuildResult
-	var err error
-	switch name {
-	case "baseline":
-		res, err = Build(ab.app, Baseline())
-	case "cto":
-		res, err = Build(ab.app, CTOOnly())
-	case "ltbo":
-		res, err = Build(ab.app, CTOLTBO())
-	case "plopti":
-		res, err = Build(ab.app, CTOLTBOPl(8))
-	case "hfopti":
-		var p *Profile
-		res, p, err = ProfileGuidedBuild(ab.app, CTOLTBOPl(8), ab.script)
-		bench.profs[ab.prof.Name] = p
-	default:
-		tb.Fatalf("unknown config %q", name)
+	if cfg.HotFilter {
+		res, _, err = core.ProfileGuidedBuildCtx(context.Background(), ab.app, cfg, ab.script)
+	} else {
+		res, err = core.BuildCtx(context.Background(), ab.app, cfg)
 	}
 	if err != nil {
 		tb.Fatal(err)
 	}
-	bench.builds[key] = res
+	ab.builds[name] = res
 	return res
 }
 
-// runScript executes the app's script on an image, summing measurements.
-func runScript(tb testing.TB, img *Image, script []ScriptRun) (cycles, insts int64, residentBytes int64) {
-	var maxPages int
+// scriptTotals is one pass of an app's script over one image: the cycles
+// summed over its runs (Table 7) and the largest resident set of any run
+// (Table 5).
+type scriptTotals struct {
+	cycles, resident int64
+}
+
+type runKey struct {
+	config string
+	costs  emu.CostModel
+}
+
+// runScript executes the script on img under the cost model. One machine
+// serves every run: each Run starts from a fresh machine state, so only
+// the predecoded text is shared.
+func runScript(tb testing.TB, img *Image, script []ScriptRun, costs emu.CostModel) scriptTotals {
+	m := emu.New(img)
+	m.Costs = costs
+	var t scriptTotals
 	for _, r := range script {
-		out, err := Execute(img, r.Entry, r.Args[:])
+		out, err := m.Run(r.Entry, r.Args[:])
 		if err != nil {
 			tb.Fatal(err)
 		}
-		cycles += out.Cycles
-		insts += out.Insts
-		if p := out.CodePages + out.DataPages; p > maxPages {
-			maxPages = p
-		}
+		t.cycles += out.Cycles
+		t.resident = max(t.resident, int64(out.CodePages+out.DataPages)*4096)
 	}
-	return cycles, insts, int64(maxPages) * 4096
+	return t
+}
+
+// scripted memoizes runScript per (app, ladder config, cost model), so
+// tables and ablations that share a baseline run it once.
+func scripted(tb testing.TB, ab *appBundle, name string, costs emu.CostModel) scriptTotals {
+	res := build(tb, ab, name)
+	bench.mu.Lock()
+	defer bench.mu.Unlock()
+	key := runKey{name, costs}
+	t, ok := ab.runs[key]
+	if !ok {
+		t = runScript(tb, res.Image, ab.script, costs)
+		ab.runs[key] = t
+	}
+	return t
 }
 
 func appNames(apps []*appBundle) []string {
@@ -149,6 +180,109 @@ func appNames(apps []*appBundle) []string {
 	return names
 }
 
+// appHeader is a table header with one column per app and an AVG column.
+func appHeader(apps []*appBundle) []string {
+	return append(append([]string{""}, appNames(apps)...), "AVG")
+}
+
+// ladder is one paper table over the evaluation ladder: a row of raw
+// cells per config, then, for every config after the first (the
+// baseline), its change relative to the baseline per app and on average.
+type ladder struct {
+	title   string
+	paper   string // the paper's numbers, printed under the table
+	configs []string
+	// change names the relative rows. A "reduction" counts down from the
+	// baseline; any other change ("growth", "degradation") counts up.
+	change string
+	// metrics maps a config to the ReportMetric unit of its average change.
+	metrics map[string]string
+	cell    func(tb testing.TB, ab *appBundle, config string) int64
+	format  func(int64) string
+}
+
+// ladderResult is a computed ladder table: the printable table, the raw
+// cells and the relative changes per config (one entry per app), and the
+// average change per config.
+type ladderResult struct {
+	table *report.Table
+	raw   map[string][]int64
+	rel   map[string][]float64
+	avg   map[string]float64
+}
+
+func (l ladder) compute(tb testing.TB, apps []*appBundle) ladderResult {
+	r := ladderResult{
+		table: &report.Table{Title: l.title, Header: appHeader(apps)},
+		raw:   map[string][]int64{},
+		rel:   map[string][]float64{},
+		avg:   map[string]float64{},
+	}
+	for _, cfg := range l.configs {
+		row := []string{rowName(cfg)}
+		for _, ab := range apps {
+			v := l.cell(tb, ab, cfg)
+			r.raw[cfg] = append(r.raw[cfg], v)
+			row = append(row, l.format(v))
+		}
+		r.table.AddRow(append(row, "/")...)
+	}
+	base := r.raw[l.configs[0]]
+	for _, cfg := range l.configs[1:] {
+		row := []string{rowName(cfg) + " " + l.change}
+		var sum float64
+		for k, v := range r.raw[cfg] {
+			diff := v - base[k]
+			if l.change == "reduction" {
+				diff = -diff
+			}
+			d := float64(diff) / float64(base[k])
+			r.rel[cfg] = append(r.rel[cfg], d)
+			row = append(row, report.Pct(d))
+			sum += d
+		}
+		r.avg[cfg] = sum / float64(len(apps))
+		r.table.AddRow(append(row, report.Pct(r.avg[cfg]))...)
+	}
+	return r
+}
+
+// benchLadder runs a ladder table as a benchmark: it prints the table,
+// then footer's table when footer is non-nil, then the paper's numbers,
+// and reports each metric.
+func benchLadder(b *testing.B, l ladder, footer func(apps []*appBundle) *report.Table) {
+	apps := suite(b)
+	for i := 0; i < b.N; i++ {
+		r := l.compute(b, apps)
+		if i == 0 {
+			fmt.Println(r.table)
+			if footer != nil {
+				fmt.Println(footer(apps))
+			}
+			fmt.Println(l.paper)
+		}
+		for cfg, unit := range l.metrics {
+			b.ReportMetric(100*r.avg[cfg], unit)
+		}
+	}
+}
+
+func rowName(cfg string) string {
+	switch cfg {
+	case "baseline":
+		return "Baseline"
+	case "cto":
+		return "CTO"
+	case "ltbo":
+		return "CTO+LTBO"
+	case "plopti":
+		return "CTO+LTBO+PlOpti"
+	case "hfopti":
+		return "CTO+LTBO+PlOpti+HfOpti"
+	}
+	return cfg
+}
+
 // BenchmarkTable1_EstimatedRedundancy reproduces the §2.2 estimated code
 // size reduction ratios (paper: avg 25.4%).
 func BenchmarkTable1_EstimatedRedundancy(b *testing.B) {
@@ -156,7 +290,7 @@ func BenchmarkTable1_EstimatedRedundancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := &report.Table{
 			Title:  "\nTable 1: estimated code size reduction ratios (paper avg: 25.4%)",
-			Header: append([]string{""}, append(appNames(apps), "AVG")...),
+			Header: appHeader(apps),
 		}
 		row := []string{"Estimated reduction"}
 		var sum float64
@@ -180,14 +314,7 @@ func BenchmarkTable1_EstimatedRedundancy(b *testing.B) {
 // number-of-repeats distribution for the WeChat app (Observation 2: short
 // sequences dominate).
 func BenchmarkFigure3_LengthVsRepeats(b *testing.B) {
-	apps := suite(b)
-	var wechat *appBundle
-	for _, ab := range apps {
-		if ab.prof.Name == "Wechat" {
-			wechat = ab
-		}
-	}
-	res := build(b, wechat, "baseline")
+	res := build(b, appNamed(b, suite(b), "Wechat"), "baseline")
 	for i := 0; i < b.N; i++ {
 		a := AnalyzeRedundancy(res, false)
 		lengths := make([]int, 0, len(a.OccurrencesByLength))
@@ -234,14 +361,7 @@ func bar(v, max int64, width int) string {
 // counts (paper WeChat: java-call 1006k, stack-check 173k, allocObject
 // 217k — ratios 5.8 : 1.0 : 1.25 per stack check).
 func BenchmarkFigure4_PatternCounts(b *testing.B) {
-	apps := suite(b)
-	var wechat *appBundle
-	for _, ab := range apps {
-		if ab.prof.Name == "Wechat" {
-			wechat = ab
-		}
-	}
-	res := build(b, wechat, "baseline")
+	res := build(b, appNamed(b, suite(b), "Wechat"), "baseline")
 	for i := 0; i < b.N; i++ {
 		pc := CountPatterns(res)
 		if i == 0 {
@@ -254,232 +374,95 @@ func BenchmarkFigure4_PatternCounts(b *testing.B) {
 	}
 }
 
+// The ladder tables: Table 4 from the linker, Tables 5 and 7 from the
+// emulator (they share the baseline script run), Table 6 from the clock.
+var (
+	table4 = ladder{
+		title:   "\nTable 4: code size reduction of the OAT text segment",
+		paper:   "paper: CTO 3.56%, CTO+LTBO 19.19%, +PlOpti 16.40%, +PlOpti+HfOpti 15.19%",
+		configs: []string{"baseline", "cto", "ltbo", "plopti", "hfopti"},
+		change:  "reduction",
+		metrics: map[string]string{"ltbo": "ltbo-reduction-%", "plopti": "plopti-reduction-%", "hfopti": "hfopti-reduction-%"},
+		cell: func(tb testing.TB, ab *appBundle, cfg string) int64 {
+			return int64(build(tb, ab, cfg).TextBytes())
+		},
+		format: func(v int64) string { return report.Bytes(int(v)) },
+	}
+	table5 = ladder{
+		title:   "\nTable 5: memory usage during the scripted workload",
+		paper:   "paper: CTO 2.03%, CTO+LTBO 6.82%",
+		configs: []string{"baseline", "cto", "ltbo"},
+		change:  "reduction",
+		metrics: map[string]string{"ltbo": "ltbo-memory-reduction-%"},
+		cell: func(tb testing.TB, ab *appBundle, cfg string) int64 {
+			return scripted(tb, ab, cfg, emu.InOrderCosts).resident
+		},
+		format: func(v int64) string { return report.Bytes(int(v)) },
+	}
+	table6 = ladder{
+		title: "\nTable 6: building time",
+		paper: fmt.Sprintf("paper: CTO+LTBO +489.5%%, CTO+LTBO+PlOpti +70.8%% (on %d-thread host %s)",
+			runtime.NumCPU(), runtime.GOARCH),
+		configs: []string{"baseline", "ltbo", "plopti"},
+		change:  "growth",
+		metrics: map[string]string{"ltbo": "ltbo-build-growth-%", "plopti": "plopti-build-growth-%"},
+		cell: func(tb testing.TB, ab *appBundle, cfg string) int64 {
+			return int64(build(tb, ab, cfg).WallTime)
+		},
+		format: func(v int64) string { return report.Dur(time.Duration(v)) },
+	}
+	table7 = ladder{
+		title:   "\nTable 7: runtime performance (total CPU cycles over the scripted workload)",
+		paper:   "paper: CTO+LTBO+PlOpti +1.51%, +HfOpti +0.90%",
+		configs: []string{"baseline", "plopti", "hfopti"},
+		change:  "degradation",
+		metrics: map[string]string{"plopti": "plopti-cycle-degradation-%", "hfopti": "hfopti-cycle-degradation-%"},
+		cell: func(tb testing.TB, ab *appBundle, cfg string) int64 {
+			return scripted(tb, ab, cfg, emu.InOrderCosts).cycles
+		},
+		format: report.Count,
+	}
+)
+
 // BenchmarkTable4_CodeSize reproduces the on-disk code size reductions
 // (paper: CTO+LTBO 19.19%, +PlOpti 16.40%, +PlOpti+HfOpti 15.19%).
-func BenchmarkTable4_CodeSize(b *testing.B) {
-	apps := suite(b)
-	for i := 0; i < b.N; i++ {
-		t := &report.Table{
-			Title:  "\nTable 4: code size reduction of the OAT text segment",
-			Header: append([]string{""}, append(appNames(apps), "AVG")...),
-		}
-		configs := []string{"baseline", "cto", "ltbo", "plopti", "hfopti"}
-		sizes := map[string][]int{}
-		for _, cfg := range configs {
-			row := []string{rowName(cfg)}
-			for _, ab := range apps {
-				res := build(b, ab, cfg)
-				sizes[cfg] = append(sizes[cfg], res.TextBytes())
-				row = append(row, report.Bytes(res.TextBytes()))
-			}
-			row = append(row, "/")
-			t.AddRow(row...)
-		}
-		var avgRed = map[string]float64{}
-		for _, cfg := range configs[1:] {
-			row := []string{rowName(cfg) + " reduction"}
-			var sum float64
-			for k := range apps {
-				r := float64(sizes["baseline"][k]-sizes[cfg][k]) / float64(sizes["baseline"][k])
-				row = append(row, report.Pct(r))
-				sum += r
-			}
-			avgRed[cfg] = sum / float64(len(apps))
-			row = append(row, report.Pct(avgRed[cfg]))
-			t.AddRow(row...)
-		}
-		if i == 0 {
-			fmt.Println(t)
-			fmt.Println("paper: CTO 3.56%, CTO+LTBO 19.19%, +PlOpti 16.40%, +PlOpti+HfOpti 15.19%")
-		}
-		b.ReportMetric(100*avgRed["ltbo"], "ltbo-reduction-%")
-		b.ReportMetric(100*avgRed["plopti"], "plopti-reduction-%")
-		b.ReportMetric(100*avgRed["hfopti"], "hfopti-reduction-%")
-	}
-}
-
-func rowName(cfg string) string {
-	switch cfg {
-	case "baseline":
-		return "Baseline"
-	case "cto":
-		return "CTO"
-	case "ltbo":
-		return "CTO+LTBO"
-	case "plopti":
-		return "CTO+LTBO+PlOpti"
-	case "hfopti":
-		return "CTO+LTBO+PlOpti+HfOpti"
-	}
-	return cfg
-}
+func BenchmarkTable4_CodeSize(b *testing.B) { benchLadder(b, table4, nil) }
 
 // BenchmarkTable5_Memory reproduces the resident-memory reduction during
 // the scripted runs (paper: CTO 2.03%, CTO+LTBO 6.82%).
-func BenchmarkTable5_Memory(b *testing.B) {
-	apps := suite(b)
-	for i := 0; i < b.N; i++ {
-		t := &report.Table{
-			Title:  "\nTable 5: memory usage during the scripted workload",
-			Header: append([]string{""}, append(appNames(apps), "AVG")...),
-		}
-		configs := []string{"baseline", "cto", "ltbo"}
-		resident := map[string][]int64{}
-		for _, cfg := range configs {
-			row := []string{rowName(cfg)}
-			for _, ab := range apps {
-				res := build(b, ab, cfg)
-				_, _, mem := runScript(b, res.Image, ab.script)
-				resident[cfg] = append(resident[cfg], mem)
-				row = append(row, report.Bytes(int(mem)))
-			}
-			row = append(row, "/")
-			t.AddRow(row...)
-		}
-		var avgLTBO float64
-		for _, cfg := range configs[1:] {
-			row := []string{rowName(cfg) + " reduction"}
-			var sum float64
-			for k := range apps {
-				r := float64(resident["baseline"][k]-resident[cfg][k]) / float64(resident["baseline"][k])
-				row = append(row, report.Pct(r))
-				sum += r
-			}
-			avg := sum / float64(len(apps))
-			if cfg == "ltbo" {
-				avgLTBO = avg
-			}
-			row = append(row, report.Pct(avg))
-			t.AddRow(row...)
-		}
-		if i == 0 {
-			fmt.Println(t)
-			fmt.Println("paper: CTO 2.03%, CTO+LTBO 6.82%")
-		}
-		b.ReportMetric(100*avgLTBO, "ltbo-memory-reduction-%")
-	}
-}
+func BenchmarkTable5_Memory(b *testing.B) { benchLadder(b, table5, nil) }
 
 // BenchmarkTable6_BuildTime reproduces the build-time growth (paper:
-// single-tree CTO+LTBO +489.5%, +PlOpti +70.8%).
+// single-tree CTO+LTBO +489.5%, +PlOpti +70.8%). Under the table it
+// prints the per-stage breakdown: the times Result records are parallel
+// wall clocks, so this is where the -j worker pool shows up.
 func BenchmarkTable6_BuildTime(b *testing.B) {
-	apps := suite(b)
-	for i := 0; i < b.N; i++ {
-		t := &report.Table{
-			Title:  "\nTable 6: building time",
-			Header: append([]string{""}, append(appNames(apps), "AVG")...),
+	benchLadder(b, table6, func(apps []*appBundle) *report.Table {
+		st := &report.Table{
+			Title:  fmt.Sprintf("per-stage wall time, CTO+LTBO+PlOpti at -j %d", build(b, apps[0], "plopti").Workers),
+			Header: append([]string{""}, appNames(apps)...),
 		}
-		configs := []string{"baseline", "ltbo", "plopti"}
-		times := map[string][]float64{}
-		for _, cfg := range configs {
-			row := []string{rowName(cfg)}
+		for _, s := range []struct {
+			name string
+			get  func(*BuildResult) time.Duration
+		}{
+			{"compile", func(r *BuildResult) time.Duration { return r.CompileTime }},
+			{"outline", func(r *BuildResult) time.Duration { return r.OutlineTime }},
+			{"link", func(r *BuildResult) time.Duration { return r.LinkTime }},
+		} {
+			row := []string{s.name}
 			for _, ab := range apps {
-				res := build(b, ab, cfg)
-				d := res.WallTime
-				times[cfg] = append(times[cfg], d.Seconds())
-				row = append(row, report.Dur(d))
+				row = append(row, fmt.Sprintf("%.3fs", s.get(build(b, ab, "plopti")).Seconds()))
 			}
-			row = append(row, "/")
-			t.AddRow(row...)
+			st.AddRow(row...)
 		}
-		var growthLTBO, growthPl float64
-		for _, cfg := range configs[1:] {
-			row := []string{rowName(cfg) + " growth"}
-			var sum float64
-			for k := range apps {
-				g := (times[cfg][k] - times["baseline"][k]) / times["baseline"][k]
-				row = append(row, report.Pct(g))
-				sum += g
-			}
-			avg := sum / float64(len(apps))
-			if cfg == "ltbo" {
-				growthLTBO = avg
-			} else {
-				growthPl = avg
-			}
-			row = append(row, report.Pct(avg))
-			t.AddRow(row...)
-		}
-		if i == 0 {
-			fmt.Println(t)
-			// Per-stage breakdown: the times Result records are parallel
-			// wall clocks, so this is where the -j worker pool shows up.
-			st := &report.Table{
-				Title:  fmt.Sprintf("per-stage wall time, CTO+LTBO+PlOpti at -j %d", build(b, apps[0], "plopti").Workers),
-				Header: append([]string{""}, appNames(apps)...),
-			}
-			stages := []struct {
-				name string
-				get  func(*BuildResult) float64
-			}{
-				{"compile", func(r *BuildResult) float64 { return r.CompileTime.Seconds() }},
-				{"outline", func(r *BuildResult) float64 { return r.OutlineTime.Seconds() }},
-				{"link", func(r *BuildResult) float64 { return r.LinkTime.Seconds() }},
-			}
-			for _, s := range stages {
-				row := []string{s.name}
-				for _, ab := range apps {
-					row = append(row, fmt.Sprintf("%.3fs", s.get(build(b, ab, "plopti"))))
-				}
-				st.AddRow(row...)
-			}
-			fmt.Println(st)
-			fmt.Printf("paper: CTO+LTBO +489.5%%, CTO+LTBO+PlOpti +70.8%% (on %d-thread host %s)\n",
-				runtime.NumCPU(), runtime.GOARCH)
-		}
-		b.ReportMetric(100*growthLTBO, "ltbo-build-growth-%")
-		b.ReportMetric(100*growthPl, "plopti-build-growth-%")
-	}
+		return st
+	})
 }
 
 // BenchmarkTable7_Cycles reproduces the runtime performance degradation in
 // CPU cycles (paper: +1.51% without HfOpti, +0.90% with).
-func BenchmarkTable7_Cycles(b *testing.B) {
-	apps := suite(b)
-	for i := 0; i < b.N; i++ {
-		t := &report.Table{
-			Title:  "\nTable 7: runtime performance (total CPU cycles over the scripted workload)",
-			Header: append([]string{""}, append(appNames(apps), "AVG")...),
-		}
-		configs := []string{"baseline", "plopti", "hfopti"}
-		cycles := map[string][]int64{}
-		for _, cfg := range configs {
-			row := []string{rowName(cfg)}
-			for _, ab := range apps {
-				res := build(b, ab, cfg)
-				c, _, _ := runScript(b, res.Image, ab.script)
-				cycles[cfg] = append(cycles[cfg], c)
-				row = append(row, report.Count(c))
-			}
-			row = append(row, "/")
-			t.AddRow(row...)
-		}
-		var degPl, degHf float64
-		for _, cfg := range configs[1:] {
-			row := []string{rowName(cfg) + " degradation"}
-			var sum float64
-			for k := range apps {
-				d := float64(cycles[cfg][k]-cycles["baseline"][k]) / float64(cycles["baseline"][k])
-				row = append(row, report.Pct(d))
-				sum += d
-			}
-			avg := sum / float64(len(apps))
-			if cfg == "plopti" {
-				degPl = avg
-			} else {
-				degHf = avg
-			}
-			row = append(row, report.Pct(avg))
-			t.AddRow(row...)
-		}
-		if i == 0 {
-			fmt.Println(t)
-			fmt.Println("paper: CTO+LTBO+PlOpti +1.51%, +HfOpti +0.90%")
-		}
-		b.ReportMetric(100*degPl, "plopti-cycle-degradation-%")
-		b.ReportMetric(100*degHf, "hfopti-cycle-degradation-%")
-	}
-}
+func BenchmarkTable7_Cycles(b *testing.B) { benchLadder(b, table7, nil) }
 
 // --- component microbenchmarks ---
 
@@ -514,13 +497,7 @@ func BenchmarkCompile(b *testing.B) {
 // serial walk) and only the allocation numbers are meaningful — which is
 // why BENCH_obs.json records host_cpus next to every run.
 func BenchmarkCompileWorkers(b *testing.B) {
-	apps := suite(b)
-	var wechat *appBundle
-	for _, ab := range apps {
-		if ab.prof.Name == "Wechat" {
-			wechat = ab
-		}
-	}
+	wechat := appNamed(b, suite(b), "Wechat")
 	for _, j := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("j=%d", j), func(b *testing.B) {
 			// ReportAllocs up front so allocs/op lands in the archived
@@ -560,13 +537,7 @@ func BenchmarkCompileScalingSmoke(b *testing.B) {
 	if runtime.NumCPU() < 4 {
 		b.Skipf("scaling assertion needs >= 4 CPUs, host has %d", runtime.NumCPU())
 	}
-	apps := suite(b)
-	var wechat *appBundle
-	for _, ab := range apps {
-		if ab.prof.Name == "Wechat" {
-			wechat = ab
-		}
-	}
+	wechat := appNamed(b, suite(b), "Wechat")
 	compileAt := func(j int) float64 {
 		best := math.MaxFloat64
 		for r := 0; r < 3; r++ {
@@ -598,13 +569,7 @@ func BenchmarkCompileScalingSmoke(b *testing.B) {
 // stays a small fraction of the build; the sub-benchmark ns/op ratio is
 // the number to watch.
 func BenchmarkBuildTraced(b *testing.B) {
-	apps := suite(b)
-	var wechat *appBundle
-	for _, ab := range apps {
-		if ab.prof.Name == "Wechat" {
-			wechat = ab
-		}
-	}
+	wechat := appNamed(b, suite(b), "Wechat")
 	for _, bc := range []struct {
 		name   string
 		tracer *Tracer
@@ -632,13 +597,7 @@ func BenchmarkBuildTraced(b *testing.B) {
 // The warm/cold ns/op ratio is the headline; the warm case also reports
 // its hit rate, which must be 100%.
 func BenchmarkBuildColdVsWarm(b *testing.B) {
-	apps := suite(b)
-	var kuaishou *appBundle
-	for _, ab := range apps {
-		if ab.prof.Name == "Kuaishou" {
-			kuaishou = ab
-		}
-	}
+	kuaishou := appNamed(b, suite(b), "Kuaishou")
 	cfg := CTOLTBOPl(8)
 	cfg.Workers = 8
 	b.Run("cold", func(b *testing.B) {

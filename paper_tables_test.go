@@ -50,34 +50,21 @@ func TestPaperTables(t *testing.T) {
 	put("table1", "est-saved-words", "baseline", saved)
 	put("table1", "total-words", "baseline", total)
 
-	cells := func(configs []string, cell func(*appBundle, string) int64) map[string][]int64 {
-		raw := map[string][]int64{}
-		for _, cfg := range configs {
-			for _, ab := range apps {
-				raw[cfg] = append(raw[cfg], cell(ab, cfg))
-			}
+	text := table4.compute(t, apps)
+	resident := table5.compute(t, apps)
+	cycles := table7.compute(t, apps)
+	for _, tc := range []struct {
+		table, quantity string
+		l               ladder
+		r               ladderResult
+	}{
+		{"table4", "text-bytes", table4, text},
+		{"table5", "resident-bytes", table5, resident},
+		{"table7", "cycles", table7, cycles},
+	} {
+		for _, cfg := range tc.l.configs {
+			put(tc.table, tc.quantity, cfg, tc.r.raw[cfg])
 		}
-		return raw
-	}
-	text := cells([]string{"baseline", "cto", "ltbo", "plopti", "hfopti"}, func(ab *appBundle, cfg string) int64 {
-		return int64(build(t, ab, cfg).TextBytes())
-	})
-	resident := cells([]string{"baseline", "cto", "ltbo"}, func(ab *appBundle, cfg string) int64 {
-		_, _, mem := runScript(t, build(t, ab, cfg).Image, ab.script)
-		return mem
-	})
-	cycles := cells([]string{"baseline", "plopti", "hfopti"}, func(ab *appBundle, cfg string) int64 {
-		c, _, _ := runScript(t, build(t, ab, cfg).Image, ab.script)
-		return c
-	})
-	for _, cfg := range []string{"baseline", "cto", "ltbo", "plopti", "hfopti"} {
-		put("table4", "text-bytes", cfg, text[cfg])
-	}
-	for _, cfg := range []string{"baseline", "cto", "ltbo"} {
-		put("table5", "resident-bytes", cfg, resident[cfg])
-	}
-	for _, cfg := range []string{"baseline", "plopti", "hfopti"} {
-		put("table7", "cycles", cfg, cycles[cfg])
 	}
 
 	path := filepath.Join("testdata", "paper_tables.golden")
@@ -98,46 +85,28 @@ func TestPaperTables(t *testing.T) {
 	}
 
 	// The shapes EXPERIMENTS.md claims, read off the same cells.
-	change := func(raw map[string][]int64, cfg string) (perApp []float64, avg float64) {
-		for k, base := range raw["baseline"] {
-			r := float64(raw[cfg][k]-base) / float64(base)
-			perApp = append(perApp, r)
-			avg += r
-		}
-		return perApp, avg / float64(len(perApp))
-	}
-	_, cto := change(text, "cto")
-	ltboPerApp, ltbo := change(text, "ltbo")
-	_, plopti := change(text, "plopti")
-	_, hfopti := change(text, "hfopti")
-	if !(-cto < -hfopti && -hfopti <= -plopti && -plopti < -ltbo) {
+	red := text.avg
+	if !(red["cto"] < red["hfopti"] && red["hfopti"] <= red["plopti"] && red["plopti"] < red["ltbo"]) {
 		t.Errorf("Table 4 averages do not order as CTO < +PlOpti+HfOpti <= +PlOpti < +LTBO: %.2f%% / %.2f%% / %.2f%% / %.2f%%",
-			-100*cto, -100*hfopti, -100*plopti, -100*ltbo)
+			100*red["cto"], 100*red["hfopti"], 100*red["plopti"], 100*red["ltbo"])
 	}
 	est := make([]float64, len(apps))
 	for k := range apps {
 		est[k] = float64(saved[k]) / float64(total[k])
 	}
-	ltboRed := make([]float64, len(apps))
-	for k, r := range ltboPerApp {
-		ltboRed[k] = -r
-	}
 	for _, tc := range []struct {
 		table string
 		red   []float64
-	}{{"Table 1", est}, {"Table 4 CTO+LTBO", ltboRed}} {
+	}{{"Table 1", est}, {"Table 4 CTO+LTBO", text.rel["ltbo"]}} {
 		if top := apps[argmax(tc.red)].prof.Name; top != "Kuaishou" {
 			t.Errorf("%s: the largest reduction is %s's, want Kuaishou's", tc.table, top)
 		}
 	}
-	_, degPl := change(cycles, "plopti")
-	_, degHf := change(cycles, "hfopti")
-	if !(degHf < degPl) {
-		t.Errorf("Table 7: HfOpti does not lower the average degradation: %.2f%% -> %.2f%%", 100*degPl, 100*degHf)
+	if deg := cycles.avg; !(deg["hfopti"] < deg["plopti"]) {
+		t.Errorf("Table 7: HfOpti does not lower the average degradation: %.2f%% -> %.2f%%", 100*deg["plopti"], 100*deg["hfopti"])
 	}
-	_, memLTBO := change(resident, "ltbo")
-	if !(-memLTBO < -ltbo) {
-		t.Errorf("Table 5's CTO+LTBO reduction %.2f%% is not below Table 4's %.2f%%", -100*memLTBO, -100*ltbo)
+	if mem := resident.avg["ltbo"]; !(mem < red["ltbo"]) {
+		t.Errorf("Table 5's CTO+LTBO reduction %.2f%% is not below Table 4's %.2f%%", 100*mem, 100*red["ltbo"])
 	}
 }
 

@@ -20,12 +20,15 @@
 //
 // The report prints served/failed/rejected totals, client-observed
 // latency and queue-wait percentiles (from the same bounded histogram
-// type the daemon uses), and the daemon's cache hit rate over the run.
+// type the daemon uses), and, over the run, the daemon's method-cache hit
+// rate next to its fleet_hits (jobs served whole from a shared artifact).
+// A run that made no method-cache lookup prints the rate as n/a: a fleet
+// that served every job from shared artifacts is warm, not cold.
 //
 // Fleet mode: -fleet replays the identical plan against several daemons,
 // routing each submit through the same consistent-hash ring calibroctl
 // uses (affinity by app@version; hostile bodies go to the first daemon).
-// The reported hit rate then sums all daemons' counters.
+// The reported counts then sum all daemons' counters.
 //
 // Exit status 0 when every submit was answered (even with 4xx), 1 on
 // transport errors or when nothing was served.
@@ -34,6 +37,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -136,7 +140,7 @@ func run(args []string, out io.Writer) error {
 		return "http://" + ring.Pick(fmt.Sprintf("%s@v%d", ev.app, ev.version))
 	}
 
-	hitsBefore, missesBefore, _ := cacheCounts(bases)
+	before, beforeErr := scrapeCounts(bases)
 
 	var (
 		cnt      counters
@@ -163,11 +167,7 @@ func run(args []string, out io.Writer) error {
 	wg.Wait()
 	wall := time.Since(started)
 
-	hitsAfter, missesAfter, cacheErr := cacheCounts(bases)
-	hitRate := 0.0
-	if lookups := (hitsAfter - hitsBefore) + (missesAfter - missesBefore); cacheErr == nil && lookups > 0 {
-		hitRate = float64(hitsAfter-hitsBefore) / float64(lookups)
-	}
+	after, afterErr := scrapeCounts(bases)
 
 	rejected := cnt.r413 + cnt.r429 + cnt.r503 + cnt.r400
 	fmt.Fprintf(out, "calibroload: seed=%d n=%d wall=%s\n", *seed, *n, wall.Round(time.Millisecond))
@@ -178,7 +178,7 @@ func run(args []string, out io.Writer) error {
 		ls.P50US, ls.P95US, ls.P99US, ls.MaxUS)
 	fmt.Fprintf(out, "calibroload: queue_wait_us p50=%d p95=%d p99=%d max=%d\n",
 		qs.P50US, qs.P95US, qs.P99US, qs.MaxUS)
-	fmt.Fprintf(out, "calibroload: cache_hit_rate=%.3f\n", hitRate)
+	fmt.Fprintf(out, "calibroload: %s\n", cacheLine(before, after, errors.Join(beforeErr, afterErr)))
 
 	if cnt.errs > 0 {
 		return fmt.Errorf("%d submits hit transport errors", cnt.errs)
@@ -317,37 +317,60 @@ func (c *counters) bump(f func(*counters)) {
 	c.mu.Unlock()
 }
 
-// cacheCounts sums the cache hit/miss counters across every daemon's
-// JSON metrics endpoint, so the reported hit rate is the fleet's.
-func cacheCounts(bases []string) (hits, misses int64, err error) {
-	for _, base := range bases {
-		h, m, err := cacheCounts1(base)
-		if err != nil {
-			return 0, 0, err
-		}
-		hits += h
-		misses += m
-	}
-	return hits, misses, nil
+// cacheCounts are the cache counters a daemon's JSON /metrics reports:
+// method-cache hits and misses, and fleet_hits, the jobs it served whole
+// from a shared artifact without a method-cache lookup.
+type cacheCounts struct {
+	hits, misses, fleetHits int64
 }
 
-func cacheCounts1(base string) (hits, misses int64, err error) {
+// scrapeCounts sums the cache counters across every daemon's JSON
+// metrics endpoint, so the report is the fleet's. An uncached daemon
+// contributes no method-cache lookups.
+func scrapeCounts(bases []string) (cacheCounts, error) {
+	var sum cacheCounts
+	for _, base := range bases {
+		c, err := scrapeCounts1(base)
+		if err != nil {
+			return cacheCounts{}, err
+		}
+		sum.hits += c.hits
+		sum.misses += c.misses
+		sum.fleetHits += c.fleetHits
+	}
+	return sum, nil
+}
+
+func scrapeCounts1(base string) (cacheCounts, error) {
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
-		return 0, 0, err
+		return cacheCounts{}, err
 	}
 	defer resp.Body.Close()
 	var m struct {
-		Cache *struct {
+		FleetHits int64 `json:"fleet_hits"`
+		Cache     struct {
 			Hits   int64 `json:"hits"`
 			Misses int64 `json:"misses"`
 		} `json:"cache"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return 0, 0, err
+		return cacheCounts{}, err
 	}
-	if m.Cache == nil {
-		return 0, 0, fmt.Errorf("daemon runs uncached")
+	return cacheCounts{m.Cache.Hits, m.Cache.Misses, m.FleetHits}, nil
+}
+
+// cacheLine reports the run's method-cache hit rate and fleet artifact
+// hits, the differences of two scrapes. The rate is n/a when the run made
+// no method-cache lookup, and both are n/a when a scrape failed.
+func cacheLine(before, after cacheCounts, err error) string {
+	if err != nil {
+		return "cache_hit_rate=n/a fleet_hits=n/a"
 	}
-	return m.Cache.Hits, m.Cache.Misses, nil
+	rate := "n/a"
+	hits := after.hits - before.hits
+	if lookups := hits + after.misses - before.misses; lookups > 0 {
+		rate = fmt.Sprintf("%.3f", float64(hits)/float64(lookups))
+	}
+	return fmt.Sprintf("cache_hit_rate=%s fleet_hits=%d", rate, after.fleetHits-before.fleetHits)
 }

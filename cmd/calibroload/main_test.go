@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -87,6 +88,53 @@ func TestRunErrors(t *testing.T) {
 			}
 			if c.name == "all rejected" && !strings.Contains(out.String(), "rejected=3 (413=0 429=0 503=0 400=3)") {
 				t.Errorf("rejections not counted:\n%s", out.String())
+			}
+		})
+	}
+}
+
+// TestCacheLine scrapes canned /metrics bodies from a two-daemon fleet,
+// before and after a run, and checks the reported cache line: a fleet
+// that served every job from shared artifacts reads as warm (rate n/a,
+// fleet hits summed across daemons), not as a 0.000 hit rate.
+func TestCacheLine(t *testing.T) {
+	// daemon serves its canned bodies in order, one per scrape.
+	daemon := func(bodies ...string) string {
+		var n atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprint(w, bodies[n.Add(1)-1])
+		}))
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	for _, c := range []struct {
+		name string
+		a, b [2]string // each daemon's body before and after the run
+		want string
+	}{
+		{"warm fleet",
+			[2]string{`{"fleet_hits":1,"cache":{"hits":4,"misses":2}}`, `{"fleet_hits":11,"cache":{"hits":4,"misses":2}}`},
+			[2]string{`{"fleet_hits":0,"cache":{"hits":0,"misses":0}}`, `{"fleet_hits":15,"cache":{"hits":0,"misses":0}}`},
+			"cache_hit_rate=n/a fleet_hits=25"},
+		{"method cache",
+			[2]string{`{"cache":{"hits":4,"misses":2}}`, `{"cache":{"hits":10,"misses":3}}`},
+			[2]string{`{"cache":{"hits":0,"misses":0}}`, `{"cache":{"hits":3,"misses":1}}`},
+			"cache_hit_rate=0.818 fleet_hits=0"},
+		{"uncached",
+			[2]string{`{"fleet_hits":0}`, `{"fleet_hits":0}`},
+			[2]string{`{"fleet_hits":0}`, `{"fleet_hits":2}`},
+			"cache_hit_rate=n/a fleet_hits=2"},
+		{"bad body",
+			[2]string{`{}`, `not json`},
+			[2]string{`{}`, `{}`},
+			"cache_hit_rate=n/a fleet_hits=n/a"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bases := []string{daemon(c.a[:]...), daemon(c.b[:]...)}
+			before, err1 := scrapeCounts(bases)
+			after, err2 := scrapeCounts(bases)
+			if got := cacheLine(before, after, errors.Join(err1, err2)); got != c.want {
+				t.Errorf("cacheLine = %q, want %q", got, c.want)
 			}
 		})
 	}

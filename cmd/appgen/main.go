@@ -35,7 +35,7 @@ func run(args []string, out io.Writer) error {
 		appName = fs.String("app", "Wechat", "app profile name")
 		scale   = fs.Float64("scale", 0.1, "scale factor")
 		seed    = fs.Int64("seed", 0, "override the profile seed")
-		methods = fs.Int("methods", 0, "override the method count")
+		methods = fs.Int("methods", 0, "override the method count, drivers included")
 		dump    = fs.Int("dump", 0, "print the bytecode of this many methods")
 		outPath = fs.String("o", "", "write the app in the binary dex container format")
 		text    = fs.Bool("text", false, "dump the whole app in the smali-like text format")
@@ -61,7 +61,10 @@ func run(args []string, out io.Writer) error {
 		prof.Seed = *seed
 	}
 	if *methods != 0 {
-		prof.Methods = *methods
+		if *methods <= workload.NumDrivers {
+			return fmt.Errorf("-methods %d: must exceed the %d driver methods", *methods, workload.NumDrivers)
+		}
+		prof.Methods = *methods - workload.NumDrivers
 	}
 	app, man, err := workload.Generate(prof)
 	if err != nil {

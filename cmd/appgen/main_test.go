@@ -27,6 +27,8 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"NaN scale", []string{"-scale", "NaN"}, "must be positive"},
 		{"unparseable scale", []string{"-scale", "big"}, "invalid value"},
 		{"negative dump", []string{"-dump", "-1"}, "must not be negative"},
+		{"methods at the driver count", []string{"-methods", "3"}, "must exceed the 3 driver methods"},
+		{"negative methods", []string{"-methods", "-40"}, "must exceed the 3 driver methods"},
 		{"unwritable output", []string{"-scale", "0.02", "-o", t.TempDir()}, "is a directory"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,8 +85,10 @@ func TestRunReport(t *testing.T) {
 		t.Error("two runs of the same generation differ")
 	}
 
-	if few, many := methodCount(t, gen(t, "-methods", "40")), methodCount(t, gen(t, "-methods", "80")); few < 40 || many <= few {
-		t.Errorf("-methods 40 generated %d methods, -methods 80 %d", few, many)
+	for _, n := range []int{4, 40, 80} {
+		if got := methodCount(t, gen(t, "-methods", strconv.Itoa(n))); got != n {
+			t.Errorf("-methods %d generated %d methods", n, got)
+		}
 	}
 	if gen(t, "-seed", "7") == gen(t) {
 		t.Error("-seed 7 generated the profile's default app")

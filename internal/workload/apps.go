@@ -85,7 +85,7 @@ func Load(data []byte) (*dex.App, *Manifest, error) {
 		return nil, nil, err
 	}
 	man := &Manifest{}
-	for i := 0; i < min(numDrivers, app.NumMethods()); i++ {
+	for i := 0; i < min(NumDrivers, app.NumMethods()); i++ {
 		man.Drivers = append(man.Drivers, dex.MethodID(i))
 	}
 	return app, man, nil

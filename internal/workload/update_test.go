@@ -50,12 +50,12 @@ func TestUpdateDelta(t *testing.T) {
 			len(v1.Methods), len(v2.Methods))
 	}
 	changed := 0
-	for i := numDrivers; i < len(v1.Methods); i++ {
+	for i := NumDrivers; i < len(v1.Methods); i++ {
 		if !sameCode(v1.Methods[i], v2.Methods[i]) {
 			changed++
 		}
 	}
-	regular := len(v1.Methods) - numDrivers
+	regular := len(v1.Methods) - NumDrivers
 	frac := float64(changed) / float64(regular)
 	// One version step redraws ~delta of the methods; allow generous
 	// sampling slack either way, but reject "everything changed" (the

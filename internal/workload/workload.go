@@ -79,8 +79,9 @@ type Manifest struct {
 	Hot     []dex.MethodID // methods given heavy kernels
 }
 
-// numDrivers is the count of entry "activity" methods per app.
-const numDrivers = 3
+// NumDrivers is the count of entry "activity" methods per generated app.
+// They come on top of Profile.Methods and take the lowest method IDs.
+const NumDrivers = 3
 
 // Generate builds the application.
 func Generate(p Profile) (*dex.App, *Manifest, error) {
@@ -121,7 +122,7 @@ func Generate(p Profile) (*dex.App, *Manifest, error) {
 
 	man := &Manifest{}
 	// Reserve driver slots first so they get the low IDs.
-	for d := 0; d < numDrivers; d++ {
+	for d := 0; d < NumDrivers; d++ {
 		m := &dex.Method{Name: fmt.Sprintf("activity%d", d),
 			NumRegs: numRegs, NumIns: numIns}
 		addMethod(m)
@@ -130,8 +131,8 @@ func Generate(p Profile) (*dex.App, *Manifest, error) {
 	// Regular methods. In delta mode each method draws from its own
 	// (app, method, revision)-seeded stream instead of the shared one, so
 	// an update regenerates exactly the methods whose revision moved.
-	first := dex.MethodID(numDrivers)
-	n := dex.MethodID(numDrivers + p.Methods)
+	first := dex.MethodID(NumDrivers)
+	n := dex.MethodID(NumDrivers + p.Methods)
 	for id := first; id < n; id++ {
 		gm := g.methodGen(id)
 		hot := gm.r.Float64() < p.HotFrac
@@ -149,7 +150,7 @@ func Generate(p Profile) (*dex.App, *Manifest, error) {
 		addMethod(m)
 	}
 	// Driver bodies: call every hot method plus a sample of the rest.
-	for d := 0; d < numDrivers; d++ {
+	for d := 0; d < NumDrivers; d++ {
 		g.driverGen(d).driverBody(app.Methods[d], man, first, n)
 	}
 	if err := app.Validate(); err != nil {

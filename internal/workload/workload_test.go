@@ -19,11 +19,11 @@ func TestGenerateValidApps(t *testing.T) {
 		if err := app.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if len(man.Drivers) != numDrivers {
+		if len(man.Drivers) != NumDrivers {
 			t.Errorf("drivers = %d", len(man.Drivers))
 		}
 		s := app.CollectStats()
-		if s.Methods != 80+numDrivers {
+		if s.Methods != 80+NumDrivers {
 			t.Errorf("methods = %d", s.Methods)
 		}
 		if s.Native == 0 {
@@ -64,7 +64,7 @@ func TestCallGraphIsForwardOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, m := range app.Methods {
-		if id < numDrivers {
+		if id < NumDrivers {
 			continue // drivers call everywhere forward of themselves
 		}
 		for _, in := range m.Code {
@@ -121,7 +121,7 @@ func TestScript(t *testing.T) {
 		t.Fatal(err)
 	}
 	script := Script(man, 20, 1)
-	if len(script) != 20*numDrivers {
+	if len(script) != 20*NumDrivers {
 		t.Fatalf("script length = %d", len(script))
 	}
 	s2 := Script(man, 20, 1)

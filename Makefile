@@ -70,13 +70,16 @@ bench:
 # -j scaling assertion (BenchmarkCompileScalingSmoke), which fails the
 # build if a j=8 compile stops beating j=1 by at least 1.5x. The
 # assertion self-skips on hosts with fewer than 4 CPUs, where the ladder
-# is legitimately flat. The suffix-tree construction benchmark runs once
-# per size, the image-only analysis and post-hoc re-outlining benchmarks
-# once per ladder app, and the cache-key and image-marshal kernels once
-# each, so they keep compiling. Archived measurements come from
+# is legitimately flat. The ablation sweeps, Table 6 and the two figure
+# benchmarks run once each, so the paper-table harness they share with
+# TestPaperTables keeps running. The suffix-tree construction benchmark
+# runs once per size, the image-only analysis and post-hoc re-outlining
+# benchmarks once per ladder app, and the cache-key and image-marshal
+# kernels once each, so they keep compiling. Archived measurements come from
 # layerbench (`bash layerbench/run.sh`), not from these runs.
 bench-smoke:
 	$(GO) test -short -run xxx -bench 'BenchmarkCompileWorkers|BenchmarkCompileScalingSmoke|BenchmarkBuildTraced|BenchmarkBuildColdVsWarm' -benchtime 1x . >/dev/null
+	$(GO) test -short -run xxx -bench 'Ablation|Table6_|Figure' -benchtime 1x . >/dev/null
 	$(GO) test -run xxx -bench BenchmarkBuild -benchtime 1x ./internal/suffixtree >/dev/null
 	$(GO) test -short -run xxx -bench BenchmarkAnalyze -benchtime 1x -benchmem ./internal/analysis >/dev/null
 	$(GO) test -run xxx -bench BenchmarkCacheKey -benchtime 1x -benchmem ./internal/codegen >/dev/null

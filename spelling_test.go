@@ -41,8 +41,9 @@ func TestOneSpellingPerOperation(t *testing.T) {
 
 // TestDocsNameOnlyWhatExists keeps the user-facing documents honest about
 // the tree: every `make <target>` they cite is a Makefile target, every
-// cmd/<name> is a command directory, and every BENCH_*.json archive is
-// in the repository. CHANGES.md and ROADMAP.md are history and may name
+// cmd/<name> is a command directory, every BENCH_*.json archive is in
+// the repository, and so is every .go, .md, .txt, .golden, .json or .sh
+// file a code span names. CHANGES.md and ROADMAP.md are history and may name
 // what has since been deleted.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
@@ -57,6 +58,8 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		makeRE  = regexp.MustCompile("(?m)(?:^|`)make ([a-z][a-z0-9-]*)")
 		cmdRE   = regexp.MustCompile(`\bcmd/([a-z][a-z0-9]*)`)
 		benchRE = regexp.MustCompile(`\bBENCH_[A-Za-z0-9_]+\.json`)
+		codeRE  = regexp.MustCompile("`[^`\n]+`")
+		fileRE  = regexp.MustCompile(`\.(go|md|txt|golden|json|sh)$`)
 	)
 	exists := func(path string) bool {
 		_, err := os.Stat(path)
@@ -81,6 +84,15 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		for _, name := range benchRE.FindAllString(text, -1) {
 			if !exists(name) {
 				t.Errorf("%s cites %s, which is not in the repository", doc, name)
+			}
+		}
+		// Every file a code span names, e.g. `layerbench/run.sh` or a word
+		// of `bash layerbench/run.sh`, is a path from the repository root.
+		for _, span := range codeRE.FindAllString(text, -1) {
+			for _, word := range strings.Fields(strings.Trim(span, "`")) {
+				if fileRE.MatchString(word) && !exists(word) {
+					t.Errorf("%s cites `%s`, which is not in the repository", doc, word)
+				}
 			}
 		}
 	}

@@ -52,7 +52,10 @@ layerbench-check:
 # server half (hostile client requests). FuzzCallGraph also debloats every
 # image it parses (refusal, or a valid output that debloats again to the
 # same bytes), and FuzzLift does the same for the re-outliner.
+# FuzzUnmarshalApp attacks the dex decoder and verifier every dex-payload
+# build job runs, and requires each accepted container to round-trip.
 fuzz:
+	$(GO) test ./internal/dex -run xxx -fuzz FuzzUnmarshalApp -fuzztime 20s
 	$(GO) test ./internal/oat -run xxx -fuzz FuzzUnmarshal -fuzztime 20s
 	$(GO) test ./internal/oat -run xxx -fuzz FuzzUnmarshalLint -fuzztime 20s
 	$(GO) test ./internal/cache -run xxx -fuzz FuzzCacheEntry -fuzztime 20s
@@ -74,8 +77,8 @@ bench:
 # benchmarks run once each, so the paper-table harness they share with
 # TestPaperTables keeps running. The suffix-tree construction benchmark
 # runs once per size, the image-only analysis and post-hoc re-outlining
-# benchmarks once per ladder app, and the cache-key and image-marshal
-# kernels once each, so they keep compiling. Archived measurements come from
+# benchmarks once per ladder app, and the cache-key, image-marshal and
+# dex-load kernels once each, so they keep compiling. Archived measurements come from
 # layerbench (`bash layerbench/run.sh`), not from these runs.
 bench-smoke:
 	$(GO) test -short -run xxx -bench 'BenchmarkCompileWorkers|BenchmarkCompileScalingSmoke|BenchmarkBuildTraced|BenchmarkBuildColdVsWarm' -benchtime 1x . >/dev/null
@@ -84,6 +87,7 @@ bench-smoke:
 	$(GO) test -short -run xxx -bench BenchmarkAnalyze -benchtime 1x -benchmem ./internal/analysis >/dev/null
 	$(GO) test -run xxx -bench BenchmarkCacheKey -benchtime 1x -benchmem ./internal/codegen >/dev/null
 	$(GO) test -run xxx -bench BenchmarkMarshal -benchtime 1x -benchmem ./internal/oat >/dev/null
+	$(GO) test -run xxx -bench BenchmarkLoad -benchtime 1x -benchmem ./internal/workload >/dev/null
 	$(GO) test -short -run xxx -bench BenchmarkReoutline -benchtime 1x ./internal/reoutline >/dev/null
 
 # serve-smoke boots calibrod on a random port, drives one job end to end

@@ -19,12 +19,12 @@ func Marshal(app *App) ([]byte, error) {
 	if err := app.Validate(); err != nil {
 		return nil, fmt.Errorf("dex: refusing to marshal invalid app: %w", err)
 	}
+	if err := checkNameLengths(app); err != nil {
+		return nil, err
+	}
 	var buf bytes.Buffer
 	buf.Write(dexMagic)
 	ws := func(s string) {
-		if len(s) > 0xFFFF {
-			s = s[:0xFFFF]
-		}
 		var l [2]byte
 		binary.LittleEndian.PutUint16(l[:], uint16(len(s)))
 		buf.Write(l[:])
@@ -90,7 +90,52 @@ func Marshal(app *App) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalApp parses a serialized app and validates it.
+// Minimum encoded sizes, which bound every count by the bytes left: an
+// instruction is at least its 4-byte head, a pool entry or switch target
+// at least a 1-byte varint, a method at least its name length, five
+// one-byte varints and the native flag, and a file or class its name
+// length and a one-byte count.
+const (
+	minInsnBytes   = 4
+	minMethodBytes = 2 + 5 + 1
+	minGroupBytes  = 2 + 1
+)
+
+// maxNameBytes is the longest name the 16-bit length prefix encodes.
+const maxNameBytes = 0xFFFF
+
+// checkNameLengths refuses an app with a name the container cannot hold,
+// naming the field, rather than letting Marshal truncate it.
+func checkNameLengths(app *App) error {
+	long := func(field, name string) error {
+		return fmt.Errorf("dex: %s %q... is %d bytes, over the %d-byte limit",
+			field, name[:32], len(name), maxNameBytes)
+	}
+	if len(app.Name) > maxNameBytes {
+		return long("app name", app.Name)
+	}
+	for _, f := range app.Files {
+		if len(f.Name) > maxNameBytes {
+			return long("file name", f.Name)
+		}
+		for _, c := range f.Classes {
+			if len(c.Name) > maxNameBytes {
+				return long("class name", c.Name)
+			}
+			for _, m := range c.Methods {
+				if len(m.Name) > maxNameBytes {
+					return long("method name", c.Name+"."+m.Name)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// UnmarshalApp parses a serialized app and validates it. Each slice is
+// allocated once at its encoded count, and a count the remaining bytes
+// cannot hold is refused as truncated before anything is allocated for
+// it.
 func UnmarshalApp(data []byte) (*App, error) {
 	r := &byteReader{data: data}
 	magic := r.bytes(len(dexMagic))
@@ -102,70 +147,33 @@ func UnmarshalApp(data []byte) (*App, error) {
 	if nFiles > 1<<16 {
 		return nil, fmt.Errorf("dex: implausible file count %d", nFiles)
 	}
-	type slot struct {
-		m  *Method
-		id MethodID
-	}
-	var slots []slot
-	for i := uint64(0); i < nFiles && r.err == nil; i++ {
+	var methods []*Method // in encoding order; placed by ID below
+	app.Files = make([]*File, r.count(nFiles, minGroupBytes))
+	for i := range app.Files {
 		f := &File{Name: r.str()}
+		app.Files[i] = f
 		nClasses := r.uvarint()
 		if nClasses > 1<<20 {
 			return nil, fmt.Errorf("dex: implausible class count %d", nClasses)
 		}
-		for j := uint64(0); j < nClasses && r.err == nil; j++ {
+		f.Classes = make([]*Class, r.count(nClasses, minGroupBytes))
+		for j := range f.Classes {
 			c := &Class{Name: r.str()}
+			f.Classes[j] = c
 			nMethods := r.uvarint()
 			if nMethods > 1<<24 {
 				return nil, fmt.Errorf("dex: implausible method count %d", nMethods)
 			}
-			for k := uint64(0); k < nMethods && r.err == nil; k++ {
-				m := &Method{Class: c.Name, Name: r.str()}
-				id := MethodID(r.uvarint())
-				m.ID = id
-				m.NumRegs = int(r.uvarint())
-				m.NumIns = int(r.uvarint())
-				m.Native = r.byte() == 1
-				nPool := r.uvarint()
-				if nPool > 1<<24 {
-					return nil, fmt.Errorf("dex: implausible pool size %d", nPool)
+			c.Methods = make([]*Method, r.count(nMethods, minMethodBytes))
+			for k := range c.Methods {
+				m, err := r.method(c.Name)
+				if err != nil {
+					return nil, err
 				}
-				for p := uint64(0); p < nPool && r.err == nil; p++ {
-					m.Pool = append(m.Pool, r.uvarint())
-				}
-				nCode := r.uvarint()
-				if nCode > 1<<26 {
-					return nil, fmt.Errorf("dex: implausible code size %d", nCode)
-				}
-				for p := uint64(0); p < nCode && r.err == nil; p++ {
-					in := Insn{Op: Opcode(r.byte()), A: r.byte(), B: r.byte(), C: r.byte()}
-					switch in.Op {
-					case OpConst, OpConstPool, OpAddLit, OpIGet, OpIPut, OpNewInstance:
-						in.Lit = r.varint()
-					case OpPackedSwitch:
-						nT := r.uvarint()
-						if nT > 1<<16 {
-							return nil, fmt.Errorf("dex: implausible switch size %d", nT)
-						}
-						for t := uint64(0); t < nT && r.err == nil; t++ {
-							in.Targets = append(in.Targets, int32(r.varint()))
-						}
-					case OpInvoke:
-						in.Method = MethodID(r.uvarint())
-					case OpInvokeNative:
-						in.Native = NativeFunc(r.byte())
-					}
-					if in.Op.IsBranch() && in.Op != OpPackedSwitch {
-						in.Target = int32(r.varint())
-					}
-					m.Code = append(m.Code, in)
-				}
-				c.Methods = append(c.Methods, m)
-				slots = append(slots, slot{m: m, id: id})
+				c.Methods[k] = m
+				methods = append(methods, m)
 			}
-			f.Classes = append(f.Classes, c)
 		}
-		app.Files = append(app.Files, f)
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -174,17 +182,77 @@ func UnmarshalApp(data []byte) (*App, error) {
 		return nil, fmt.Errorf("dex: %d trailing bytes", len(data)-r.off)
 	}
 	// Rebuild the app-wide method table by ID.
-	app.Methods = make([]*Method, len(slots))
-	for _, s := range slots {
-		if int(s.id) >= len(slots) || app.Methods[s.id] != nil {
-			return nil, fmt.Errorf("dex: bad or duplicate method id %d", s.id)
+	app.Methods = make([]*Method, len(methods))
+	for _, m := range methods {
+		if int(m.ID) >= len(methods) || app.Methods[m.ID] != nil {
+			return nil, fmt.Errorf("dex: bad or duplicate method id %d", m.ID)
 		}
-		app.Methods[s.id] = s.m
+		app.Methods[m.ID] = m
 	}
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
 	return app, nil
+}
+
+// method decodes one method of class cls. Its instructions are decoded in
+// place into the final Code slice. A read error is left in r.err.
+func (r *byteReader) method(cls string) (*Method, error) {
+	m := &Method{Class: cls, Name: r.str()}
+	m.ID = MethodID(r.uvarint())
+	m.NumRegs = int(r.uvarint())
+	m.NumIns = int(r.uvarint())
+	m.Native = r.byte() == 1
+	nPool := r.uvarint()
+	if nPool > 1<<24 {
+		return nil, fmt.Errorf("dex: implausible pool size %d", nPool)
+	}
+	if n := r.count(nPool, 1); n > 0 {
+		m.Pool = make([]uint64, n)
+		for p := range m.Pool {
+			m.Pool[p] = r.uvarint()
+		}
+	}
+	nCode := r.uvarint()
+	if nCode > 1<<26 {
+		return nil, fmt.Errorf("dex: implausible code size %d", nCode)
+	}
+	if n := r.count(nCode, minInsnBytes); n > 0 {
+		m.Code = make([]Insn, n)
+	}
+	for p := range m.Code {
+		if r.err != nil || len(r.data)-r.off < minInsnBytes {
+			r.fail("truncated at offset %d", r.off)
+			break
+		}
+		in := &m.Code[p]
+		h := r.data[r.off : r.off+minInsnBytes : r.off+minInsnBytes]
+		in.Op, in.A, in.B, in.C = Opcode(h[0]), h[1], h[2], h[3]
+		r.off += minInsnBytes
+		switch in.Op {
+		case OpConst, OpConstPool, OpAddLit, OpIGet, OpIPut, OpNewInstance:
+			in.Lit = r.varint()
+		case OpPackedSwitch:
+			nT := r.uvarint()
+			if nT > 1<<16 {
+				return nil, fmt.Errorf("dex: implausible switch size %d", nT)
+			}
+			if n := r.count(nT, 1); n > 0 {
+				in.Targets = make([]int32, n)
+				for t := range in.Targets {
+					in.Targets[t] = int32(r.varint())
+				}
+			}
+		case OpInvoke:
+			in.Method = MethodID(r.uvarint())
+		case OpInvokeNative:
+			in.Native = NativeFunc(r.byte())
+		}
+		if in.Op.IsBranch() && in.Op != OpPackedSwitch {
+			in.Target = int32(r.varint())
+		}
+	}
+	return m, nil
 }
 
 type byteReader struct {
@@ -197,6 +265,20 @@ func (r *byteReader) fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf("dex: "+format, args...)
 	}
+}
+
+// count returns n as a slice length when n items of at least min bytes
+// each fit in the bytes left, and otherwise fails as truncated and
+// returns 0. After an earlier failure it returns 0.
+func (r *byteReader) count(n uint64, min int) int {
+	if r.err != nil {
+		return 0
+	}
+	if n > uint64(len(r.data)-r.off)/uint64(min) {
+		r.fail("truncated at offset %d: %d items of at least %d bytes do not fit", r.off, n, min)
+		return 0
+	}
+	return int(n)
 }
 
 func (r *byteReader) bytes(n int) []byte {

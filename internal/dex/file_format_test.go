@@ -3,12 +3,14 @@ package dex
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-func TestMarshalRoundTrip(t *testing.T) {
+// richApp extends buildApp with a JNI method, a packed switch and a
+// native call, so every instruction encoding appears.
+func richApp(t testing.TB) *App {
 	app, _ := buildApp()
-	// Add richer content: natives, switches, pools.
 	cls := app.Files[0].Classes[0]
 	app.AddMethod(cls, &Method{Class: cls.Name, Name: "jni", Native: true, NumRegs: 3, NumIns: 2})
 	app.AddMethod(cls, &Method{Class: cls.Name, Name: "sw", NumRegs: 2, NumIns: 1, Code: []Insn{
@@ -22,7 +24,11 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err := app.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	return app
+}
 
+func TestMarshalRoundTrip(t *testing.T) {
+	app := richApp(t)
 	data, err := Marshal(app)
 	if err != nil {
 		t.Fatal(err)
@@ -87,16 +93,56 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	}
 }
 
-// FuzzUnmarshalApp checks the dex parser never panics and that everything
-// it accepts validates and re-marshals.
-func FuzzUnmarshalApp(f *testing.F) {
-	app, _ := buildApp()
+// TestMarshalRefusesLongNames: a name over the 16-bit length prefix is
+// refused with the field named, not truncated; a name at the limit round-
+// trips whole.
+func TestMarshalRefusesLongNames(t *testing.T) {
+	long := strings.Repeat("x", maxNameBytes+6)
+	for _, c := range []struct {
+		field string
+		set   func(*App)
+	}{
+		{"app name", func(a *App) { a.Name = long }},
+		{"file name", func(a *App) { a.Files[0].Name = long }},
+		{"class name", func(a *App) { a.Files[0].Classes[0].Name = long }},
+		{"method name", func(a *App) { a.Methods[1].Name = long }},
+	} {
+		app := richApp(t)
+		c.set(app)
+		_, err := Marshal(app)
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s of %d bytes: Marshal error %v, want one naming the %s",
+				c.field, len(long), err, c.field)
+		}
+	}
+
+	app := richApp(t)
+	app.Methods[1].Name = long[:maxNameBytes]
 	data, err := Marshal(app)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	f.Add(data)
-	f.Add(data[:12])
+	back, err := UnmarshalApp(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Methods[1].Name != app.Methods[1].Name {
+		t.Errorf("name of %d bytes came back as %d bytes", maxNameBytes, len(back.Methods[1].Name))
+	}
+}
+
+// FuzzUnmarshalApp checks the dex parser never panics, that everything it
+// accepts validates, and that the container round-trips: the re-marshalled
+// bytes parse back and re-marshal to the same bytes.
+func FuzzUnmarshalApp(f *testing.F) {
+	for _, app := range []*App{func() *App { a, _ := buildApp(); return a }(), richApp(f)} {
+		data, err := Marshal(app)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:12])
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		parsed, err := UnmarshalApp(b)
 		if err != nil {
@@ -105,8 +151,20 @@ func FuzzUnmarshalApp(f *testing.F) {
 		if err := parsed.Validate(); err != nil {
 			t.Fatalf("accepted app fails validation: %v", err)
 		}
-		if _, err := Marshal(parsed); err != nil {
+		out, err := Marshal(parsed)
+		if err != nil {
 			t.Fatalf("accepted app fails to re-marshal: %v", err)
+		}
+		back, err := UnmarshalApp(out)
+		if err != nil {
+			t.Fatalf("re-marshalled app does not parse: %v", err)
+		}
+		again, err := Marshal(back)
+		if err != nil {
+			t.Fatalf("re-parsed app fails to marshal: %v", err)
+		}
+		if !bytes.Equal(out, again) {
+			t.Fatalf("re-marshalling is not stable: %d bytes, then %d", len(out), len(again))
 		}
 	})
 }

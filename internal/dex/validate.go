@@ -5,65 +5,71 @@ import "fmt"
 // Validate checks structural well-formedness of the whole app: register
 // numbers in range, branch targets inside the method, invoke targets inside
 // the method table, terminated method bodies, and consistent IDs.
+//
+// One definite-assignment scratch, sized for the longest body, serves
+// every method, so the check allocates per method only the name it
+// records for the duplicate check.
 func (a *App) Validate() error {
-	seen := make(map[string]bool)
+	seen := make(map[string]struct{}, len(a.Methods))
+	longest := 0
+	for _, m := range a.Methods {
+		if m != nil {
+			longest = max(longest, len(m.Code))
+		}
+	}
+	da := defScratch{
+		in:   make([]regBits, longest),
+		seen: make([]bool, longest),
+		work: make([]int, 0, longest),
+	}
 	for id, m := range a.Methods {
 		if m == nil {
 			return fmt.Errorf("dex: method table slot %d is nil", id)
 		}
+		name := m.FullName()
 		if m.ID != MethodID(id) {
-			return fmt.Errorf("dex: %s: ID %d does not match table slot %d", m.FullName(), m.ID, id)
+			return fmt.Errorf("dex: %s: ID %d does not match table slot %d", name, m.ID, id)
 		}
-		if seen[m.FullName()] {
-			return fmt.Errorf("dex: duplicate method %s", m.FullName())
+		if _, dup := seen[name]; dup {
+			return fmt.Errorf("dex: duplicate method %s", name)
 		}
-		seen[m.FullName()] = true
-		if err := a.validateMethod(m); err != nil {
+		seen[name] = struct{}{}
+		if err := a.validateMethod(m, name, &da); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (a *App) validateMethod(m *Method) error {
+func (a *App) validateMethod(m *Method, name string, da *defScratch) error {
 	fail := func(pc int, format string, args ...any) error {
-		return fmt.Errorf("dex: %s@%d: %s", m.FullName(), pc, fmt.Sprintf(format, args...))
+		return fmt.Errorf("dex: %s@%d: %s", name, pc, fmt.Sprintf(format, args...))
 	}
 	if m.NumRegs < m.NumIns {
-		return fmt.Errorf("dex: %s: NumRegs %d < NumIns %d", m.FullName(), m.NumRegs, m.NumIns)
+		return fmt.Errorf("dex: %s: NumRegs %d < NumIns %d", name, m.NumRegs, m.NumIns)
 	}
 	if m.NumRegs > 256 {
-		return fmt.Errorf("dex: %s: NumRegs %d > 256", m.FullName(), m.NumRegs)
+		return fmt.Errorf("dex: %s: NumRegs %d > 256", name, m.NumRegs)
 	}
 	if m.Native {
 		if len(m.Code) != 0 {
-			return fmt.Errorf("dex: %s: native method has bytecode", m.FullName())
+			return fmt.Errorf("dex: %s: native method has bytecode", name)
 		}
 		return nil
 	}
 	if len(m.Code) == 0 {
-		return fmt.Errorf("dex: %s: empty body", m.FullName())
+		return fmt.Errorf("dex: %s: empty body", name)
 	}
-	checkReg := func(pc int, r uint8) error {
-		if int(r) >= m.NumRegs {
-			return fail(pc, "register v%d out of range (NumRegs=%d)", r, m.NumRegs)
-		}
-		return nil
-	}
-	checkTarget := func(pc int, t int32) error {
-		if t < 0 || int(t) >= len(m.Code) {
-			return fail(pc, "branch target %d out of range", t)
-		}
-		return nil
-	}
-	for pc, in := range m.Code {
+	inRange := func(t int32) bool { return t >= 0 && int(t) < len(m.Code) }
+	for pc := range m.Code {
+		in := &m.Code[pc]
 		if in.Op >= opcodeMax {
 			return fail(pc, "bad opcode %d", in.Op)
 		}
-		regs := insnRegs(in)
-		for _, r := range regs {
-			if err := checkReg(pc, r); err != nil {
-				return err
+		regs, n := insnRegs(in)
+		for _, r := range regs[:n] {
+			if int(r) >= m.NumRegs {
+				return fail(pc, "register v%d out of range (NumRegs=%d)", r, m.NumRegs)
 			}
 		}
 		switch in.Op {
@@ -84,22 +90,20 @@ func (a *App) validateMethod(m *Method) error {
 				return fail(pc, "packed-switch with no targets")
 			}
 			for _, t := range in.Targets {
-				if err := checkTarget(pc, t); err != nil {
-					return err
+				if !inRange(t) {
+					return fail(pc, "branch target %d out of range", t)
 				}
 			}
 		}
-		if in.Op.IsBranch() && in.Op != OpPackedSwitch {
-			if err := checkTarget(pc, in.Target); err != nil {
-				return err
-			}
+		if in.Op.IsBranch() && in.Op != OpPackedSwitch && !inRange(in.Target) {
+			return fail(pc, "branch target %d out of range", in.Target)
 		}
 	}
-	last := m.Code[len(m.Code)-1]
-	if !last.Op.IsTerminal() {
-		return fmt.Errorf("dex: %s: body does not end in a terminal instruction (%s)", m.FullName(), last.Op)
+	last := m.Code[len(m.Code)-1].Op
+	if !last.IsTerminal() {
+		return fmt.Errorf("dex: %s: body does not end in a terminal instruction (%s)", name, last)
 	}
-	return checkDefiniteAssignment(m)
+	return da.check(m, name)
 }
 
 // regBits is a bitset over the 256 virtual registers.
@@ -108,7 +112,7 @@ type regBits [4]uint64
 func (s *regBits) has(r uint8) bool { return s[r>>6]&(1<<(r&63)) != 0 }
 func (s *regBits) add(r uint8)      { s[r>>6] |= 1 << (r & 63) }
 
-func (s *regBits) intersect(o regBits) (changed bool) {
+func (s *regBits) intersect(o *regBits) (changed bool) {
 	for i := range s {
 		n := s[i] & o[i]
 		if n != s[i] {
@@ -119,50 +123,42 @@ func (s *regBits) intersect(o regBits) (changed bool) {
 	return changed
 }
 
-// checkDefiniteAssignment enforces the dex verifier's rule that no register
-// is read before it is written on any path. The generated binary spills
-// virtual registers to uninitialized stack slots, so this rule is what
-// makes interpreter semantics (zero registers) and binary semantics (stale
-// stack memory) agree.
-func checkDefiniteAssignment(m *Method) error {
-	var all regBits
-	for i := range all {
-		all[i] = ^uint64(0)
-	}
-	in := make([]regBits, len(m.Code))
-	seen := make([]bool, len(m.Code))
-	for pc := range in {
-		in[pc] = all
-	}
+// defScratch is the definite-assignment check's working state: the
+// registers assigned on entry to each instruction, whether the
+// instruction has been reached, and the worklist. Validate keeps one and
+// reuses it across methods.
+type defScratch struct {
+	in   []regBits
+	seen []bool
+	work []int
+}
+
+// check enforces the dex verifier's rule that no register is read before
+// it is written on any path. The generated binary spills virtual
+// registers to uninitialized stack slots, so this rule is what makes
+// interpreter semantics (zero registers) and binary semantics (stale
+// stack memory) agree. Branch targets must already be in range, and the
+// scratch must hold len(m.Code) instructions.
+func (s *defScratch) check(m *Method, name string) error {
+	n := len(m.Code)
+	s.in, s.seen = s.in[:n], s.seen[:n]
+	clear(s.seen)
 	var entry regBits
 	for i := 0; i < m.NumIns; i++ {
 		entry.add(uint8(m.NumRegs - m.NumIns + i))
 	}
-	in[0] = entry
-	seen[0] = true
-	work := []int{0}
-	propagate := func(to int, defs regBits) {
-		if to >= len(m.Code) {
-			return
-		}
-		if !seen[to] {
-			seen[to] = true
-			in[to] = defs
-			work = append(work, to)
-			return
-		}
-		if in[to].intersect(defs) {
-			work = append(work, to)
-		}
-	}
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		insn := m.Code[pc]
-		defs := in[pc]
-		for _, u := range insnUses(insn) {
+	s.in[0] = entry
+	s.seen[0] = true
+	s.work = append(s.work[:0], 0)
+	for len(s.work) > 0 {
+		pc := s.work[len(s.work)-1]
+		s.work = s.work[:len(s.work)-1]
+		insn := &m.Code[pc]
+		defs := s.in[pc]
+		uses, nu := insnUses(insn)
+		for _, u := range uses[:nu] {
 			if !defs.has(u) {
-				return fmt.Errorf("dex: %s@%d: register v%d may be used before assignment", m.FullName(), pc, u)
+				return fmt.Errorf("dex: %s@%d: register v%d may be used before assignment", name, pc, u)
 			}
 		}
 		if d, ok := insnDef(insn); ok {
@@ -171,24 +167,41 @@ func checkDefiniteAssignment(m *Method) error {
 		switch {
 		case insn.Op == OpPackedSwitch:
 			for _, t := range insn.Targets {
-				propagate(int(t), defs)
+				s.propagate(int(t), &defs)
 			}
-			propagate(pc+1, defs)
+			s.propagate(pc+1, &defs)
 		case insn.Op == OpGoto:
-			propagate(int(insn.Target), defs)
+			s.propagate(int(insn.Target), &defs)
 		case insn.Op.IsBranch():
-			propagate(int(insn.Target), defs)
-			propagate(pc+1, defs)
+			s.propagate(int(insn.Target), &defs)
+			s.propagate(pc+1, &defs)
 		case insn.Op.IsTerminal():
 		default:
-			propagate(pc+1, defs)
+			s.propagate(pc+1, &defs)
 		}
 	}
 	return nil
 }
 
+// propagate merges the registers assigned on one edge into instruction
+// to's entry state, queueing to when that state is new or shrank.
+func (s *defScratch) propagate(to int, defs *regBits) {
+	if to >= len(s.in) {
+		return
+	}
+	if !s.seen[to] {
+		s.seen[to] = true
+		s.in[to] = *defs
+		s.work = append(s.work, to)
+		return
+	}
+	if s.in[to].intersect(defs) {
+		s.work = append(s.work, to)
+	}
+}
+
 // insnDef returns the register an instruction writes, if any.
-func insnDef(in Insn) (uint8, bool) {
+func insnDef(in *Insn) (uint8, bool) {
 	switch in.Op {
 	case OpConst, OpConstPool, OpNewInstance, OpMove, OpAddLit, OpIGet,
 		OpNewArray, OpArrayLen, OpAdd, OpSub, OpAnd, OpOr, OpXor,
@@ -198,44 +211,39 @@ func insnDef(in Insn) (uint8, bool) {
 	return 0, false
 }
 
-// insnUses returns the registers an instruction reads.
-func insnUses(in Insn) []uint8 {
+// insnUses returns the registers an instruction reads, in regs[:n].
+func insnUses(in *Insn) (regs [3]uint8, n int) {
 	switch in.Op {
 	case OpMove, OpAddLit, OpIGet, OpNewArray, OpArrayLen:
-		return []uint8{in.B}
-	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpMul, OpShl, OpShr, OpAGet:
-		return []uint8{in.B, in.C}
-	case OpIfEq, OpIfNe, OpIfLt, OpIfGe:
-		return []uint8{in.A, in.B}
+		return [3]uint8{in.B}, 1
+	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpMul, OpShl, OpShr, OpAGet,
+		OpInvoke, OpInvokeNative:
+		return [3]uint8{in.B, in.C}, 2
+	case OpIfEq, OpIfNe, OpIfLt, OpIfGe, OpIPut:
+		return [3]uint8{in.A, in.B}, 2
 	case OpIfEqz, OpIfNez, OpReturn, OpPackedSwitch:
-		return []uint8{in.A}
-	case OpIPut:
-		return []uint8{in.A, in.B}
+		return [3]uint8{in.A}, 1
 	case OpAPut:
-		return []uint8{in.A, in.B, in.C}
-	case OpInvoke, OpInvokeNative:
-		return []uint8{in.B, in.C}
+		return [3]uint8{in.A, in.B, in.C}, 3
 	}
-	return nil
+	return regs, 0
 }
 
-// insnRegs returns the register operands an instruction actually uses.
-func insnRegs(in Insn) []uint8 {
+// insnRegs returns the register operands an instruction actually uses, in
+// regs[:n].
+func insnRegs(in *Insn) (regs [3]uint8, n int) {
 	switch in.Op {
-	case OpNopCode, OpGoto, OpReturnVoid:
-		return nil
-	case OpConst, OpConstPool, OpNewInstance:
-		return []uint8{in.A}
+	case OpConst, OpConstPool, OpNewInstance, OpIfEqz, OpIfNez, OpReturn,
+		OpPackedSwitch:
+		return [3]uint8{in.A}, 1
 	case OpMove, OpAddLit, OpIfEq, OpIfNe, OpIfLt, OpIfGe,
 		OpIGet, OpIPut, OpNewArray, OpArrayLen:
-		return []uint8{in.A, in.B}
-	case OpIfEqz, OpIfNez, OpReturn, OpPackedSwitch:
-		return []uint8{in.A}
+		return [3]uint8{in.A, in.B}, 2
 	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpMul, OpShl, OpShr,
 		OpAGet, OpAPut, OpInvoke, OpInvokeNative:
-		return []uint8{in.A, in.B, in.C}
+		return [3]uint8{in.A, in.B, in.C}, 3
 	}
-	return nil
+	return regs, 0
 }
 
 // Stats summarizes an app for reporting.

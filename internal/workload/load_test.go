@@ -213,3 +213,48 @@ func TestLoadRefusesInflatedCountsCheaply(t *testing.T) {
 		}
 	}
 }
+
+// serveUpdatePayloads are the dex payloads of serve-update's first pass:
+// version 1 of each ladder app at scale 0.05.
+func serveUpdatePayloads(tb testing.TB) [][]byte {
+	var out [][]byte
+	for _, p := range Apps(0.05) {
+		out = append(out, marshalProfile(tb, Update(p, 1, 0.10)))
+	}
+	return out
+}
+
+// TestValidateAllocsPerMethod: the verifier allocates at most once per
+// method plus a constant, never once per instruction.
+func TestValidateAllocsPerMethod(t *testing.T) {
+	for _, data := range serveUpdatePayloads(t) {
+		app, _, err := Load(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if err := app.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := float64(app.NumMethods() + 16); allocs > limit {
+			t.Errorf("%s: Validate made %.0f allocations for %d methods, want at most %.0f",
+				app.Name, allocs, app.NumMethods(), limit)
+		}
+	}
+}
+
+// BenchmarkLoad is the dex ingest kernel of a served build job: Load
+// (parse and verify) on the six serve-update payloads per iteration.
+func BenchmarkLoad(b *testing.B) {
+	payloads := serveUpdatePayloads(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, data := range payloads {
+			if _, _, err := Load(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

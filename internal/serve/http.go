@@ -22,6 +22,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"time"
 )
@@ -92,7 +93,14 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	if err := dec.Decode(&req); err != nil {
+	// A misspelled or retired field would otherwise build a default the
+	// client never asked for, and data after the object would be ignored.
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	if err == nil {
+		err = atEnd(dec)
+	}
+	if err != nil {
 		s.invalid.Add(1)
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -121,6 +129,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, j.status())
+}
+
+// atEnd requires the decoder to have consumed the whole body but for
+// whitespace: one JSON object per submit.
+func atEnd(dec *json.Decoder) error {
+	_, err := dec.Token()
+	switch {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return err
+	}
+	return errors.New("data after the JSON object")
 }
 
 // jobFromPath resolves the {id} path segment, answering the 404 itself.

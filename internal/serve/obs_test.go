@@ -20,7 +20,9 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/dex"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // TestJobTraceEndpoint: a finished job's trace is valid Chrome
@@ -201,6 +203,51 @@ func TestDebloatJobStageSpan(t *testing.T) {
 	}
 	if _, ok := tr.Snapshot().Stages["debloat"]; !ok {
 		t.Errorf("daemon stage totals miss debloat: %v", tr.Snapshot().Stages)
+	}
+}
+
+// TestDexJobLoadSpan: a build job records its ingest (parsing and
+// verifying the dex payload) as a "load" stage span ahead of compile, in
+// its own trace and the daemon's stage totals.
+func TestDexJobLoadSpan(t *testing.T) {
+	prof, _ := workload.AppByName("Taobao", 0.05)
+	app, _, err := workload.Generate(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := dex.Marshal(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.New()
+	_, ts := newTestServer(t, Config{Workers: 1, Tracer: tr})
+	resp, st := postJob(t, ts, JobRequest{Dex: payload, Config: "cto"})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, st.Error)
+	}
+	if got := waitTerminal(t, ts, st.ID); got.State != StateDone {
+		t.Fatalf("job state %s: %s", got.State, got.Error)
+	}
+	tresp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(tresp.Body)
+	tresp.Body.Close()
+	if err != nil || tresp.StatusCode != http.StatusOK {
+		t.Fatalf("trace: status %d, %v", tresp.StatusCode, err)
+	}
+	var stages []string
+	for _, ev := range decodeTrace(t, data) {
+		if ev.Cat == "stage" {
+			stages = append(stages, ev.Name)
+		}
+	}
+	if len(stages) < 2 || stages[0] != "load" || stages[1] != "compile" {
+		t.Errorf("dex job stage spans = %q, want load then compile first", stages)
+	}
+	if _, ok := tr.Snapshot().Stages["load"]; !ok {
+		t.Errorf("daemon stage totals miss load: %v", tr.Snapshot().Stages)
 	}
 }
 

@@ -238,6 +238,46 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyStrict: the submit decoder refuses unknown fields and
+// anything after the JSON object but whitespace; each refusal is a 400
+// counted as invalid.
+func TestSubmitBodyStrict(t *testing.T) {
+	s := queueOnlyServer(8)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	cases := []struct {
+		name, body string
+		want       int
+	}{
+		{"known fields", `{"app":"Taobao","config":"ltbo"}`, http.StatusAccepted},
+		{"trailing whitespace", "{\"app\":\"Taobao\"}\n\t ", http.StatusAccepted},
+		{"misspelled field", `{"app":"Taobao","confg":"ltbo"}`, http.StatusBadRequest},
+		{"unknown field", `{"app":"Taobao","bogus":1}`, http.StatusBadRequest},
+		{"second object", `{"app":"Taobao"} {"app":"Taobao"}`, http.StatusBadRequest},
+		{"trailing garbage", `{"app":"Taobao"}x`, http.StatusBadRequest},
+		{"trailing bracket", `{"app":"Taobao"}]`, http.StatusBadRequest},
+		{"trailing number", `{"app":"Taobao"} 1`, http.StatusBadRequest},
+	}
+	refused := 0
+	for _, tc := range cases {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, resp.StatusCode, msg, tc.want)
+		}
+		if tc.want == http.StatusBadRequest {
+			refused++
+		}
+	}
+	if got := s.invalid.Load(); got != int64(refused) {
+		t.Errorf("invalid = %d, want %d", got, refused)
+	}
+}
+
 func TestBackpressureFullQueue(t *testing.T) {
 	// No workers: every admitted job stays queued, so the queue fills
 	// deterministically.

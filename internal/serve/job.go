@@ -362,7 +362,7 @@ func (s *Server) buildLocal(ctx context.Context, req JobRequest, queueWait time.
 // compile runs a build-kind job: load or generate the app and build it
 // under the requested ladder configuration, through the server's cache.
 func (s *Server) compile(ctx context.Context, req JobRequest, tr *obs.Tracer) (*oat.Image, *JobStats, error) {
-	sp := tr.Start("stage", "load").Arg("payload_bytes", int64(len(req.Dex)))
+	sp := tr.Start("stage", "load")
 	app, man, err := loadApp(req)
 	sp.End()
 	if err != nil {

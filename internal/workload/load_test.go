@@ -53,9 +53,9 @@ func (w *countWriter) str(s string) {
 }
 func (w *countWriter) u(v uint64) { *w = binary.AppendUvarint(*w, v) }
 
-// methodHead writes one file holding one class holding one method, up to
-// and including the method's native flag.
-func methodHead(regs uint64) countWriter {
+// methodHead writes one file holding one class holding one method with
+// one register, up to and including the method's native flag.
+func methodHead() countWriter {
 	w := countWriter("dex\n035\x00")
 	w.str("a")
 	w.u(1)
@@ -64,9 +64,9 @@ func methodHead(regs uint64) countWriter {
 	w.str("c")
 	w.u(1)
 	w.str("m")
-	w.u(0)    // id
-	w.u(regs) // NumRegs
-	w.u(0)    // NumIns
+	w.u(0) // id
+	w.u(1) // NumRegs
+	w.u(0) // NumIns
 	w = append(w, 0)
 	return w
 }
@@ -77,17 +77,17 @@ func inflatedInputs() []struct {
 	name string
 	data []byte
 } {
-	code := methodHead(1)
+	code := methodHead()
 	code.u(0)         // pool
 	code.u(1<<26 - 1) // code
 	code = append(code, byte(dex.OpReturnVoid), 0, 0, 0)
 
-	pool := methodHead(1)
+	pool := methodHead()
 	pool.u(1 << 24)
 	pool.u(7)
 	pool.u(9)
 
-	sw := methodHead(1)
+	sw := methodHead()
 	sw.u(0) // pool
 	sw.u(2) // code
 	sw = append(sw, byte(dex.OpPackedSwitch), 0, 0, 0)

@@ -85,30 +85,54 @@ func wantFinding(t *testing.T, img *oat.Image, rule string, m dex.MethodID, off 
 	}
 }
 
-// The corrupt* helpers each build the corruption-test app and plant one
-// deliberate defect, returning the mutated image together with the
-// method index and method-relative byte offset the defect sits at (-1
-// where the defect is not positional). The TestCorrupt* tests assert
-// the finding each defect must raise; TestAnalyzeReportPin pins the
-// full report over the same mutated images.
-var corruptions = []struct {
+// The corrupt* helpers each plant one deliberate defect in a clean build
+// of the corruption-test app, returning the method index and
+// method-relative byte offset the defect sits at (-1 where the defect is
+// not positional). The TestCorrupt* tests assert the finding each defect
+// must raise; TestAnalyzeReportPin pins the full report over the same
+// mutated images, and TestCarriedReportMatchesFresh analyzes each one
+// next to its clean twin.
+var corruptions = []corruption{
+	{"branch", core.CTOLTBO(), corruptBranch},
+	{"branch-metadata", core.CTOLTBO(), corruptBranchMetadata},
+	{"blob-exit", core.CTOLTBO(), corruptBlobExit},
+	{"call-into-blob-interior", core.CTOLTBO(), corruptCallIntoBlobInterior},
+	{"epilogue", core.Baseline(), corruptEpilogue},
+	{"callee-saved", core.Baseline(), corruptCalleeSaved},
+	{"record", core.Baseline(), corruptRecord},
+	{"undecodable", core.CTOOnly(), corruptUndecodable},
+}
+
+// corruption is one planted defect and the configuration of the build it
+// is planted in.
+type corruption struct {
 	name  string
-	build func(*testing.T) (*oat.Image, int, int)
-}{
-	{"branch", corruptBranch},
-	{"branch-metadata", corruptBranchMetadata},
-	{"blob-exit", corruptBlobExit},
-	{"call-into-blob-interior", corruptCallIntoBlobInterior},
-	{"epilogue", corruptEpilogue},
-	{"callee-saved", corruptCalleeSaved},
-	{"record", corruptRecord},
-	{"undecodable", corruptUndecodable},
+	cfg   core.Config
+	plant func(t *testing.T, img *oat.Image) (m, off int)
+}
+
+// build returns a clean build with the defect planted.
+func (c corruption) build(t *testing.T) (*oat.Image, int, int) {
+	img := buildApp(t, c.cfg)
+	m, off := c.plant(t, img)
+	return img, m, off
+}
+
+// corrupted builds the named corruption.
+func corrupted(t *testing.T, name string) (*oat.Image, int, int) {
+	t.Helper()
+	for _, c := range corruptions {
+		if c.name == name {
+			return c.build(t)
+		}
+	}
+	t.Fatalf("no corruption named %q", name)
+	return nil, -1, -1
 }
 
 // corruptBranch flips a conditional branch to a displacement that
 // escapes the method.
-func corruptBranch(t *testing.T) (*oat.Image, int, int) {
-	img := buildApp(t, core.CTOLTBO())
+func corruptBranch(t *testing.T, img *oat.Image) (int, int) {
 	m := findMethodWith(img, func(i a64.Inst) bool { return i.Op == a64.OpBCond })
 	if m < 0 {
 		t.Fatal("no conditional branch in any method")
@@ -120,14 +144,13 @@ func corruptBranch(t *testing.T) (*oat.Image, int, int) {
 		t.Fatal(err)
 	}
 	setWord(img, m, off, patched)
-	return img, m, off
+	return m, off
 }
 
 // corruptBranchMetadata moves a recorded unconditional branch's target by
 // one word: still in-method, still aligned, but no longer what the
 // metadata promises.
-func corruptBranchMetadata(t *testing.T) (*oat.Image, int, int) {
-	img := buildApp(t, core.CTOLTBO())
+func corruptBranchMetadata(t *testing.T, img *oat.Image) (int, int) {
 	for m, rec := range img.Methods {
 		for _, rel := range rec.Meta.PCRel {
 			w := (rec.Offset + rel.InstOff) / a64.WordSize
@@ -144,30 +167,28 @@ func corruptBranchMetadata(t *testing.T) (*oat.Image, int, int) {
 				continue
 			}
 			img.Text[w] = patched
-			return img, m, rel.InstOff
+			return m, rel.InstOff
 		}
 	}
 	t.Fatal("no recorded unconditional branch found")
-	return nil, -1, -1
+	return -1, -1
 }
 
 // corruptBlobExit replaces the first outlined function's br x30 exit with
 // a ret.
-func corruptBlobExit(t *testing.T) (*oat.Image, int, int) {
-	img := buildApp(t, core.CTOLTBO())
+func corruptBlobExit(t *testing.T, img *oat.Image) (int, int) {
 	if len(img.Outlined) == 0 {
 		t.Fatal("build produced no outlined functions")
 	}
 	f := img.Outlined[0]
 	last := (f.Offset + f.Size - a64.WordSize) / a64.WordSize
 	img.Text[last] = a64.MustEncode(a64.Inst{Op: a64.OpRet, Rn: a64.LR})
-	return img, -1, -1
+	return -1, -1
 }
 
 // corruptCallIntoBlobInterior retargets a bl so it lands in the middle of
 // an outlined function.
-func corruptCallIntoBlobInterior(t *testing.T) (*oat.Image, int, int) {
-	img := buildApp(t, core.CTOLTBO())
+func corruptCallIntoBlobInterior(t *testing.T, img *oat.Image) (int, int) {
 	var blob *oat.FuncRecord
 	for i := range img.Outlined {
 		if img.Outlined[i].Size > 2*a64.WordSize {
@@ -187,13 +208,12 @@ func corruptCallIntoBlobInterior(t *testing.T) (*oat.Image, int, int) {
 		t.Fatal(err)
 	}
 	setWord(img, m, off, patched)
-	return img, m, off
+	return m, off
 }
 
 // corruptEpilogue shrinks the frame release of one method's epilogue,
 // leaving sp unbalanced at ret.
-func corruptEpilogue(t *testing.T) (*oat.Image, int, int) {
-	img := buildApp(t, core.Baseline())
+func corruptEpilogue(t *testing.T, img *oat.Image) (int, int) {
 	isRelease := func(i a64.Inst) bool {
 		return i.Op == a64.OpLdp && i.Index == a64.IndexPost && i.Rn == 31 && i.Imm > 16
 	}
@@ -206,13 +226,12 @@ func corruptEpilogue(t *testing.T) (*oat.Image, int, int) {
 	inst, _ := a64.Decode(word)
 	inst.Imm -= 16
 	setWord(img, m, off, a64.MustEncode(inst))
-	return img, m, off
+	return m, off
 }
 
 // corruptCalleeSaved turns a callee-saved restore into a restore of the
 // wrong register, so x20's entry value never comes back.
-func corruptCalleeSaved(t *testing.T) (*oat.Image, int, int) {
-	img := buildApp(t, core.Baseline())
+func corruptCalleeSaved(t *testing.T, img *oat.Image) (int, int) {
 	isRestore := func(i a64.Inst) bool {
 		return i.Op == a64.OpLdp && i.Index == a64.IndexOffset && i.Rn == 31 &&
 			i.Rd == a64.Reg(20)
@@ -226,29 +245,27 @@ func corruptCalleeSaved(t *testing.T) (*oat.Image, int, int) {
 	inst, _ := a64.Decode(word)
 	inst.Rd = a64.Reg(9) // restore into a scratch reg instead
 	setWord(img, m, off, a64.MustEncode(inst))
-	return img, m, off
+	return m, off
 }
 
 // corruptRecord pushes a method record past the text end.
-func corruptRecord(t *testing.T) (*oat.Image, int, int) {
-	img := buildApp(t, core.Baseline())
+func corruptRecord(t *testing.T, img *oat.Image) (int, int) {
 	img.Methods[3].Size = img.TextBytes() // extends past the end
-	return img, 3, -1
+	return 3, -1
 }
 
 // corruptUndecodable stomps method 5's prologue stp (offset 0, never
 // embedded data) with garbage.
-func corruptUndecodable(t *testing.T) (*oat.Image, int, int) {
-	img := buildApp(t, core.CTOOnly())
+func corruptUndecodable(t *testing.T, img *oat.Image) (int, int) {
 	setWord(img, 5, 0, 0xFFFFFFFF)
-	return img, 5, 0
+	return 5, 0
 }
 
 // TestCorruptBranch: a conditional branch escaping its method is the
 // acceptance criterion's "deliberately corrupted image" case. The
 // finding must name the method and the offset.
 func TestCorruptBranch(t *testing.T) {
-	img, m, off := corruptBranch(t)
+	img, m, off := corrupted(t, "branch")
 	wantFinding(t, img, analysis.RuleBranchTarget, dex.MethodID(m), off)
 }
 
@@ -256,7 +273,7 @@ func TestCorruptBranch(t *testing.T) {
 // flipped target still lands on some instruction boundary, the metadata
 // cross-check catches it.
 func TestCorruptBranchMetadata(t *testing.T) {
-	img, m, off := corruptBranchMetadata(t)
+	img, m, off := corrupted(t, "branch-metadata")
 	wantFinding(t, img, analysis.RuleMetadata, dex.MethodID(m), off)
 }
 
@@ -264,7 +281,7 @@ func TestCorruptBranchMetadata(t *testing.T) {
 // exit and must be flagged, and every method is still analyzed without
 // the replay.
 func TestCorruptBlobExit(t *testing.T) {
-	img, _, _ := corruptBlobExit(t)
+	img, _, _ := corrupted(t, "blob-exit")
 	var hit bool
 	for _, fd := range lint(t, img) {
 		if fd.Rule == analysis.RuleBlobShape && fd.Method == analysis.NoMethod {
@@ -279,13 +296,13 @@ func TestCorruptBlobExit(t *testing.T) {
 // TestCorruptCallIntoBlobInterior: a bl into the middle of an outlined
 // function is a blob-entry error at the call site.
 func TestCorruptCallIntoBlobInterior(t *testing.T) {
-	img, m, off := corruptCallIntoBlobInterior(t)
+	img, m, off := corrupted(t, "call-into-blob-interior")
 	wantFinding(t, img, analysis.RuleBlobEntry, dex.MethodID(m), off)
 }
 
 // TestCorruptEpilogue: an unbalanced epilogue is an sp-balance error.
 func TestCorruptEpilogue(t *testing.T) {
-	img, m, _ := corruptEpilogue(t)
+	img, m, _ := corrupted(t, "epilogue")
 	var hit bool
 	for _, f := range lint(t, img) {
 		if f.Rule == analysis.RuleSPBalance && f.Method == dex.MethodID(m) {
@@ -300,7 +317,7 @@ func TestCorruptEpilogue(t *testing.T) {
 // TestCorruptCalleeSaved: a restore into the wrong register leaves a
 // callee-saved register dirty at ret.
 func TestCorruptCalleeSaved(t *testing.T) {
-	img, m, _ := corruptCalleeSaved(t)
+	img, m, _ := corrupted(t, "callee-saved")
 	var hit bool
 	for _, f := range lint(t, img) {
 		if f.Rule == analysis.RuleCalleeSaved && f.Method == dex.MethodID(m) {
@@ -314,7 +331,7 @@ func TestCorruptCalleeSaved(t *testing.T) {
 
 // TestCorruptRecord: an oversized method record is a record error.
 func TestCorruptRecord(t *testing.T) {
-	img, _, _ := corruptRecord(t)
+	img, _, _ := corrupted(t, "record")
 	var hit bool
 	for _, f := range lint(t, img) {
 		if f.Rule == analysis.RuleRecord {
@@ -328,7 +345,7 @@ func TestCorruptRecord(t *testing.T) {
 
 // TestCorruptUndecodable: a garbage word is a decode error at its offset.
 func TestCorruptUndecodable(t *testing.T) {
-	img, m, off := corruptUndecodable(t)
+	img, m, off := corrupted(t, "undecodable")
 	wantFinding(t, img, analysis.RuleDecode, dex.MethodID(m), off)
 }
 

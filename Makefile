@@ -51,7 +51,9 @@ layerbench-check:
 # the cache protocol (hostile server responses), FuzzRemoteRequest the
 # server half (hostile client requests). FuzzCallGraph also debloats every
 # image it parses (refusal, or a valid output that debloats again to the
-# same bytes), and FuzzLift does the same for the re-outliner.
+# same bytes), and FuzzLift does the same for the re-outliner. Both also
+# require the analysis an accepted output's verification reused from its
+# input to equal a fresh analysis of the output's re-parsed bytes.
 # FuzzUnmarshalApp attacks the dex decoder and verifier every dex-payload
 # build job runs, and requires each accepted container to round-trip.
 fuzz:
@@ -76,15 +78,15 @@ bench:
 # is legitimately flat. The ablation sweeps, Table 6 and the two figure
 # benchmarks run once each, so the paper-table harness they share with
 # TestPaperTables keeps running. The suffix-tree construction benchmark
-# runs once per size, the image-only analysis and post-hoc re-outlining
-# benchmarks once per ladder app, and the cache-key, image-marshal and
-# dex-load kernels once each, so they keep compiling. Archived measurements come from
+# runs once per size, the image-only analysis, debloat and post-hoc
+# re-outlining benchmarks once per ladder app, and the cache-key,
+# image-marshal and dex-load kernels once each, so they keep compiling. Archived measurements come from
 # layerbench (`bash layerbench/run.sh`), not from these runs.
 bench-smoke:
 	$(GO) test -short -run xxx -bench 'BenchmarkCompileWorkers|BenchmarkCompileScalingSmoke|BenchmarkBuildTraced|BenchmarkBuildColdVsWarm' -benchtime 1x . >/dev/null
 	$(GO) test -short -run xxx -bench 'Ablation|Table6_|Figure' -benchtime 1x . >/dev/null
 	$(GO) test -run xxx -bench BenchmarkBuild -benchtime 1x ./internal/suffixtree >/dev/null
-	$(GO) test -short -run xxx -bench BenchmarkAnalyze -benchtime 1x -benchmem ./internal/analysis >/dev/null
+	$(GO) test -short -run xxx -bench 'BenchmarkAnalyze|BenchmarkDebloat' -benchtime 1x -benchmem ./internal/analysis >/dev/null
 	$(GO) test -run xxx -bench BenchmarkCacheKey -benchtime 1x -benchmem ./internal/codegen >/dev/null
 	$(GO) test -run xxx -bench BenchmarkMarshal -benchtime 1x -benchmem ./internal/oat >/dev/null
 	$(GO) test -run xxx -bench BenchmarkLoad -benchtime 1x -benchmem ./internal/workload >/dev/null

@@ -28,24 +28,30 @@ import (
 // and call graph instead, so the verdict is the one a fresh analysis
 // would give. Admit attaches what it computes to img.
 func Admit(ctx context.Context, img *oat.Image, workers int, tracer *obs.Tracer) (*CallGraph, error) {
-	an, err := carriedAnalysis(ctx, img, workers, tracer)
+	_, cg, err := admit(ctx, img, workers, tracer)
+	return cg, err
+}
+
+// admit is Admit, also returning the analysis img carries.
+func admit(ctx context.Context, img *oat.Image, workers int, tracer *obs.Tracer) (*imageAnalysis, *CallGraph, error) {
+	an, err := carriedAnalysis(ctx, img, nil, workers, tracer)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := firstError(an.rep.Findings); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cg, cgfs, err := an.callGraph(ctx, workers)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := firstError(cgfs); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if id, off, pinned := PinnedIndirect(img, cg); pinned {
-		return nil, fmt.Errorf("analysis: m%d+%#x: indirect call through a materialized text address pins the layout", id, off)
+		return nil, nil, fmt.Errorf("analysis: m%d+%#x: indirect call through a materialized text address pins the layout", id, off)
 	}
-	return cg, nil
+	return an, cg, nil
 }
 
 // firstError fails on the first error-severity finding of a list already
@@ -61,18 +67,26 @@ func firstError(fs []Finding) error {
 
 // imageAnalysis is the analysis an image carries from one pass to the
 // next (oat.Image.Attach): the full verification pass's report and
-// layout, plus the call graph and lift legality mask once a pass has
-// built them. oat hands it back only while the image's content is what
-// was analyzed. Everything in it is read-only once stored, so concurrent
-// passes over one image share it; mu guards the lazily built parts.
+// layout with each method's share of it, plus the call graph and lift
+// legality mask once a pass has built them. oat hands it back only while
+// the image's content is what was analyzed. Everything in it is read-only
+// once stored, so concurrent passes over one image share it; mu guards
+// the lazily built parts. It holds nothing of an earlier image it was
+// derived from: a reused result is copied, and its slices hold findings
+// and edges, not code.
 type imageAnalysis struct {
-	rep *Report // findings in canonical order
-	lay *layout // blob bodies decoded
+	rep         *Report // findings in canonical order
+	lay         *layout // blob bodies decoded
+	methods     []methodResult
+	layoutClean bool // the layout pass found nothing
 
 	mu         sync.Mutex
 	cg         *CallGraph
 	cgFindings []Finding // the walk's own, in canonical order
-	frozen     []bool    // LiftFrozen(img, cg)
+	// walks holds each method's walk once cg is built; before, the walks
+	// carried over from an earlier image, nil where a method needs one.
+	walks  []*methodWalk
+	frozen []bool // LiftFrozen(img, cg)
 }
 
 // attachedAnalysis returns the analysis img carries, or nil when it
@@ -83,18 +97,18 @@ func attachedAnalysis(img *oat.Image) *imageAnalysis {
 }
 
 // carriedAnalysis returns img's attached analysis, counting the reuse as
-// analysis.reused, or runs the full verification pass and attaches it.
-func carriedAnalysis(ctx context.Context, img *oat.Image, workers int, tracer *obs.Tracer) (*imageAnalysis, error) {
+// analysis.reused, or runs the verification pass, reusing what it can of
+// prev (the analysis of the image img was rewritten from, or nil), and
+// attaches it.
+func carriedAnalysis(ctx context.Context, img *oat.Image, prev *imageAnalysis, workers int, tracer *obs.Tracer) (*imageAnalysis, error) {
 	if an := attachedAnalysis(img); an != nil {
 		tracer.Count("analysis.reused", 1)
 		return an, nil
 	}
-	rep, lay, err := analyzeImage(ctx, img, workers, tracer)
+	an, err := analyzeImage(ctx, img, prev, workers, tracer)
 	if err != nil {
 		return nil, err
 	}
-	sortFindings(rep.Findings)
-	an := &imageAnalysis{rep: rep, lay: lay}
 	img.Attach(an)
 	return an, nil
 }
@@ -106,12 +120,12 @@ func (an *imageAnalysis) callGraph(ctx context.Context, workers int) (*CallGraph
 	defer an.mu.Unlock()
 	if an.cg == nil {
 		var fs findings
-		cg, err := buildCallGraphFrom(ctx, an.lay, workers, &fs)
+		cg, walks, err := buildCallGraphFrom(ctx, an.lay, an.walks, workers, &fs)
 		if err != nil {
 			return nil, nil, err
 		}
 		sortFindings(fs.list)
-		an.cg, an.cgFindings = cg, fs.list
+		an.cg, an.cgFindings, an.walks = cg, fs.list, walks
 	}
 	return an.cg, an.cgFindings, nil
 }

@@ -72,22 +72,24 @@ func (r *Report) ErrorCount() int {
 // cancelled or deadline-expired context stops the analysis promptly and
 // returns (nil, ctx.Err()).
 func AnalyzeCtx(ctx context.Context, img *oat.Image, workers int, tracer *obs.Tracer) (*Report, error) {
-	rep, _, err := analyzeImage(ctx, img, workers, tracer)
+	an, err := analyzeImage(ctx, img, nil, workers, tracer)
 	if err != nil {
 		return nil, err
 	}
-	sortFindings(rep.Findings)
-	return rep, nil
+	return an.rep, nil
 }
 
-// analyzeImage runs the full per-method verification and returns the
-// report together with the layout it was computed over, unsorted. The
-// rule engine and the call-graph builder reuse the layout (and its
-// decoded blob index) so whole-image passes never re-derive or duplicate
-// the structural findings.
-func analyzeImage(ctx context.Context, img *oat.Image, workers int, tracer *obs.Tracer) (*Report, *layout, error) {
+// analyzeImage runs the full per-method verification and returns it with
+// the layout it was computed over, findings in canonical order. The rule
+// engine and the call-graph builder reuse the layout (and its decoded blob
+// index) so whole-image passes never re-derive or duplicate the structural
+// findings. A method whose result prev, the analysis of an earlier image,
+// holds under the reuse key (reuse.go) takes that result instead of being
+// analyzed again, counted as analysis.methods_reused; prev may be nil.
+func analyzeImage(ctx context.Context, img *oat.Image, prev *imageAnalysis, workers int, tracer *obs.Tracer) (*imageAnalysis, error) {
 	var fs findings
 	l := buildLayout(img, &fs)
+	an := &imageAnalysis{lay: l, methods: make([]methodResult, len(img.Methods)), layoutClean: len(fs.list) == 0}
 
 	// Shared code first: thunks and outlined functions are verified once,
 	// and the decoded blob bodies feed the per-method dataflow replay.
@@ -106,41 +108,62 @@ func analyzeImage(ctx context.Context, img *oat.Image, workers int, tracer *obs.
 		Outlined:  len(img.Outlined),
 		TextBytes: img.TextBytes(),
 	}
-	var mregions []region
+	var mregions, todo []region
+	d := newDeriver(prev, l, an.layoutClean)
+	reused := 0
 	for _, r := range l.regions {
-		if r.kind == regionMethod {
-			mregions = append(mregions, r)
+		if r.kind != regionMethod {
+			continue
 		}
-	}
-	type methodResult struct {
-		fs  findings
-		sum MethodSummary
+		mregions = append(mregions, r)
+		if d != nil {
+			if res, walk, ok := d.reuse(r); ok {
+				an.methods[r.method] = res
+				if walk != nil {
+					if an.walks == nil {
+						an.walks = make([]*methodWalk, len(img.Methods))
+					}
+					an.walks[r.method] = walk
+				}
+				reused++
+				continue
+			}
+		}
+		todo = append(todo, r)
 	}
 	observer := tracer.PoolObserver("lint", func(i int) string {
-		return methodName(img.Methods[mregions[i].method].ID)
+		return methodName(img.Methods[todo[i].method].ID)
 	})
-	results, err := par.MapObsCtx(ctx, workers, len(mregions), observer, func(i int) (*methodResult, error) {
-		res := &methodResult{}
-		mc := newMethodCtx(l, mregions[i], &res.fs)
+	results, err := par.MapObsCtx(ctx, workers, len(todo), observer, func(i int) (methodResult, error) {
+		var mfs findings
+		mc := newMethodCtx(l, todo[i], &mfs)
 		mc.checkMetadata()
 		mc.recoverCFG()
 		mc.runDataflow()
-		res.sum = mc.summary()
-		return res, nil
+		return newMethodResult(mc), nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	for _, res := range results {
-		fs.list = append(fs.list, res.fs.list...)
+	for i, res := range results {
+		an.methods[todo[i].method] = res
+	}
+	for _, r := range mregions {
+		res := &an.methods[r.method]
+		fs.list = append(fs.list, res.fs...)
 		rep.Methods = append(rep.Methods, res.sum)
 	}
+	sortFindings(fs.list)
 	rep.Findings = fs.list
+	an.rep = rep
 	if tracer != nil {
 		tracer.Count("lint.findings", int64(len(fs.list)))
 		tracer.Count("lint.methods", int64(len(mregions)))
+		if prev != nil {
+			tracer.Count("analysis.methods_reused", int64(reused))
+		}
 	}
-	return rep, l, nil
+	return an, nil
 }
 
 // LintCtx verifies a linked image and returns the findings that matter:

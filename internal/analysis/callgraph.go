@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/a64"
@@ -141,7 +142,7 @@ func BuildCallGraphCtx(ctx context.Context, img *oat.Image, workers int) (*CallG
 			l.checkBlob(r, &fs)
 		}
 	}
-	cg, err := buildCallGraphFrom(ctx, l, workers, &fs)
+	cg, _, err := buildCallGraphFrom(ctx, l, nil, workers, &fs)
 	if err != nil {
 		return nil, nil
 	}
@@ -152,8 +153,11 @@ func BuildCallGraphCtx(ctx context.Context, img *oat.Image, workers int) (*CallG
 // buildCallGraphFrom walks an already-indexed layout (blob bodies decoded)
 // and appends only the walk's own findings — the engine shares one layout
 // between the per-method pass and this walk, so record/blob findings are
-// not duplicated here.
-func buildCallGraphFrom(ctx context.Context, l *layout, workers int, fs *findings) (*CallGraph, error) {
+// not duplicated here. carried holds, per method-table slot, a walk
+// already proven valid for this image's method (see the reuse key in
+// reuse.go), or nil; those methods are not walked again. It returns the
+// walk of every method region, indexed by slot.
+func buildCallGraphFrom(ctx context.Context, l *layout, carried []*methodWalk, workers int, fs *findings) (*CallGraph, []*methodWalk, error) {
 	img := l.img
 	cg := &CallGraph{
 		Nodes:     make([]CGNode, len(img.Methods)),
@@ -171,37 +175,34 @@ func buildCallGraphFrom(ctx context.Context, l *layout, workers int, fs *finding
 
 	// Every method not represented by a well-formed region is corrupt:
 	// its calls are unrecoverable, so reachability must assume the worst.
-	var mregions []region
-	present := make([]bool, len(img.Methods))
+	walks := make([]*methodWalk, len(img.Methods))
+	var todo []region
 	for _, r := range l.regions {
-		if r.kind == regionMethod {
-			mregions = append(mregions, r)
-			present[r.method] = true
+		if r.kind != regionMethod {
+			continue
+		}
+		if carried != nil && carried[r.method] != nil {
+			walks[r.method] = carried[r.method]
+		} else {
+			todo = append(todo, r)
 		}
 	}
-	for i := range img.Methods {
-		cg.Nodes[i] = CGNode{ID: img.Methods[i].ID}
-		if !present[i] {
-			cg.Nodes[i].Corrupt = true
-			cg.Nodes[i].Unknown = true
-		}
-	}
-
-	type walkResult struct {
-		fs   findings
-		node CGNode
-	}
-	results, err := par.MapCtx(ctx, workers, len(mregions), func(i int) (*walkResult, error) {
-		res := &walkResult{}
-		res.node = walkMethod(l, mregions[i], &res.fs)
-		return res, nil
+	results, err := par.MapCtx(ctx, workers, len(todo), func(i int) (*methodWalk, error) {
+		return walkMethod(l, todo[i]), nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	for i, res := range results {
-		cg.Nodes[mregions[i].method] = res.node
-		fs.list = append(fs.list, res.fs.list...)
+	for i, mw := range results {
+		walks[todo[i].method] = mw
+	}
+	for i := range img.Methods {
+		if mw := walks[i]; mw != nil {
+			cg.Nodes[i] = mw.node
+			fs.list = append(fs.list, mw.fs...)
+		} else {
+			cg.Nodes[i] = CGNode{ID: img.Methods[i].ID, Corrupt: true, Unknown: true}
+		}
 	}
 
 	// Blob out-edges exist only on corrupt images (a well-formed outlined
@@ -226,7 +227,7 @@ func buildCallGraphFrom(ctx context.Context, l *layout, workers int, fs *finding
 			}
 		}
 	}
-	return cg, nil
+	return cg, walks, nil
 }
 
 // Abstract register values for the constant-propagation walk.
@@ -244,12 +245,28 @@ type absVal struct {
 // walkState is the per-block abstract register file.
 type walkState [31]absVal
 
+// methodWalk is one method's share of the call-graph walk: its node, its
+// findings, and what deciding its reuse in a later image needs.
+type methodWalk struct {
+	node CGNode
+	fs   []Finding
+	// pinned marks a walk that read a materialized text address: its
+	// result depends on where the target sits.
+	pinned bool
+	// high is the smallest call-target constant at or above the text base
+	// that the walk classified as leaving the text segment (math.MaxInt64
+	// when there is none); the walk holds for a text segment ending at or
+	// below it.
+	high int64
+}
+
 // walkMethod recovers one method's call edges. It decodes the region
 // directly (via the bounds-checked layout, never a raw record) so a
 // truncated or corrupt record can only have produced a finding upstream,
 // never a panic here.
-func walkMethod(l *layout, r region, fs *findings) CGNode {
-	node := CGNode{ID: l.img.Methods[r.method].ID, Size: r.size}
+func walkMethod(l *layout, r region) *methodWalk {
+	mw := &methodWalk{node: CGNode{ID: l.img.Methods[r.method].ID, Size: r.size}, high: math.MaxInt64}
+	var fs findings
 	rec := l.img.Methods[r.method]
 	words := l.words(r)
 	n := len(words)
@@ -319,20 +336,21 @@ func walkMethod(l *layout, r region, fs *findings) CGNode {
 		if !decoded[w] {
 			continue
 		}
-		walkTransfer(l, r, &node, fs, &st, w*a64.WordSize, insts[w])
+		walkTransfer(l, r, mw, &fs, &st, w*a64.WordSize, insts[w])
 	}
-	for _, e := range node.Edges {
+	for _, e := range mw.node.Edges {
 		if e.Kind == EdgeUnknown {
-			node.Unknown = true
+			mw.node.Unknown = true
 			break
 		}
 	}
-	return node
+	mw.fs = fs.list
+	return mw
 }
 
 // walkTransfer applies one instruction to the abstract register file,
 // recording a call edge when the instruction is a call.
-func walkTransfer(l *layout, r region, node *CGNode, fs *findings, st *walkState, off int, inst a64.Inst) {
+func walkTransfer(l *layout, r region, mw *methodWalk, fs *findings, st *walkState, off int, inst a64.Inst) {
 	setUnknown := func(reg a64.Reg) {
 		if reg < 31 {
 			st[reg] = absVal{}
@@ -378,9 +396,9 @@ func walkTransfer(l *layout, r region, node *CGNode, fs *findings, st *walkState
 		st[inst.Rd] = absVal{}
 
 	case a64.OpBl:
-		node.Edges = append(node.Edges, classifyBl(l, r, node, fs, st, off, inst))
+		mw.node.Edges = append(mw.node.Edges, classifyBl(l, r, mw, fs, st, off, inst))
 	case a64.OpBlr:
-		node.Edges = append(node.Edges, classifyBlr(l, r, fs, st, off, inst))
+		mw.node.Edges = append(mw.node.Edges, classifyBlr(l, r, mw, fs, st, off, inst))
 
 	default:
 		for reg := a64.Reg(0); reg < 31; reg++ {
@@ -401,7 +419,7 @@ func clobberCallRegs(st *walkState) {
 }
 
 // classifyBl resolves a direct call site.
-func classifyBl(l *layout, r region, node *CGNode, fs *findings, st *walkState, off int, inst a64.Inst) Edge {
+func classifyBl(l *layout, r region, mw *methodWalk, fs *findings, st *walkState, off int, inst a64.Inst) Edge {
 	abs := r.off + off + int(inst.Imm)
 	tr, ok := l.at(abs)
 	if !ok || abs != tr.off {
@@ -418,7 +436,7 @@ func classifyBl(l *layout, r region, node *CGNode, fs *findings, st *walkState, 
 		// code and may carry part of a callee materialization.
 		if info := l.blobs[tr.off]; info != nil && info.ok {
 			for _, bi := range info.insts[:len(info.insts)-1] {
-				walkTransfer(l, r, node, fs, st, off, bi)
+				walkTransfer(l, r, mw, fs, st, off, bi)
 			}
 		} else {
 			clobberCallRegs(st)
@@ -441,7 +459,7 @@ func classifyBl(l *layout, r region, node *CGNode, fs *findings, st *walkState, 
 
 // classifyBlr resolves an indirect call site from the abstract value of
 // its target register.
-func classifyBlr(l *layout, r region, fs *findings, st *walkState, off int, inst a64.Inst) Edge {
+func classifyBlr(l *layout, r region, mw *methodWalk, fs *findings, st *walkState, off int, inst a64.Inst) Edge {
 	val := absVal{}
 	if inst.Rn < 31 {
 		val = st[inst.Rn]
@@ -455,8 +473,12 @@ func classifyBlr(l *layout, r region, fs *findings, st *walkState, off int, inst
 	case valConst:
 		text := int64(l.img.TextBytes())
 		if val.v < abi.TextBase || val.v >= abi.TextBase+text {
+			if val.v >= abi.TextBase {
+				mw.high = min(mw.high, val.v)
+			}
 			return Edge{Off: off, Kind: EdgeRuntime}
 		}
+		mw.pinned = true
 		abs := int(val.v - abi.TextBase)
 		tr, ok := l.at(abs)
 		if !ok || abs != tr.off {

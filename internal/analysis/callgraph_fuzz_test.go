@@ -20,7 +20,9 @@ import (
 // as findings and conservative nodes, never as a crash. Every parsed
 // image also goes through debloat under the default roots, which must
 // either refuse it or emit an image that validates and debloats again to
-// the same bytes.
+// the same bytes. Each debloated image carries the analysis its
+// re-verification derived from its input's, and that analysis must equal
+// a fresh one of its re-parsed bytes.
 func FuzzCallGraph(f *testing.F) {
 	app, _, err := workload.Generate(workload.Profile{
 		Name: "fuzz", Seed: 11, Methods: 25,
@@ -97,10 +99,12 @@ func FuzzCallGraph(f *testing.F) {
 		if err := out.Validate(); err != nil {
 			t.Fatalf("admitted image debloated into an invalid one: %v", err)
 		}
+		sameView(t, "debloated", carried(t, out), freshView(t, out))
 		out2, _, err := analysis.DebloatCtx(context.Background(), out, analysis.DefaultRoots(), 0, nil)
 		if err != nil {
 			t.Fatalf("debloat refused its own output: %v", err)
 		}
+		sameView(t, "debloated twice", carried(t, out2), freshView(t, out2))
 		b1, err := out.Marshal()
 		if err != nil {
 			t.Fatal(err)

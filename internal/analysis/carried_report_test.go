@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/a64"
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/oat"
+	"repro/internal/obs"
 	"repro/internal/reoutline"
 	"repro/internal/workload"
 )
@@ -110,11 +112,23 @@ func TestCarriedReportMatchesFresh(t *testing.T) {
 				}
 				img := res.Image
 				sameView(t, c.name, carried(t, img), freshView(t, img))
-				deb, _, err := analysis.DebloatCtx(ctx, img, analysis.RootSet{Methods: man.Drivers}, 0, nil)
+				tracer := obs.New()
+				deb, _, err := analysis.DebloatCtx(ctx, img, analysis.RootSet{Methods: man.Drivers}, 0, tracer)
 				if err != nil {
 					t.Fatalf("%s: debloat: %v", c.name, err)
 				}
 				sameView(t, c.name+"-debloat", carried(t, deb), freshView(t, deb))
+				// Debloat changes a kept method only in its bl displacements,
+				// so its output's verification reuses every one of them.
+				kept := 0
+				for _, m := range deb.Methods {
+					if m.Size > 0 {
+						kept++
+					}
+				}
+				if got := tracer.Snapshot().Counters["analysis.methods_reused"]; got != int64(kept) {
+					t.Errorf("%s-debloat: analysis.methods_reused = %d, want all %d kept methods", c.name, got, kept)
+				}
 				for _, in := range []struct {
 					name string
 					img  *oat.Image
@@ -128,7 +142,7 @@ func TestCarriedReportMatchesFresh(t *testing.T) {
 			}
 		})
 	}
-	for _, c := range corruptions {
+	for _, c := range append(corruptions, keyCorruptions...) {
 		clean := buildApp(t, c.cfg)
 		if _, err := analysis.Admit(ctx, clean, 0, nil); err != nil {
 			t.Fatalf("%s: clean twin refused: %v", c.name, err)
@@ -138,4 +152,133 @@ func TestCarriedReportMatchesFresh(t *testing.T) {
 		sameView(t, "corrupt-"+c.name+" against its clean twin", paired(t, img, clean), want)
 		sameView(t, "corrupt-"+c.name, carried(t, img), want)
 	}
+
+	// A result that read an absolute position is never reused, even with
+	// the method's words and records unchanged: a bl into an outlined
+	// function's interior names its offset into the function, which moves
+	// with the function's record.
+	prev := buildApp(t, core.CTOLTBO())
+	blob := interiorCall(t, prev)
+	analysis.Admit(ctx, prev, 0, nil) // refused, with the analysis attached
+	data, err := prev.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := oat.Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Outlined[blob].Offset += a64.WordSize
+	img.Outlined[blob].Size -= a64.WordSize
+	sameView(t, "moved outlined function under an interior call", paired(t, img, prev), freshView(t, img))
+}
+
+// keyCorruptions are edits that leave a method's own words alone apart
+// from one bl displacement, or change no method at all, yet change what a
+// fresh analysis of the method reports: the parts of the reuse key beyond
+// the masked words.
+var keyCorruptions = []corruption{
+	{"bl-retarget", core.CTOLTBO(), retargetCall},
+	{"blob-body", core.CTOLTBO(), clobberBlobBody},
+	{"pcrel-record", core.CTOLTBO(), shiftPCRelRecord},
+}
+
+// retargetCall moves a bl from one pattern thunk's head to another's: a
+// legal call, but a different call-graph edge.
+func retargetCall(t *testing.T, img *oat.Image) (int, int) {
+	thunks := map[int]int{} // head offset -> Thunks index
+	for i, f := range img.Thunks {
+		thunks[f.Offset] = i
+	}
+	for m, rec := range img.Methods {
+		for w := 0; w < rec.Size/a64.WordSize; w++ {
+			abs := rec.Offset + w*a64.WordSize
+			inst, ok := a64.Decode(img.Text[abs/a64.WordSize])
+			if !ok || inst.Op != a64.OpBl {
+				continue
+			}
+			i, ok := thunks[abs+int(inst.Imm)]
+			if !ok {
+				continue
+			}
+			other := img.Thunks[(i+1)%len(img.Thunks)]
+			if other.Sym == img.Thunks[i].Sym {
+				continue
+			}
+			patched, err := a64.PatchRel(img.Text[abs/a64.WordSize], int64(other.Offset-abs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			img.Text[abs/a64.WordSize] = patched
+			return m, w * a64.WordSize
+		}
+	}
+	t.Fatal("no bl to a thunk head")
+	return -1, -1
+}
+
+// clobberBlobBody makes the first outlined function that has a caller
+// overwrite callee-saved x20: its callers' words are untouched, but the
+// dataflow pass replays the body at each call site and finds x20 dirty
+// at their returns.
+func clobberBlobBody(t *testing.T, img *oat.Image) (int, int) {
+	if len(img.Outlined) == 0 {
+		t.Fatal("build produced no outlined functions")
+	}
+	f := img.Outlined[0]
+	img.Text[f.Offset/a64.WordSize] = a64.MustEncode(a64.Inst{Op: a64.OpMovz, Sf: true, Rd: a64.Reg(20)})
+	return -1, f.Offset
+}
+
+// shiftPCRelRecord moves the first PC-relative record's target by one
+// word, leaving every word of the image alone.
+func shiftPCRelRecord(t *testing.T, img *oat.Image) (int, int) {
+	for m := range img.Methods {
+		if rels := img.Methods[m].Meta.PCRel; len(rels) > 0 {
+			rels[0].TargetOff += a64.WordSize
+			return m, rels[0].InstOff
+		}
+	}
+	t.Fatal("no PC-relative record in any method")
+	return -1, -1
+}
+
+// interiorCall retargets a bl of some method into the second word of an
+// outlined function the method does not otherwise call, and returns the
+// function's Outlined index.
+func interiorCall(t *testing.T, img *oat.Image) int {
+	calls := func(m, target int) bool {
+		rec := img.Methods[m]
+		for w := 0; w < rec.Size/a64.WordSize; w++ {
+			abs := rec.Offset + w*a64.WordSize
+			if inst, ok := a64.Decode(img.Text[abs/a64.WordSize]); ok && inst.Op == a64.OpBl && abs+int(inst.Imm) == target {
+				return true
+			}
+		}
+		return false
+	}
+	for b, f := range img.Outlined {
+		if f.Size <= 2*a64.WordSize {
+			continue
+		}
+		for m := range img.Methods {
+			if img.Methods[m].Size == 0 || calls(m, f.Offset) {
+				continue
+			}
+			rec := img.Methods[m]
+			for w := 0; w < rec.Size/a64.WordSize; w++ {
+				abs := rec.Offset + w*a64.WordSize
+				if inst, ok := a64.Decode(img.Text[abs/a64.WordSize]); ok && inst.Op == a64.OpBl {
+					patched, err := a64.PatchRel(img.Text[abs/a64.WordSize], int64(f.Offset+a64.WordSize-abs))
+					if err != nil {
+						t.Fatal(err)
+					}
+					img.Text[abs/a64.WordSize] = patched
+					return b
+				}
+			}
+		}
+	}
+	t.Fatal("no method with a bl that misses some multi-word outlined function")
+	return -1
 }

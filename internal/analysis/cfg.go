@@ -67,6 +67,12 @@ type methodCtx struct {
 	blockAt     []int // word index -> block index, -1 for data/none
 	reach       []bool
 	calls       int
+
+	// sites lists every bl landing on a region head, in word order, and
+	// pinned marks a result that depends on absolute position (a bl that
+	// does not, or a branch out of the method): what the reuse key needs.
+	sites  []callSite
+	pinned bool
 }
 
 func newMethodCtx(l *layout, r region, fs *findings) *methodCtx {
@@ -178,6 +184,7 @@ func (mc *methodCtx) checkCFI() {
 func (mc *methodCtx) checkLocalBranch(off int, inst a64.Inst) {
 	target := off + int(inst.Imm)
 	if target < 0 || target >= mc.r.size {
+		mc.pinned = true
 		where := "outside the text segment"
 		if r, ok := mc.l.at(mc.r.off + target); ok {
 			if r.kind == regionBlob {
@@ -206,12 +213,15 @@ func (mc *methodCtx) checkLocalBranch(off int, inst a64.Inst) {
 func (mc *methodCtx) checkCall(off int, inst a64.Inst) {
 	abs := mc.r.off + off + int(inst.Imm)
 	r, ok := mc.l.at(abs)
+	if ok && abs == r.off {
+		// A head of some region: legal callee.
+		mc.sites = append(mc.sites, callSite{w: off / a64.WordSize, target: r})
+		return
+	}
+	mc.pinned = true
 	if !ok {
 		mc.errf(off, RuleCallTarget, "bl target %#x is outside every code region", abs)
 		return
-	}
-	if abs == r.off {
-		return // a head of some region: legal callee
 	}
 	switch r.kind {
 	case regionBlob:

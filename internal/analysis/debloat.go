@@ -26,8 +26,10 @@ import (
 //     whole image live, so the worst failure mode is removing nothing.
 //  3. Re-verification: the emitted image is run through oat.Validate and
 //     the full lint; a warning or error fails the debloat instead of
-//     shipping a corrupt image. The output carries that analysis, so
-//     admitting it next reuses it (see Admit).
+//     shipping a corrupt image. The lint reuses the input's result for
+//     every kept method the rewrite changed only in its bl displacements
+//     (reuse.go), and the output carries that analysis, so admitting it
+//     next reuses it (see Admit).
 //
 // Method records are never deleted or renumbered — the method table is
 // indexed by dex.MethodID, and every materialized ArtMethod address in
@@ -69,7 +71,7 @@ func DebloatCtx(ctx context.Context, img *oat.Image, roots RootSet, workers int,
 		roots = DefaultRoots()
 	}
 
-	cg, err := Admit(ctx, img, workers, tracer)
+	in, cg, err := admit(ctx, img, workers, tracer)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -121,9 +123,12 @@ func DebloatCtx(ctx context.Context, img *oat.Image, roots RootSet, workers int,
 	if err := out.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("analysis: debloat produced an invalid image: %w", err)
 	}
-	// The analysis rides along on the output, so a pass that admits it
-	// next (the re-outliner) does not analyze the same bytes again.
-	an, err := carriedAnalysis(ctx, out, workers, tracer)
+	// Kept methods differ from the input's only in their bl displacements,
+	// so the output's analysis takes their results (findings, summaries,
+	// call-graph walks) from the input's, and analyzes the rest. It rides
+	// along on the output, so a pass that admits it next (the
+	// re-outliner) does not analyze the same bytes again.
+	an, err := carriedAnalysis(ctx, out, in, workers, tracer)
 	if err != nil {
 		return nil, nil, err
 	}

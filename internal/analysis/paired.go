@@ -170,7 +170,7 @@ func (reoutlinedBodyRule) Run(rc *RuleContext) {
 		rc.fail(err)
 		return
 	}
-	newLay, origLay := rc.lay, rc.origLayout()
+	newLay, origLay := rc.an.lay, rc.origLayout()
 	if len(rc.img.Methods) != len(rc.orig.Methods) {
 		rc.emit(Finding{Severity: SevError, Method: NoMethod, Off: -1, Rule: RuleReoutlinedBody,
 			Msg: fmt.Sprintf("method table changed size: %d -> %d", len(rc.orig.Methods), len(rc.img.Methods))})
@@ -246,7 +246,7 @@ func (liftFrozenRule) Run(rc *RuleContext) {
 			Msg: fmt.Sprintf("method table changed size: %d -> %d", len(rc.orig.Methods), len(rc.img.Methods))})
 		return
 	}
-	newLay, origLay := rc.lay, rc.origLayout()
+	newLay, origLay := rc.an.lay, rc.origLayout()
 	frozen := LiftFrozen(rc.orig, origCG)
 	for i, fz := range frozen {
 		if !fz {

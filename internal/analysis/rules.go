@@ -44,13 +44,9 @@ type RuleContext struct {
 	tracer  *obs.Tracer
 	roots   RootSet
 
-	rep    *Report
-	lay    *layout
+	an     *imageAnalysis // not attached: rules never edit the image
 	repErr error
 	ran    bool
-
-	cg         *CallGraph
-	cgFindings []Finding
 
 	reach *Reachability
 
@@ -118,7 +114,7 @@ func (rc *RuleContext) origCallGraph() (*CallGraph, error) {
 			cg, _, err = an.callGraph(rc.ctx, rc.workers)
 		} else {
 			var fs findings
-			cg, err = buildCallGraphFrom(rc.ctx, rc.origLayout(), rc.workers, &fs)
+			cg, _, err = buildCallGraphFrom(rc.ctx, rc.origLayout(), nil, rc.workers, &fs)
 		}
 		if err != nil {
 			return nil, err
@@ -129,44 +125,45 @@ func (rc *RuleContext) origCallGraph() (*CallGraph, error) {
 }
 
 // Analysis returns the shared per-method verification pass (layout,
-// thunk/blob checks, CFG recovery, dataflow), running it on first use.
+// thunk/blob checks, CFG recovery, dataflow), running it on first use. On
+// a paired run whose original carries its analysis, every method the
+// rewrite left alone apart from its bl displacements takes its result
+// from that analysis (reuse.go).
 func (rc *RuleContext) Analysis() (*Report, error) {
 	if !rc.ran {
 		rc.ran = true
-		rc.rep, rc.lay, rc.repErr = analyzeImage(rc.ctx, rc.img, rc.workers, rc.tracer)
+		var prev *imageAnalysis
+		if rc.orig != nil {
+			prev = rc.origAnalysis()
+		}
+		rc.an, rc.repErr = analyzeImage(rc.ctx, rc.img, prev, rc.workers, rc.tracer)
 	}
-	return rc.rep, rc.repErr
+	if rc.repErr != nil {
+		return nil, rc.repErr
+	}
+	return rc.an.rep, nil
 }
 
 // CallGraph returns the whole-image call graph and the walk's own
 // findings, built on first use over the shared layout.
 func (rc *RuleContext) CallGraph() (*CallGraph, []Finding, error) {
-	if rc.cg == nil {
-		if _, err := rc.Analysis(); err != nil {
-			return nil, nil, err
-		}
-		var fs findings
-		cg, err := buildCallGraphFrom(rc.ctx, rc.lay, rc.workers, &fs)
-		if err != nil {
-			return nil, nil, err
-		}
-		rc.cg = cg
-		rc.cgFindings = fs.list
+	if _, err := rc.Analysis(); err != nil {
+		return nil, nil, err
 	}
-	return rc.cg, rc.cgFindings, nil
+	return rc.an.callGraph(rc.ctx, rc.workers)
 }
 
 // Reachability returns the closure of the run's root set over the call
 // graph, computed on first use.
 func (rc *RuleContext) Reachability() (*Reachability, *CallGraph, error) {
+	cg, _, err := rc.CallGraph()
+	if err != nil {
+		return nil, nil, err
+	}
 	if rc.reach == nil {
-		cg, _, err := rc.CallGraph()
-		if err != nil {
-			return nil, nil, err
-		}
 		rc.reach = cg.Reachable(rc.roots)
 	}
-	return rc.reach, rc.cg, nil
+	return rc.reach, cg, nil
 }
 
 // emit records one finding, applying the spec's severity override.
@@ -607,7 +604,7 @@ func RunRulesPaired(ctx context.Context, img, orig *oat.Image, spec *RuleSpec, r
 		TextBytes: img.TextBytes(),
 	}
 	if rc.ran && rc.repErr == nil {
-		rep.Methods = rc.rep.Methods
+		rep.Methods = rc.an.rep.Methods
 	}
 	sortFindings(rc.out.list)
 	rep.Findings = rc.out.list

@@ -90,16 +90,29 @@ func TestCarriedAnalysisByteIdentity(t *testing.T) {
 
 // TestPostLinkAnalyzesEachImageOnce counts the verification passes of one
 // debloat-then-reoutline op: the input, the debloated image and the
-// re-outlined output are each analyzed once (lint.methods grows by one
+// re-outlined output are each verified once (lint.methods grows by one
 // method table per pass; it grew by four before the analysis was
 // carried), and the debloated image's analysis is reused twice, by
 // reoutline's admission and by the original side of its paired
-// re-verification.
+// re-verification. Inside the last two passes each method is analyzed at
+// most once: the debloated image reuses the input's result for every kept
+// method, and the re-outlined output reuses the debloated image's for at
+// least every frozen method (analysis.methods_reused).
 func TestPostLinkAnalyzesEachImageOnce(t *testing.T) {
 	prof := workload.Apps(0.03)[0]
 	tracer := obs.New()
 	deb := debloatedCTO(t, prof, tracer)
-	if _, _, err := core.ReoutlineImageCtx(context.Background(), deb, core.ReoutlineConfig{Tracer: tracer}); err != nil {
+	kept := 0
+	for _, m := range deb.Methods {
+		if m.Size > 0 {
+			kept++
+		}
+	}
+	if got := tracer.Snapshot().Counters["analysis.methods_reused"]; got != int64(kept) {
+		t.Errorf("debloat: analysis.methods_reused = %d, want all %d kept methods", got, kept)
+	}
+	_, st, err := core.ReoutlineImageCtx(context.Background(), deb, core.ReoutlineConfig{Tracer: tracer})
+	if err != nil {
 		t.Fatalf("reoutline: %v", err)
 	}
 	counters := tracer.Snapshot().Counters
@@ -108,5 +121,8 @@ func TestPostLinkAnalyzesEachImageOnce(t *testing.T) {
 	}
 	if got := counters["analysis.reused"]; got != 2 {
 		t.Errorf("analysis.reused = %d, want 2", got)
+	}
+	if got := counters["analysis.methods_reused"] - int64(kept); got < int64(st.MethodsFrozen) {
+		t.Errorf("reoutline: analysis.methods_reused = %d, want at least the %d frozen methods", got, st.MethodsFrozen)
 	}
 }

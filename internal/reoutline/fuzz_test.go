@@ -3,8 +3,10 @@ package reoutline_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/oat"
 	"repro/internal/reoutline"
@@ -16,7 +18,10 @@ import (
 // soundly — the output validates, is no larger, and a second pass over it
 // is byte-identical. Whatever the parser accepts must never panic the
 // lifter, and a mutation that slips past admission must still come out
-// the other side as a structurally sound image.
+// the other side as a structurally sound image. The output's
+// re-verification reuses what it can of the analysis admission attached
+// to the input; the paired report over every rule must equal the one for
+// re-parsed copies of both images, which carry nothing.
 func FuzzLift(f *testing.F) {
 	app, _, err := workload.Generate(workload.Profile{
 		Name: "fuzz", Seed: 17, Methods: 20,
@@ -61,6 +66,9 @@ func FuzzLift(f *testing.F) {
 		if st.Saved() < 0 {
 			t.Fatalf("reoutline grew the image: %d -> %d bytes", st.TextBefore, st.TextAfter)
 		}
+		if got, want := pairedReport(t, out, img), pairedReport(t, reparse(t, out), reparse(t, img)); got != want {
+			t.Fatalf("paired report with the input's carried analysis differs from a fresh one:\n got %.600s\nwant %.600s", got, want)
+		}
 		out2, _, err := reoutline.RunCtx(context.Background(), out, reoutline.Config{Workers: 2})
 		if err != nil {
 			t.Fatalf("reoutline refused its own output: %v", err)
@@ -77,4 +85,33 @@ func FuzzLift(f *testing.F) {
 			t.Fatalf("reoutline of a re-outlined image is not byte-identical (%d vs %d bytes)", len(b1), len(b2))
 		}
 	})
+}
+
+// reparse returns a copy of img parsed from its bytes, carrying nothing.
+func reparse(t *testing.T, img *oat.Image) *oat.Image {
+	t.Helper()
+	data, err := img.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := oat.Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bare
+}
+
+// pairedReport renders RunRulesPaired's report over every rule for img
+// against orig.
+func pairedReport(t *testing.T, img, orig *oat.Image) string {
+	t.Helper()
+	spec, err := analysis.ParseRuleSpec("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := analysis.RunRulesPaired(context.Background(), img, orig, spec, analysis.RootSet{}, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%+v", *rep)
 }

@@ -222,3 +222,25 @@ func TestRequestDigestGolden(t *testing.T) {
 		t.Errorf("image digests drifted from %s:\ngot:\n%s\nwant:\n%s", digestGolden, got.Bytes(), want)
 	}
 }
+
+// TestRunEmptyInput: an empty or blank -i file holds no methods, and every
+// configuration refuses it with the same message before building.
+func TestRunEmptyInput(t *testing.T) {
+	dir := t.TempDir()
+	for _, body := range []string{"", " \n\t\n"} {
+		in := filepath.Join(dir, "empty.s")
+		if err := os.WriteFile(in, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []string{"baseline", "cto", "ltbo", "plopti", "hfopti"} {
+			out := filepath.Join(dir, cfg+".oat")
+			err := run([]string{"-i", in, "-config", cfg, "-o", out}, &strings.Builder{})
+			if err == nil || !strings.Contains(err.Error(), "workload: app has no methods") {
+				t.Errorf("-i %q -config %s: err = %v, want the no-methods refusal", body, cfg, err)
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Errorf("-config %s wrote %s for an empty app", cfg, out)
+			}
+		}
+	}
+}

@@ -577,6 +577,23 @@ func TestDexPayloadSubmit(t *testing.T) {
 	}
 }
 
+// TestBlankDexPayloadFails: a dex job whose payload holds no methods
+// fails with workload.Load's refusal under every config, as calibro -i
+// does.
+func TestBlankDexPayloadFails(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, cfg := range []string{"baseline", "cto", "ltbo", "plopti", "hfopti"} {
+		resp, st := postJob(t, ts, JobRequest{Dex: []byte(" \n\t\n"), Config: cfg})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: submit: status %d: %s", cfg, resp.StatusCode, st.Error)
+		}
+		fin := waitTerminal(t, ts, st.ID)
+		if fin.State != StateFailed || !strings.Contains(fin.Error, "workload: app has no methods") {
+			t.Errorf("%s: job %s (%s), want failed with the no-methods refusal", cfg, fin.State, fin.Error)
+		}
+	}
+}
+
 // TestTerminalJobsDropPayload: a terminal job's record no longer holds
 // its request payload, and its endpoints still answer — for a dex job
 // that finished and for a debloat job cancelled while queued.

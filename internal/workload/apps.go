@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 
 	"repro/internal/dex"
@@ -72,7 +73,9 @@ func AppByName(name string, scale float64) (Profile, bool) {
 // serialized dex container (recognized by its "dex\n" prefix) or the
 // smali-like assembly text. Such an app carries no manifest, so its
 // leading methods — up to the generator's driver count, fewer for small
-// hand-written apps — stand in as the activity drivers.
+// hand-written apps — stand in as the activity drivers. An input that
+// parses to no methods at all (an empty or blank text file, an empty
+// container) is refused: there is nothing to build or drive.
 func Load(data []byte) (*dex.App, *Manifest, error) {
 	var app *dex.App
 	var err error
@@ -83,6 +86,9 @@ func Load(data []byte) (*dex.App, *Manifest, error) {
 	}
 	if err != nil {
 		return nil, nil, err
+	}
+	if app.NumMethods() == 0 {
+		return nil, nil, errors.New("workload: app has no methods")
 	}
 	man := &Manifest{}
 	for i := 0; i < min(NumDrivers, app.NumMethods()); i++ {

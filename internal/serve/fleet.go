@@ -86,6 +86,7 @@ const fleetArtifactVersion = 1
 func encodeArtifact(out *buildOutput) []byte {
 	stats := *out.stats
 	stats.QueueWaitUS = 0
+	stats.LoadUS = 0
 	stats.CompileUS = 0
 	stats.OutlineUS = 0
 	stats.LinkUS = 0

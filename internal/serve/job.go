@@ -196,11 +196,14 @@ type JobStats struct {
 	OutlinedMerged   int `json:"outlined_merged,omitempty"`
 
 	QueueWaitUS int64 `json:"queue_wait_us"`
-	CompileUS   int64 `json:"compile_us"`
-	OutlineUS   int64 `json:"outline_us"`
-	LinkUS      int64 `json:"link_us"`
-	VerifyUS    int64 `json:"verify_us"`
-	WallUS      int64 `json:"wall_us"`
+	// LoadUS is a build job's ingest: generating the app, or parsing and
+	// verifying the client's dex payload (the "load" stage span).
+	LoadUS    int64 `json:"load_us"`
+	CompileUS int64 `json:"compile_us"`
+	OutlineUS int64 `json:"outline_us"`
+	LinkUS    int64 `json:"link_us"`
+	VerifyUS  int64 `json:"verify_us"`
+	WallUS    int64 `json:"wall_us"`
 
 	OutlinedFunctions   int `json:"outlined_functions,omitempty"`
 	OutlinedOccurrences int `json:"outlined_occurrences,omitempty"`
@@ -215,6 +218,11 @@ type JobStats struct {
 	// counter of the job's tracer): a reoutline job's re-verification
 	// reuses what admission computed on its input.
 	AnalysesReused int `json:"analyses_reused,omitempty"`
+	// MethodsReused counts the methods whose verification result a pass
+	// took from the analysis of the image it rewrote (the
+	// analysis.methods_reused counter): a debloat job's output reuses its
+	// input's for every kept method.
+	MethodsReused int `json:"methods_reused,omitempty"`
 
 	// FleetSource records how the fleet layer satisfied the job:
 	// "artifact" (fetched another daemon's finished build from the remote
@@ -355,19 +363,23 @@ func (s *Server) buildLocal(ctx context.Context, req JobRequest, queueWait time.
 		}
 		stats.LintFindings = len(out.lint)
 	}
-	stats.AnalysesReused = int(tr.Snapshot().Counters["analysis.reused"])
+	counters := tr.Snapshot().Counters
+	stats.AnalysesReused = int(counters["analysis.reused"])
+	stats.MethodsReused = int(counters["analysis.methods_reused"])
 	return out, nil
 }
 
 // compile runs a build-kind job: load or generate the app and build it
 // under the requested ladder configuration, through the server's cache.
 func (s *Server) compile(ctx context.Context, req JobRequest, tr *obs.Tracer) (*oat.Image, *JobStats, error) {
+	start := time.Now()
 	sp := tr.Start("stage", "load")
 	app, man, err := loadApp(req)
 	sp.End()
 	if err != nil {
 		return nil, nil, err
 	}
+	load := time.Since(start)
 	cfg, err := core.Named(req.Config, req.Trees)
 	if err != nil {
 		return nil, nil, err
@@ -394,6 +406,7 @@ func (s *Server) compile(ctx context.Context, req JobRequest, tr *obs.Tracer) (*
 		Config:    req.Config,
 		Methods:   app.NumMethods(),
 		TextBytes: res.TextBytes(),
+		LoadUS:    load.Microseconds(),
 		CompileUS: res.CompileTime.Microseconds(),
 		OutlineUS: res.OutlineTime.Microseconds(),
 		LinkUS:    res.LinkTime.Microseconds(),

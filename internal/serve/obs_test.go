@@ -80,9 +80,10 @@ func TestJobTraceEndpoint(t *testing.T) {
 
 // traceEvent is the part of a Chrome trace event the tests read.
 type traceEvent struct {
-	Name string `json:"name"`
-	Cat  string `json:"cat"`
-	Ph   string `json:"ph"`
+	Name string  `json:"name"`
+	Cat  string  `json:"cat"`
+	Ph   string  `json:"ph"`
+	Dur  float64 `json:"dur"`
 }
 
 // decodeTrace parses a Chrome trace-event document.
@@ -180,8 +181,9 @@ func TestDebloatJobStageSpan(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", resp.StatusCode, st.Error)
 	}
-	if got := waitTerminal(t, ts, st.ID); got.State != StateDone {
-		t.Fatalf("job state %s: %s", got.State, got.Error)
+	final := waitTerminal(t, ts, st.ID)
+	if final.State != StateDone {
+		t.Fatalf("job state %s: %s", final.State, final.Error)
 	}
 	tresp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/trace")
 	if err != nil {
@@ -208,7 +210,8 @@ func TestDebloatJobStageSpan(t *testing.T) {
 
 // TestDexJobLoadSpan: a build job records its ingest (parsing and
 // verifying the dex payload) as a "load" stage span ahead of compile, in
-// its own trace and the daemon's stage totals.
+// its own trace and the daemon's stage totals, and reports the span's
+// time as its stats' LoadUS, so the stage fields cover the ingest.
 func TestDexJobLoadSpan(t *testing.T) {
 	prof, _ := workload.AppByName("Taobao", 0.05)
 	app, _, err := workload.Generate(prof)
@@ -225,8 +228,9 @@ func TestDexJobLoadSpan(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d: %s", resp.StatusCode, st.Error)
 	}
-	if got := waitTerminal(t, ts, st.ID); got.State != StateDone {
-		t.Fatalf("job state %s: %s", got.State, got.Error)
+	final := waitTerminal(t, ts, st.ID)
+	if final.State != StateDone {
+		t.Fatalf("job state %s: %s", final.State, final.Error)
 	}
 	tresp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/trace")
 	if err != nil {
@@ -238,13 +242,22 @@ func TestDexJobLoadSpan(t *testing.T) {
 		t.Fatalf("trace: status %d, %v", tresp.StatusCode, err)
 	}
 	var stages []string
+	var loadDur float64
 	for _, ev := range decodeTrace(t, data) {
 		if ev.Cat == "stage" {
 			stages = append(stages, ev.Name)
+			if ev.Name == "load" {
+				loadDur = ev.Dur
+			}
 		}
 	}
 	if len(stages) < 2 || stages[0] != "load" || stages[1] != "compile" {
 		t.Errorf("dex job stage spans = %q, want load then compile first", stages)
+	}
+	// LoadUS is timed around the span, so it covers the span's duration
+	// and little more.
+	if got := float64(final.Stats.LoadUS); loadDur <= 0 || got < loadDur-1 || got > 2*loadDur+1000 {
+		t.Errorf("stats.LoadUS = %v µs, load span %v µs", got, loadDur)
 	}
 	if _, ok := tr.Snapshot().Stages["load"]; !ok {
 		t.Errorf("daemon stage totals miss load: %v", tr.Snapshot().Stages)
@@ -253,8 +266,8 @@ func TestDexJobLoadSpan(t *testing.T) {
 
 // TestReoutlineJobReusesAnalysis: a reoutline job verifies its output
 // against the input with the analysis admission attached to the input,
-// and says so in its stats, the daemon's JSON metrics and the Prometheus
-// exposition.
+// reusing its per-method results, and says so in its stats, the daemon's
+// JSON metrics and the Prometheus exposition.
 func TestReoutlineJobReusesAnalysis(t *testing.T) {
 	_, oatData := linkedTaobao(t, core.CTOOnly())
 	_, ts := newTestServer(t, Config{Workers: 1, Tracer: obs.New()})
@@ -268,6 +281,11 @@ func TestReoutlineJobReusesAnalysis(t *testing.T) {
 	}
 	if final.Stats.AnalysesReused != 1 {
 		t.Errorf("stats.AnalysesReused = %d, want 1", final.Stats.AnalysesReused)
+	}
+	// The output's verification takes every method the pass left alone
+	// apart from its bl displacements from the input's analysis.
+	if final.Stats.MethodsReused == 0 || final.Stats.MethodsReused > final.Stats.Methods {
+		t.Errorf("stats.MethodsReused = %d of %d methods, want some", final.Stats.MethodsReused, final.Stats.Methods)
 	}
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

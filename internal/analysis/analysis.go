@@ -140,7 +140,7 @@ func analyzeImage(ctx context.Context, img *oat.Image, prev *imageAnalysis, work
 		mc.checkMetadata()
 		mc.recoverCFG()
 		mc.runDataflow()
-		return newMethodResult(mc), nil
+		return methodResult{fs: mfs.list, sum: mc.summary(), sites: mc.sites, reusable: !mc.pinned}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -207,7 +207,11 @@ func (mc *methodCtx) checkMetadata() {
 		}
 		// The recorded target must match what the encoded displacement
 		// says; adrp works in 4K pages and is excluded from the exact
-		// comparison.
+		// comparison. A record on a bl reads a displacement a relayout
+		// rewrites, so the result is not reused (reuse.go).
+		if inst.Op == a64.OpBl {
+			mc.pinned = true
+		}
 		if inst.Op != a64.OpAdrp && rel.InstOff+int(inst.Imm) != rel.TargetOff {
 			mc.errf(rel.InstOff, RuleMetadata,
 				"recorded target %#x disagrees with encoded displacement (%#x)",

@@ -3,10 +3,12 @@ package analysis_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/a64"
 	"repro/internal/analysis"
+	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/oat"
 	"repro/internal/obs"
@@ -20,14 +22,7 @@ import (
 // findings the report already holds).
 func freshView(t *testing.T, img *oat.Image) *analysis.View {
 	t.Helper()
-	data, err := img.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare, err := oat.Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bare := reparse(t, img)
 	rep, err := analysis.AnalyzeCtx(context.Background(), bare, 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -40,6 +35,20 @@ func freshView(t *testing.T, img *oat.Image) *analysis.View {
 		}
 	}
 	return v
+}
+
+// reparse returns a copy of img parsed from its bytes, carrying nothing.
+func reparse(t *testing.T, img *oat.Image) *oat.Image {
+	t.Helper()
+	data, err := img.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := oat.Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bare
 }
 
 // sameView compares two views field by field. %+v renders nil and empty
@@ -158,19 +167,60 @@ func TestCarriedReportMatchesFresh(t *testing.T) {
 	// function's interior names its offset into the function, which moves
 	// with the function's record.
 	prev := buildApp(t, core.CTOLTBO())
-	blob := interiorCall(t, prev)
+	blob := retargetOutside(t, prev, a64.OpBl, a64.WordSize)
 	analysis.Admit(ctx, prev, 0, nil) // refused, with the analysis attached
-	data, err := prev.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := oat.Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := reparse(t, prev)
 	img.Outlined[blob].Offset += a64.WordSize
 	img.Outlined[blob].Size -= a64.WordSize
 	sameView(t, "moved outlined function under an interior call", paired(t, img, prev), freshView(t, img))
+
+	// Likewise a branch out of its method names the region it lands in,
+	// here an outlined function that is then renamed.
+	prev = buildApp(t, core.CTOLTBO())
+	blob = retargetOutside(t, prev, a64.OpBCond, 0)
+	analysis.Admit(ctx, prev, 0, nil)
+	img = reparse(t, prev)
+	img.Outlined[blob].Sym = codegen.PackSym(codegen.SymKindOutlined, 1<<20)
+	sameView(t, "renamed outlined function under an escaping branch", paired(t, img, prev), freshView(t, img))
+
+	// A PC-relative record on a bl is checked against the call's
+	// displacement, which a relayout rewrites: reversing the region order
+	// moves every call, and the recorded one must be analyzed afresh.
+	var err error
+	if prev, err = reversed(buildApp(t, core.CTOLTBO())); err != nil {
+		t.Fatal(err)
+	}
+	recordCall(t, prev)
+	analysis.Admit(ctx, prev, 0, nil)
+	if img, err = reversed(prev); err != nil {
+		t.Fatal(err)
+	}
+	sameView(t, "relaid-out call under a PC-relative record", paired(t, img, prev), freshView(t, img))
+}
+
+// reversed lays img's regions out in reverse order.
+func reversed(img *oat.Image) (*oat.Image, error) {
+	edits := oat.KeepAll(img)
+	slices.Reverse(edits)
+	return oat.Rewrite(img, edits)
+}
+
+// recordCall adds a PC-relative record, true to the encoded displacement,
+// on the first forward bl of the first method that has one (a record's
+// target offset serializes unsigned, so a backward one would not survive
+// the re-parse the fresh analysis reads).
+func recordCall(t *testing.T, img *oat.Image) {
+	for m := range img.Methods {
+		rec := &img.Methods[m]
+		for w := 0; w < rec.Size/a64.WordSize; w++ {
+			if inst, ok := a64.Decode(img.Text[rec.Offset/a64.WordSize+w]); ok && inst.Op == a64.OpBl && inst.Imm > 0 {
+				off := w * a64.WordSize
+				rec.Meta.PCRel = append(rec.Meta.PCRel, a64.Reloc{InstOff: off, TargetOff: off + int(inst.Imm)})
+				return
+			}
+		}
+	}
+	t.Fatal("no forward bl in any method")
 }
 
 // keyCorruptions are edits that leave a method's own words alone apart
@@ -243,10 +293,10 @@ func shiftPCRelRecord(t *testing.T, img *oat.Image) (int, int) {
 	return -1, -1
 }
 
-// interiorCall retargets a bl of some method into the second word of an
-// outlined function the method does not otherwise call, and returns the
-// function's Outlined index.
-func interiorCall(t *testing.T, img *oat.Image) int {
+// retargetOutside retargets the first op instruction of some method to
+// delta bytes past the head of a multi-word outlined function that method
+// does not call, and returns the function's Outlined index.
+func retargetOutside(t *testing.T, img *oat.Image, op a64.Op, delta int) int {
 	calls := func(m, target int) bool {
 		rec := img.Methods[m]
 		for w := 0; w < rec.Size/a64.WordSize; w++ {
@@ -268,8 +318,8 @@ func interiorCall(t *testing.T, img *oat.Image) int {
 			rec := img.Methods[m]
 			for w := 0; w < rec.Size/a64.WordSize; w++ {
 				abs := rec.Offset + w*a64.WordSize
-				if inst, ok := a64.Decode(img.Text[abs/a64.WordSize]); ok && inst.Op == a64.OpBl {
-					patched, err := a64.PatchRel(img.Text[abs/a64.WordSize], int64(f.Offset+a64.WordSize-abs))
+				if inst, ok := a64.Decode(img.Text[abs/a64.WordSize]); ok && inst.Op == op {
+					patched, err := a64.PatchRel(img.Text[abs/a64.WordSize], int64(f.Offset+delta-abs))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -279,6 +329,6 @@ func interiorCall(t *testing.T, img *oat.Image) int {
 			}
 		}
 	}
-	t.Fatal("no method with a bl that misses some multi-word outlined function")
+	t.Fatalf("no method with a %s that misses some multi-word outlined function", op)
 	return -1
 }

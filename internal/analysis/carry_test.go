@@ -173,3 +173,34 @@ func TestCarriedAnalysisCollected(t *testing.T) {
 		}
 	}
 }
+
+// TestDerivedAnalysisLetsInputGo checks that the analysis debloat's output
+// carries, which reuses its input's per-method results, does not keep the
+// input alive: the input's text array is collected while the output and
+// its analysis are still in use.
+func TestDerivedAnalysisLetsInputGo(t *testing.T) {
+	collected := make(chan struct{})
+	var out *oat.Image
+	func() {
+		img := buildApp(t, core.CTOLTBO())
+		var err error
+		if out, _, err = analysis.DebloatCtx(context.Background(), img, analysis.RootSet{}, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(&img.Text[0], func(*uint32) { close(collected) })
+	}()
+	deadline := time.After(10 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-deadline:
+			t.Fatal("the debloated image's analysis keeps its input alive")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if out.Attachment() == nil {
+		t.Fatal("the debloated image carries no analysis")
+	}
+}

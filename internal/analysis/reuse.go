@@ -51,11 +51,6 @@ type callSite struct {
 	target region
 }
 
-// newMethodResult collects what the per-method passes left in mc.
-func newMethodResult(mc *methodCtx) methodResult {
-	return methodResult{fs: mc.fs.list, sum: mc.summary(), sites: mc.sites, reusable: !mc.pinned}
-}
-
 // deriver decides, method by method, whether an image under analysis may
 // take a result from the analysis of an earlier image.
 type deriver struct {

@@ -70,7 +70,8 @@ type methodCtx struct {
 
 	// sites lists every bl landing on a region head, in word order, and
 	// pinned marks a result that depends on absolute position (a bl that
-	// does not, or a branch out of the method): what the reuse key needs.
+	// does not, a branch out of the method, a PC-relative record on a
+	// bl): what the reuse key needs.
 	sites  []callSite
 	pinned bool
 }
@@ -96,6 +97,7 @@ func newMethodCtx(l *layout, r region, fs *findings) *methodCtx {
 			mc.data[w] = true
 		}
 	}
+	calls := 0
 	for w, word := range mc.words {
 		if mc.data[w] {
 			continue
@@ -109,7 +111,11 @@ func newMethodCtx(l *layout, r region, fs *findings) *methodCtx {
 		}
 		mc.insts[w] = inst
 		mc.decoded[w] = true
+		if inst.Op == a64.OpBl {
+			calls++
+		}
 	}
+	mc.sites = make([]callSite, 0, calls)
 	return mc
 }
 

@@ -25,8 +25,9 @@ import (
 //   - for every bl into an outlined function, the same function body,
 //     which the dataflow pass and the walk replay at the call site;
 //   - no result that read an absolute position: a bl that lands on no
-//     region head, a branch out of the method, or (for the walk) an
-//     indirect call through a materialized text address. A walk that
+//     region head, a branch out of the method, a PC-relative record on a
+//     bl, or (for the walk) an indirect call through a materialized text
+//     address. A walk that
 //     classified a constant above the text base as a runtime call also
 //     requires the new text segment to end at or below it.
 //

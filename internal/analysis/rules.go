@@ -44,7 +44,7 @@ type RuleContext struct {
 	tracer  *obs.Tracer
 	roots   RootSet
 
-	an     *imageAnalysis // not attached: rules never edit the image
+	an     *imageAnalysis // the shared pass; held here, not attached to img
 	repErr error
 	ran    bool
 

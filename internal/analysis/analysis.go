@@ -140,7 +140,7 @@ func analyzeImage(ctx context.Context, img *oat.Image, prev *imageAnalysis, work
 		mc.checkMetadata()
 		mc.recoverCFG()
 		mc.runDataflow()
-		return methodResult{fs: mfs.list, sum: mc.summary(), sites: mc.sites, reusable: !mc.pinned}, nil
+		return methodResult{fs: mfs.list, sum: mc.summary(), reusable: !mc.pinned}, nil
 	})
 	if err != nil {
 		return nil, err

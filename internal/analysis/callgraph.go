@@ -273,7 +273,7 @@ func walkMethod(l *layout, r region) *methodWalk {
 
 	data := make([]bool, n)
 	for _, d := range rec.Meta.EmbeddedData {
-		if d.Start < 0 || d.End < d.Start || d.End > r.size || d.Start%a64.WordSize != 0 {
+		if !wellFormedData(d, r.size) {
 			continue // the per-method pass reports this
 		}
 		for w := d.Start / a64.WordSize; w < d.End/a64.WordSize; w++ {

@@ -68,11 +68,9 @@ type methodCtx struct {
 	reach       []bool
 	calls       int
 
-	// sites lists every bl landing on a region head, in word order, and
-	// pinned marks a result that depends on absolute position (a bl that
-	// does not, a branch out of the method, a PC-relative record on a
-	// bl): what the reuse key needs.
-	sites  []callSite
+	// pinned marks a result that depends on absolute position beyond
+	// its bl targets (a branch out of the method, a PC-relative record on
+	// a bl): the reuse key (reuse.go) never takes it.
 	pinned bool
 }
 
@@ -89,7 +87,7 @@ func newMethodCtx(l *layout, r region, fs *findings) *methodCtx {
 		switchSuccs: map[int][]int{},
 	}
 	for _, d := range rec.Meta.EmbeddedData {
-		if d.Start < 0 || d.End < d.Start || d.End > r.size || d.Start%a64.WordSize != 0 {
+		if !wellFormedData(d, r.size) {
 			mc.errf(d.Start, RuleMetadata, "embedded-data range [%#x,%#x) out of method bounds", d.Start, d.End)
 			continue
 		}
@@ -97,7 +95,6 @@ func newMethodCtx(l *layout, r region, fs *findings) *methodCtx {
 			mc.data[w] = true
 		}
 	}
-	calls := 0
 	for w, word := range mc.words {
 		if mc.data[w] {
 			continue
@@ -111,12 +108,15 @@ func newMethodCtx(l *layout, r region, fs *findings) *methodCtx {
 		}
 		mc.insts[w] = inst
 		mc.decoded[w] = true
-		if inst.Op == a64.OpBl {
-			calls++
-		}
 	}
-	mc.sites = make([]callSite, 0, calls)
 	return mc
+}
+
+// wellFormedData reports whether an embedded-data range lies inside a
+// method of size bytes and starts on a word. Every pass ignores any other
+// range; the per-method pass reports it.
+func wellFormedData(d a64.Range, size int) bool {
+	return d.Start >= 0 && d.End >= d.Start && d.End <= size && d.Start%a64.WordSize == 0
 }
 
 func (mc *methodCtx) id() dex.MethodID { return mc.rec.ID }
@@ -219,15 +219,12 @@ func (mc *methodCtx) checkLocalBranch(off int, inst a64.Inst) {
 func (mc *methodCtx) checkCall(off int, inst a64.Inst) {
 	abs := mc.r.off + off + int(inst.Imm)
 	r, ok := mc.l.at(abs)
-	if ok && abs == r.off {
-		// A head of some region: legal callee.
-		mc.sites = append(mc.sites, callSite{w: off / a64.WordSize, target: r})
-		return
-	}
-	mc.pinned = true
 	if !ok {
 		mc.errf(off, RuleCallTarget, "bl target %#x is outside every code region", abs)
 		return
+	}
+	if abs == r.off {
+		return // a head of some region: legal callee
 	}
 	switch r.kind {
 	case regionBlob:

@@ -50,7 +50,7 @@ func flattenMethod(lay *layout, mi int) ([]flatTok, bool) {
 	n := len(words)
 	data := make([]bool, n)
 	for _, d := range rec.Meta.EmbeddedData {
-		if d.Start < 0 || d.End < d.Start || d.End > rec.Size || d.Start%a64.WordSize != 0 {
+		if !wellFormedData(d, rec.Size) {
 			continue
 		}
 		for w := d.Start / a64.WordSize; w < d.End/a64.WordSize; w++ {

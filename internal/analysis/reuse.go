@@ -18,18 +18,18 @@ import (
 //
 //   - the same method-table size, and no layout finding in either image
 //     (a malformed or overlapping record makes region lookups ambiguous);
-//   - the same words, except that a bl word may differ in its displacement
-//     when the old and new displacements both land on the head of a region
-//     with the same identity: kind, plus method slot or symbol;
+//   - the same words, except that a bl word may differ in its
+//     displacement; every bl, changed or not, must land on the head of a
+//     region in both images, with the same identity: kind, plus method
+//     slot or symbol;
 //   - the same records (Meta and StackMap);
 //   - for every bl into an outlined function, the same function body,
 //     which the dataflow pass and the walk replay at the call site;
-//   - no result that read an absolute position: a bl that lands on no
-//     region head, a branch out of the method, a PC-relative record on a
-//     bl, or (for the walk) an indirect call through a materialized text
-//     address. A walk that
-//     classified a constant above the text base as a runtime call also
-//     requires the new text segment to end at or below it.
+//   - no other result that read an absolute position: a branch out of the
+//     method, a PC-relative record on a bl, or (for the walk) an indirect
+//     call through a materialized text address. A walk that classified a
+//     constant above the text base as a runtime call also requires the
+//     new text segment to end at or below it.
 //
 // Everything whole-image is recomputed on every image: the layout, the
 // thunk and outlined-function checks, call-graph assembly, reachability,
@@ -37,20 +37,17 @@ import (
 // hit skips recomputation, never a check.
 
 // methodResult is one method's share of the per-method verification: its
-// findings and summary, plus what deciding its reuse needs. The zero value
-// (a slot with no well-formed region) is never reused.
+// findings and summary, and whether a later image may take them. The zero
+// value (a slot with no well-formed region) is never reused.
 type methodResult struct {
 	fs       []Finding
 	sum      MethodSummary
-	sites    []callSite
 	reusable bool
 }
 
-// callSite is one bl of a method and the region head it lands on.
-type callSite struct {
-	w      int // word index in the method
-	target region
-}
+// blMask and blBits select a64.Decode's bl encoding, so the reuse check
+// decodes only the words that can be calls.
+const blMask, blBits = 0xFC000000, 0x94000000
 
 // deriver decides, method by method, whether an image under analysis may
 // take a result from the analysis of an earlier image.
@@ -92,13 +89,15 @@ func (d *deriver) reuse(r region) (res methodResult, walk *methodWalk, ok bool) 
 	}
 	ow := prevImg.Text[po.Offset/a64.WordSize : (po.Offset+po.Size)/a64.WordSize]
 	nw := d.l.words(r)
-	sites := pr.sites
 	for w := range ow {
-		if len(sites) > 0 && sites[0].w == w {
-			if !d.sameTarget(r, w, nw[w], sites[0].target) {
+		if ow[w]&blMask == blBits && !dataWord(po.Meta.EmbeddedData, po.Size, w) {
+			// Every bl of a reusable method lands on a region head.
+			inst, ok := a64.Decode(ow[w])
+			abs := po.Offset + w*a64.WordSize + int(inst.Imm)
+			old, found := d.prev.lay.at(abs)
+			if !ok || inst.Op != a64.OpBl || !found || abs != old.off || !d.sameTarget(r, w, nw[w], old) {
 				return methodResult{}, nil, false
 			}
-			sites = sites[1:]
 			continue
 		}
 		if ow[w] != nw[w] {
@@ -158,4 +157,15 @@ func sameRecords(x, y *oat.MethodRecord) bool {
 		slices.Equal(x.Meta.EmbeddedData, y.Meta.EmbeddedData) &&
 		slices.Equal(x.Meta.Slowpaths, y.Meta.Slowpaths) &&
 		slices.Equal(x.StackMap, y.StackMap)
+}
+
+// dataWord reports whether word w of a method of size bytes is embedded
+// data, as the per-method pass marks it.
+func dataWord(ranges []a64.Range, size, w int) bool {
+	for _, d := range ranges {
+		if wellFormedData(d, size) && d.Start/a64.WordSize <= w && w < d.End/a64.WordSize {
+			return true
+		}
+	}
+	return false
 }

@@ -91,7 +91,8 @@ func (d *deriver) reuse(r region) (res methodResult, walk *methodWalk, ok bool) 
 	nw := d.l.words(r)
 	for w := range ow {
 		if ow[w]&blMask == blBits && !dataWord(po.Meta.EmbeddedData, po.Size, w) {
-			// Every bl of a reusable method lands on a region head.
+			// A call: it must land on the head of a region with the same
+			// identity in both images.
 			inst, ok := a64.Decode(ow[w])
 			abs := po.Offset + w*a64.WordSize + int(inst.Imm)
 			old, found := d.prev.lay.at(abs)

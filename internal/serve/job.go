@@ -196,14 +196,15 @@ type JobStats struct {
 	OutlinedMerged   int `json:"outlined_merged,omitempty"`
 
 	QueueWaitUS int64 `json:"queue_wait_us"`
-	// LoadUS is a build job's ingest: generating the app, or parsing and
-	// verifying the client's dex payload (the "load" stage span).
-	LoadUS    int64 `json:"load_us"`
-	CompileUS int64 `json:"compile_us"`
-	OutlineUS int64 `json:"outline_us"`
-	LinkUS    int64 `json:"link_us"`
-	VerifyUS  int64 `json:"verify_us"`
-	WallUS    int64 `json:"wall_us"`
+	CompileUS   int64 `json:"compile_us"`
+	OutlineUS   int64 `json:"outline_us"`
+	LinkUS      int64 `json:"link_us"`
+	VerifyUS    int64 `json:"verify_us"`
+	WallUS      int64 `json:"wall_us"`
+	// LoadUS is a build job's ingest ahead of CompileUS: generating the
+	// app, or parsing and verifying the client's dex payload (the "load"
+	// stage span).
+	LoadUS int64 `json:"load_us"`
 
 	OutlinedFunctions   int `json:"outlined_functions,omitempty"`
 	OutlinedOccurrences int `json:"outlined_occurrences,omitempty"`

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/a64"
+	"repro/internal/abi"
 	"repro/internal/analysis"
 	"repro/internal/codegen"
 	"repro/internal/core"
@@ -196,6 +197,74 @@ func TestCarriedReportMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameView(t, "relaid-out call under a PC-relative record", paired(t, img, prev), freshView(t, img))
+
+	// The walk resolves a blr through a materialized text address to the
+	// region there, so it is walked afresh when that region is renamed.
+	prev = buildApp(t, core.CTOLTBO())
+	blob = materializedCall(t, prev, func(f oat.FuncRecord) bool { return f.Size > 0 }, func(int) int64 { return -1 })
+	carried(t, prev)
+	img = reparse(t, prev)
+	img.Outlined[blob].Sym = codegen.PackSym(codegen.SymKindOutlined, 1<<20)
+	sameView(t, "renamed outlined function under a materialized call", paired(t, img, prev), freshView(t, img))
+
+	// A constant just past the text end is a runtime call until the text
+	// grows over it.
+	prev = buildApp(t, core.CTOLTBO())
+	materializedCall(t, prev, func(oat.FuncRecord) bool { return false }, func(end int) int64 { return abi.TextBase + int64(end) })
+	carried(t, prev)
+	img = reparse(t, prev)
+	end := img.TextBytes()
+	img.Text = append(img.Text, img.Text[img.Thunks[0].Offset/a64.WordSize:(img.Thunks[0].Offset+img.Thunks[0].Size)/a64.WordSize]...)
+	img.Thunks = append(img.Thunks, oat.FuncRecord{Sym: img.Thunks[0].Sym, Offset: end, Size: img.Thunks[0].Size})
+	sameView(t, "text grown over a materialized call", paired(t, img, prev), freshView(t, img))
+}
+
+// materializedCall rewrites three straight-line words of some method to
+// load an absolute address into x30 and call through it. The address is
+// the head of the first outlined function pick accepts that the method
+// does not call, whose Outlined index it returns, or else the address addr
+// gives for the text size (and the index -1).
+func materializedCall(t *testing.T, img *oat.Image, pick func(oat.FuncRecord) bool, addr func(textBytes int) int64) int {
+	plain := func(word uint32) bool {
+		inst, ok := a64.Decode(word)
+		return ok && !inst.Op.IsBranch() && !inst.Op.IsPCRel()
+	}
+	for m, rec := range img.Methods {
+		target, blob := addr(img.TextBytes()), -1
+		for b, f := range img.Outlined {
+			if pick(f) && !callsHead(img, m, f.Offset) {
+				target, blob = abi.TextBase+int64(f.Offset), b
+				break
+			}
+		}
+		if target < 0 || len(rec.Meta.EmbeddedData) > 0 {
+			continue
+		}
+		for w := 1; w+3 < rec.Size/a64.WordSize; w++ {
+			at := rec.Offset/a64.WordSize + w
+			if !plain(img.Text[at]) || !plain(img.Text[at+1]) || !plain(img.Text[at+2]) {
+				continue
+			}
+			img.Text[at] = a64.MustEncode(a64.Inst{Op: a64.OpMovz, Sf: true, Rd: a64.LR, Imm: target & 0xFFFF})
+			img.Text[at+1] = a64.MustEncode(a64.Inst{Op: a64.OpMovk, Sf: true, Rd: a64.LR, Imm: target >> 16 & 0xFFFF, HW: 1})
+			img.Text[at+2] = a64.MustEncode(a64.Inst{Op: a64.OpBlr, Rn: a64.LR})
+			return blob
+		}
+	}
+	t.Fatal("no method with three straight-line words to rewrite")
+	return -1
+}
+
+// callsHead reports whether method m has a bl to the text offset head.
+func callsHead(img *oat.Image, m, head int) bool {
+	rec := img.Methods[m]
+	for w := 0; w < rec.Size/a64.WordSize; w++ {
+		abs := rec.Offset + w*a64.WordSize
+		if inst, ok := a64.Decode(img.Text[abs/a64.WordSize]); ok && inst.Op == a64.OpBl && abs+int(inst.Imm) == head {
+			return true
+		}
+	}
+	return false
 }
 
 // reversed lays img's regions out in reverse order.
@@ -297,22 +366,12 @@ func shiftPCRelRecord(t *testing.T, img *oat.Image) (int, int) {
 // delta bytes past the head of a multi-word outlined function that method
 // does not call, and returns the function's Outlined index.
 func retargetOutside(t *testing.T, img *oat.Image, op a64.Op, delta int) int {
-	calls := func(m, target int) bool {
-		rec := img.Methods[m]
-		for w := 0; w < rec.Size/a64.WordSize; w++ {
-			abs := rec.Offset + w*a64.WordSize
-			if inst, ok := a64.Decode(img.Text[abs/a64.WordSize]); ok && inst.Op == a64.OpBl && abs+int(inst.Imm) == target {
-				return true
-			}
-		}
-		return false
-	}
 	for b, f := range img.Outlined {
 		if f.Size <= 2*a64.WordSize {
 			continue
 		}
 		for m := range img.Methods {
-			if img.Methods[m].Size == 0 || calls(m, f.Offset) {
+			if img.Methods[m].Size == 0 || callsHead(img, m, f.Offset) {
 				continue
 			}
 			rec := img.Methods[m]

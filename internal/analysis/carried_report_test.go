@@ -162,11 +162,18 @@ func TestCarriedReportMatchesFresh(t *testing.T) {
 		sameView(t, "corrupt-"+c.name+" against its clean twin", paired(t, img, clean), want)
 		sameView(t, "corrupt-"+c.name, carried(t, img), want)
 	}
+}
 
-	// A result that read an absolute position is never reused, even with
-	// the method's words and records unchanged: a bl into an outlined
-	// function's interior names its offset into the function, which moves
-	// with the function's record.
+// TestPositionDependentResultsAnalyzedAfresh: a result that read an
+// absolute position is never reused, even when the method's words and
+// records are unchanged. Each case analyzes an image against an original
+// that carries its analysis, after a layout change that moves what the
+// result read, and requires what a fresh analysis gives.
+func TestPositionDependentResultsAnalyzedAfresh(t *testing.T) {
+	ctx := context.Background()
+
+	// A bl into an outlined function's interior names its offset into the
+	// function, which moves with the function's record.
 	prev := buildApp(t, core.CTOLTBO())
 	blob := retargetOutside(t, prev, a64.OpBl, a64.WordSize)
 	analysis.Admit(ctx, prev, 0, nil) // refused, with the analysis attached
@@ -201,7 +208,16 @@ func TestCarriedReportMatchesFresh(t *testing.T) {
 	// The walk resolves a blr through a materialized text address to the
 	// region there, so it is walked afresh when that region is renamed.
 	prev = buildApp(t, core.CTOLTBO())
-	blob = materializedCall(t, prev, func(f oat.FuncRecord) bool { return f.Size > 0 }, func(int) int64 { return -1 })
+	blob = -1
+	for i, f := range prev.Outlined {
+		if materializeCall(prev, abi.TextBase+int64(f.Offset), f.Offset) {
+			blob = i
+			break
+		}
+	}
+	if blob < 0 {
+		t.Fatal("no method left to call an outlined function through its address")
+	}
 	carried(t, prev)
 	img = reparse(t, prev)
 	img.Outlined[blob].Sym = codegen.PackSym(codegen.SymKindOutlined, 1<<20)
@@ -210,7 +226,9 @@ func TestCarriedReportMatchesFresh(t *testing.T) {
 	// A constant just past the text end is a runtime call until the text
 	// grows over it.
 	prev = buildApp(t, core.CTOLTBO())
-	materializedCall(t, prev, func(oat.FuncRecord) bool { return false }, func(end int) int64 { return abi.TextBase + int64(end) })
+	if !materializeCall(prev, abi.TextBase+int64(prev.TextBytes()), -1) {
+		t.Fatal("no method to call through an address")
+	}
 	carried(t, prev)
 	img = reparse(t, prev)
 	end := img.TextBytes()
@@ -219,25 +237,16 @@ func TestCarriedReportMatchesFresh(t *testing.T) {
 	sameView(t, "text grown over a materialized call", paired(t, img, prev), freshView(t, img))
 }
 
-// materializedCall rewrites three straight-line words of some method to
-// load an absolute address into x30 and call through it. The address is
-// the head of the first outlined function pick accepts that the method
-// does not call, whose Outlined index it returns, or else the address addr
-// gives for the text size (and the index -1).
-func materializedCall(t *testing.T, img *oat.Image, pick func(oat.FuncRecord) bool, addr func(textBytes int) int64) int {
+// materializeCall rewrites three straight-line words of a method with no
+// bl to the text offset avoid, so that it loads target into x30 and calls
+// through it. It reports false when no method qualifies.
+func materializeCall(img *oat.Image, target int64, avoid int) bool {
 	plain := func(word uint32) bool {
 		inst, ok := a64.Decode(word)
 		return ok && !inst.Op.IsBranch() && !inst.Op.IsPCRel()
 	}
 	for m, rec := range img.Methods {
-		target, blob := addr(img.TextBytes()), -1
-		for b, f := range img.Outlined {
-			if pick(f) && !callsHead(img, m, f.Offset) {
-				target, blob = abi.TextBase+int64(f.Offset), b
-				break
-			}
-		}
-		if target < 0 || len(rec.Meta.EmbeddedData) > 0 {
+		if len(rec.Meta.EmbeddedData) > 0 || callsHead(img, m, avoid) {
 			continue
 		}
 		for w := 1; w+3 < rec.Size/a64.WordSize; w++ {
@@ -248,11 +257,10 @@ func materializedCall(t *testing.T, img *oat.Image, pick func(oat.FuncRecord) bo
 			img.Text[at] = a64.MustEncode(a64.Inst{Op: a64.OpMovz, Sf: true, Rd: a64.LR, Imm: target & 0xFFFF})
 			img.Text[at+1] = a64.MustEncode(a64.Inst{Op: a64.OpMovk, Sf: true, Rd: a64.LR, Imm: target >> 16 & 0xFFFF, HW: 1})
 			img.Text[at+2] = a64.MustEncode(a64.Inst{Op: a64.OpBlr, Rn: a64.LR})
-			return blob
+			return true
 		}
 	}
-	t.Fatal("no method with three straight-line words to rewrite")
-	return -1
+	return false
 }
 
 // callsHead reports whether method m has a bl to the text offset head.

@@ -237,6 +237,100 @@ func TestPositionDependentResultsAnalyzedAfresh(t *testing.T) {
 	sameView(t, "text grown over a materialized call", paired(t, img, prev), freshView(t, img))
 }
 
+// TestUncleanLayoutAnalyzedAfresh: when either image has a layout finding
+// (here a duplicated thunk record, which overlaps its original), region
+// lookups may be ambiguous, and no method takes a result across the pair.
+// A clean pair of the same images reuses, so the counter is not blind.
+func TestUncleanLayoutAnalyzedAfresh(t *testing.T) {
+	ctx := context.Background()
+	reused := func(name string, img, prev *oat.Image) int64 {
+		t.Helper()
+		sameView(t, name, paired(t, img, prev), freshView(t, img))
+		n, err := analysis.PairedReused(img, prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	prev := buildApp(t, core.CTOLTBO())
+	analysis.Admit(ctx, prev, 0, nil)
+	if n := reused("clean pair", reparse(t, prev), prev); n == 0 {
+		t.Fatal("a clean pair reuses no method")
+	}
+	img := reparse(t, prev)
+	img.Thunks = append(img.Thunks, img.Thunks[0])
+	if n := reused("duplicated thunk record in the new image", img, prev); n != 0 {
+		t.Errorf("duplicated thunk record in the new image: %d methods reused, want 0", n)
+	}
+
+	prev = buildApp(t, core.CTOLTBO())
+	prev.Thunks = append(prev.Thunks, prev.Thunks[0])
+	analysis.Admit(ctx, prev, 0, nil) // refused, with the analysis attached
+	img = reparse(t, prev)
+	img.Thunks = img.Thunks[:len(img.Thunks)-1]
+	if n := reused("duplicated thunk record in the earlier image", img, prev); n != 0 {
+		t.Errorf("duplicated thunk record in the earlier image: %d methods reused, want 0", n)
+	}
+}
+
+// TestDataWordNotMaskedAsCall: an embedded-data word with the bl encoding
+// is data, compared exactly, never a call whose displacement the key may
+// mask. The word here is the high half of a jump-table entry, which CFG
+// recovery reads; in both images it encodes a bl to the head of the same
+// thunk, so only its value tells the images apart, and the method must be
+// analyzed afresh after a relayout changes it.
+func TestDataWordNotMaskedAsCall(t *testing.T) {
+	ctx := context.Background()
+	prev := buildApp(t, core.CTOLTBO())
+	m, w := jumpTableHigh(t, prev)
+	sym := prev.Thunks[0].Sym
+	callThunkFromData(t, prev, m, w, sym)
+	analysis.Admit(ctx, prev, 0, nil)
+	img, err := reversed(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	callThunkFromData(t, img, m, w, sym)
+	if img.Text[img.Methods[m].Offset/a64.WordSize+w] == prev.Text[prev.Methods[m].Offset/a64.WordSize+w] {
+		t.Fatal("the relayout left the data word unchanged")
+	}
+	sameView(t, "relaid-out data word with the bl encoding", paired(t, img, prev), freshView(t, img))
+}
+
+// jumpTableHigh returns the first method with a jump table and the word
+// index of the high half of the table's first entry.
+func jumpTableHigh(t *testing.T, img *oat.Image) (m, w int) {
+	for m, rec := range img.Methods {
+		words := img.Text[rec.Offset/a64.WordSize : (rec.Offset+rec.Size)/a64.WordSize]
+		for w := 3; w < len(words); w++ {
+			br, ok := a64.Decode(words[w])
+			if !ok || br.Op != a64.OpBr || br.Rn != a64.IP1 {
+				continue
+			}
+			if adr, ok := a64.Decode(words[w-3]); ok && adr.Op == a64.OpAdr {
+				return m, ((w-3)*a64.WordSize+int(adr.Imm))/a64.WordSize + 1
+			}
+		}
+	}
+	t.Fatal("no method with a jump table")
+	return -1, -1
+}
+
+// callThunkFromData sets word w of method m to a bl to the head of the
+// thunk with symbol sym.
+func callThunkFromData(t *testing.T, img *oat.Image, m, w, sym int) {
+	i := slices.IndexFunc(img.Thunks, func(f oat.FuncRecord) bool { return f.Sym == sym })
+	if i < 0 {
+		t.Fatalf("no thunk %s", codegen.SymName(sym))
+	}
+	at := img.Methods[m].Offset + w*a64.WordSize
+	word, err := a64.Encode(a64.Inst{Op: a64.OpBl, Imm: int64(img.Thunks[i].Offset - at)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Text[at/a64.WordSize] = word
+}
+
 // materializeCall rewrites three straight-line words of a method with no
 // bl to the text offset avoid, so that it loads target into x30 and calls
 // through it. It reports false when no method qualifies.

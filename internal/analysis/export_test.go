@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/oat"
+	"repro/internal/obs"
 )
 
 // View is what a pass reads from an analysis: the report in canonical
@@ -48,4 +49,15 @@ func PairedView(img, orig *oat.Image) (*View, error) {
 	cgfs = slices.Clone(cgfs)
 	sortFindings(cgfs)
 	return &View{Report: &sorted, CallGraph: cg, CGFindings: cgfs}, nil
+}
+
+// PairedReused returns how many methods RunRulesPaired's analysis of img
+// takes from the analysis orig carries (analysis.methods_reused).
+func PairedReused(img, orig *oat.Image) (int64, error) {
+	tracer := obs.New()
+	rc := &RuleContext{ctx: context.Background(), img: img, orig: orig, roots: DefaultRoots(), spec: DefaultRuleSpec(), tracer: tracer}
+	if _, err := rc.Analysis(); err != nil {
+		return 0, err
+	}
+	return tracer.Snapshot().Counters["analysis.methods_reused"], nil
 }

@@ -3,6 +3,7 @@ package oat
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/a64"
@@ -179,6 +180,55 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(img, back) {
 		t.Fatal("image did not round trip")
+	}
+}
+
+// TestMarshalRefusesUnencodableFields: every table field is written as a
+// uint32, so Marshal must refuse a value outside that range (a negative
+// PC-relative target, as a backward bl's would be, used to come back from
+// Unmarshal as 0xfffffcd0) and name the record and its method.
+func TestMarshalRefusesUnencodableFields(t *testing.T) {
+	const big = 1 << 32
+	for _, c := range []struct {
+		name string
+		edit func(img *Image)
+		want string
+	}{
+		{"negative pcrel target", func(img *Image) {
+			img.Methods[2].Meta.PCRel = append(img.Methods[2].Meta.PCRel, a64.Reloc{InstOff: 4, TargetOff: -0x330})
+		}, "m2 PC-relative record"},
+		{"pcrel instruction", func(img *Image) {
+			img.Methods[2].Meta.PCRel = append([]a64.Reloc{{InstOff: big, TargetOff: 0}}, img.Methods[2].Meta.PCRel...)
+		}, "m2 PC-relative record 0 "},
+		{"terminator", func(img *Image) { img.Methods[4].Meta.Terminators = append(img.Methods[4].Meta.Terminators, -4) }, "m4 terminator"},
+		{"embedded data", func(img *Image) {
+			img.Methods[1].Meta.EmbeddedData = append(img.Methods[1].Meta.EmbeddedData, a64.Range{Start: 8, End: big})
+		}, "m1 embedded-data range"},
+		{"slow path", func(img *Image) {
+			img.Methods[1].Meta.Slowpaths = append(img.Methods[1].Meta.Slowpaths, a64.Range{Start: -8, End: 0})
+		}, "m1 slow-path range"},
+		{"stack map", func(img *Image) {
+			img.Methods[3].StackMap = append(img.Methods[3].StackMap, codegen.StackMapEntry{NativeOff: -4})
+		}, "m3 stack-map entry"},
+		{"method record", func(img *Image) { img.Methods[5].Offset = big }, "m5 record"},
+		{"thunk record", func(img *Image) { img.Thunks[1].Size = -4 }, "thunk record 1"},
+		{"outlined record", func(img *Image) { img.Outlined[0].Offset = big + 4 }, "outlined function record 0"},
+	} {
+		img, err := Link(buildMethods(t, true), []Blob{{
+			Sym:  codegen.PackSym(codegen.SymKindOutlined, 0),
+			Code: []uint32{a64.MustEncode(a64.Inst{Op: a64.OpBr, Rn: a64.LR})},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := img.Marshal(); err != nil {
+			t.Fatalf("%s: clean image refused: %v", c.name, err)
+		}
+		c.edit(img)
+		data, err := img.Marshal()
+		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "uint32") {
+			t.Errorf("%s: Marshal = (%d bytes, %v), want an error naming %q", c.name, len(data), err, c.want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package oat
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/a64"
@@ -43,7 +44,9 @@ var sectionNames = []string{"", ".text", ".oat.tables", ".shstrtab"}
 
 // Marshal serializes the image to the on-disk ELF format. The whole file
 // is one exact-size buffer filled with direct little-endian appends, so
-// the allocation count does not grow with the image.
+// the allocation count does not grow with the image. An image whose
+// tables hold a value their encoding cannot carry is refused
+// (unencodable).
 func (img *Image) Marshal() ([]byte, error) {
 	// String table: \0 then each name \0.
 	shstr := []byte{0}
@@ -83,7 +86,10 @@ func (img *Image) Marshal() ([]byte, error) {
 	for _, w := range img.Text {
 		buf = le.AppendUint32(buf, w)
 	}
-	buf = img.appendTables(buf)
+	buf, fits := img.appendTables(buf)
+	if !fits {
+		return nil, img.unencodable()
+	}
 	buf = append(buf, shstr...)
 	for uint64(len(buf)) < shOff {
 		buf = append(buf, 0)
@@ -203,10 +209,81 @@ func (img *Image) tablesSize() int {
 	return 4 * words
 }
 
-// appendTables appends the encoded Android-specific content to buf.
-func (img *Image) appendTables(buf []byte) []byte {
+// unencodable describes the first table value the .oat.tables encoding
+// cannot carry; Marshal calls it once appendTables has found one. Record
+// offsets and sizes, PC-relative records, terminators, ranges and
+// stack-map offsets are written as uint32, so a negative or larger value
+// would come back from Unmarshal as a different one. The error names the
+// record and the method that holds it.
+func (img *Image) unencodable() error {
+	for _, t := range [...]struct {
+		what string
+		recs []FuncRecord
+	}{{"thunk", img.Thunks}, {"outlined function", img.Outlined}} {
+		for i, f := range t.recs {
+			if !fitsU32(f.Offset) || !fitsU32(f.Size) {
+				return fmt.Errorf("oat: %s record %d (%s) at %d, size %d: %w",
+					t.what, i, codegen.SymName(f.Sym), f.Offset, f.Size, errUnencodable)
+			}
+		}
+	}
+	for i := range img.Methods {
+		m := &img.Methods[i]
+		if !fitsU32(m.Offset) || !fitsU32(m.Size) {
+			return fmt.Errorf("oat: m%d record at %d, size %d: %w", m.ID, m.Offset, m.Size, errUnencodable)
+		}
+		for j, r := range m.Meta.PCRel {
+			if !fitsU32(r.InstOff) || !fitsU32(r.TargetOff) {
+				return fmt.Errorf("oat: m%d PC-relative record %d (instruction %d, target %d): %w",
+					m.ID, j, r.InstOff, r.TargetOff, errUnencodable)
+			}
+		}
+		for j, t := range m.Meta.Terminators {
+			if !fitsU32(t) {
+				return fmt.Errorf("oat: m%d terminator %d (%d): %w", m.ID, j, t, errUnencodable)
+			}
+		}
+		if err := checkRanges(m, "embedded-data range", m.Meta.EmbeddedData); err != nil {
+			return err
+		}
+		if err := checkRanges(m, "slow-path range", m.Meta.Slowpaths); err != nil {
+			return err
+		}
+		for j, e := range m.StackMap {
+			if !fitsU32(e.NativeOff) {
+				return fmt.Errorf("oat: m%d stack-map entry %d (offset %d): %w", m.ID, j, e.NativeOff, errUnencodable)
+			}
+		}
+	}
+	return fmt.Errorf("oat: a table field %w", errUnencodable)
+}
+
+// checkRanges is unencodable for one of m's range lists.
+func checkRanges(m *MethodRecord, what string, ranges []a64.Range) error {
+	for j, r := range ranges {
+		if !fitsU32(r.Start) || !fitsU32(r.End) {
+			return fmt.Errorf("oat: m%d %s %d [%d,%d): %w", m.ID, what, j, r.Start, r.End, errUnencodable)
+		}
+	}
+	return nil
+}
+
+var errUnencodable = errors.New("does not fit its uint32 encoding")
+
+// fitsU32 reports whether v is in [0, 2^32): a negative int converts to a
+// uint64 with its high bits set.
+func fitsU32(v int) bool { return uint64(v)>>32 == 0 }
+
+// appendTables appends the encoded Android-specific content to buf, and
+// reports whether every int field fit its uint32 encoding.
+func (img *Image) appendTables(buf []byte) ([]byte, bool) {
 	le := binary.LittleEndian
 	u32 := func(v uint32) { buf = le.AppendUint32(buf, v) }
+	var high uint64 // the bits above the low 32 of every int field, ORed
+	field := func(v int) {
+		high |= uint64(v) >> 32
+		buf = le.AppendUint32(buf, uint32(v))
+	}
 	u32(Magic)
 	u32(uint32(len(img.Methods)))
 	u32(uint32(len(img.Thunks)))
@@ -214,21 +291,21 @@ func (img *Image) appendTables(buf []byte) []byte {
 	for _, fs := range [][]FuncRecord{img.Thunks, img.Outlined} {
 		for _, f := range fs {
 			buf = le.AppendUint64(buf, uint64(f.Sym))
-			u32(uint32(f.Offset))
-			u32(uint32(f.Size))
+			field(f.Offset)
+			field(f.Size)
 		}
 	}
 	writeRanges := func(rs []a64.Range) {
 		u32(uint32(len(rs)))
 		for _, r := range rs {
-			u32(uint32(r.Start))
-			u32(uint32(r.End))
+			field(r.Start)
+			field(r.End)
 		}
 	}
 	for _, m := range img.Methods {
 		u32(uint32(m.ID))
-		u32(uint32(m.Offset))
-		u32(uint32(m.Size))
+		field(m.Offset)
+		field(m.Size)
 		flags := uint32(0)
 		if m.Meta.HasIndirectJump {
 			flags |= 1
@@ -239,23 +316,23 @@ func (img *Image) appendTables(buf []byte) []byte {
 		u32(flags)
 		u32(uint32(len(m.Meta.PCRel)))
 		for _, r := range m.Meta.PCRel {
-			u32(uint32(r.InstOff))
-			u32(uint32(r.TargetOff))
+			field(r.InstOff)
+			field(r.TargetOff)
 		}
 		u32(uint32(len(m.Meta.Terminators)))
 		for _, t := range m.Meta.Terminators {
-			u32(uint32(t))
+			field(t)
 		}
 		writeRanges(m.Meta.EmbeddedData)
 		writeRanges(m.Meta.Slowpaths)
 		u32(uint32(len(m.StackMap)))
 		for _, s := range m.StackMap {
-			u32(uint32(s.NativeOff))
+			field(s.NativeOff)
 			u32(uint32(s.DexPC))
 			u32(s.Live)
 		}
 	}
-	return buf
+	return buf, high == 0
 }
 
 // decodeTables parses the Android-specific content into img.

@@ -52,9 +52,11 @@ func Analyze(methods []*codegen.CompiledMethod, respectBoundaries bool) *Analysi
 		}
 		group[i] = i
 	}
-	// context.TODO never cancels, and cancellation is buildSequence's only
-	// error.
-	seq, pos, _ := buildSequence(context.TODO(), units, group, Options{}, &Stats{})
+	// The study counts repeats of two or more words; buildSequence prunes
+	// to what such a repeat can cover. context.TODO never cancels, and
+	// cancellation is buildSequence's only error.
+	const minLength = 2
+	seq, pos, _ := buildSequence(context.TODO(), units, group, Options{MinLength: minLength}, &Stats{})
 
 	a := &Analysis{
 		TotalWords:          totalWords(methods),
@@ -65,7 +67,7 @@ func Analyze(methods []*codegen.CompiledMethod, respectBoundaries bool) *Analysi
 		return a
 	}
 	tree := suffixtree.Build(seq)
-	repeats := tree.Repeats(2, 2)
+	repeats := tree.Repeats(minLength, 2)
 	for _, r := range repeats {
 		a.RepeatFamilies[r.Length]++
 		a.OccurrencesByLength[r.Length] += int64(r.Count)

@@ -122,6 +122,8 @@ type Stats struct {
 	ExcludedNative   int
 	HotFiltered      int // hot methods reduced to their slow paths
 
+	// SequenceSymbols counts the symbols the detector was given: the
+	// sequence after pruning to the positions a repeat can cover.
 	SequenceSymbols     int
 	OutlinedFunctions   int
 	OutlinedOccurrences int

@@ -119,6 +119,8 @@ func usesLR(i a64.Inst) bool {
 
 // symbolizer interns instruction words into dense symbols and mints unique
 // separator symbols from the same counter, so the two can never collide.
+// It also records, per symbol, whether the symbol has been seen more than
+// once: a separator never has, and a word has once interned a second time.
 //
 // The dictionary is an open-addressing (linear probing) table of
 // (word, symbol+1) pairs, symbol+1 == 0 marking an empty slot, so every
@@ -129,7 +131,8 @@ type symbolizer struct {
 	slots []symSlot
 	shift uint // 32 - log2(len(slots)), for Fibonacci hashing
 	used  int
-	next  uint32
+	// repeated is indexed by symbol, so its length is the next symbol.
+	repeated []bool
 }
 
 type symSlot struct {
@@ -141,8 +144,14 @@ type symSlot struct {
 // words before the first growth.
 const symbolizerLogSize = 10
 
-func newSymbolizer() *symbolizer {
-	return &symbolizer{slots: make([]symSlot, 1<<symbolizerLogSize), shift: 32 - symbolizerLogSize}
+// newSymbolizer returns an empty symbolizer with room for symbols symbols
+// before its per-symbol record grows.
+func newSymbolizer(symbols int) *symbolizer {
+	return &symbolizer{
+		slots:    make([]symSlot, 1<<symbolizerLogSize),
+		shift:    32 - symbolizerLogSize,
+		repeated: make([]bool, 0, symbols),
+	}
 }
 
 // symHome is w's first probe slot in a table of 2^(32-shift) slots.
@@ -153,8 +162,8 @@ func (s *symbolizer) word(w uint32) uint32 {
 	for i := symHome(w, s.shift); ; i = (i + 1) & mask {
 		sl := &s.slots[i]
 		if sl.id1 == 0 {
-			id := s.next
-			s.next++
+			id := uint32(len(s.repeated))
+			s.repeated = append(s.repeated, false)
 			sl.word, sl.id1 = w, id+1
 			if s.used++; 2*s.used > len(s.slots) {
 				s.grow()
@@ -162,6 +171,7 @@ func (s *symbolizer) word(w uint32) uint32 {
 			return id
 		}
 		if sl.word == w {
+			s.repeated[sl.id1-1] = true
 			return sl.id1 - 1
 		}
 	}
@@ -185,25 +195,27 @@ func (s *symbolizer) grow() {
 	}
 }
 
+// separator mints a fresh symbol, seen once so far.
 func (s *symbolizer) separator() uint32 {
-	id := s.next
-	s.next++
+	id := uint32(len(s.repeated))
+	s.repeated = append(s.repeated, false)
 	return id
 }
 
-// buildSequence symbolizes a group of units into one sequence. The
-// per-unit mask scans (metadata walks plus a decode of every word) are
-// independent and fan out on the worker pool; the symbol interning that
-// follows is inherently sequential — symbol identity depends on
-// first-seen order — and stays a serial walk in group order, so the
-// sequence is identical for every worker count.
+// buildSequence symbolizes a group of units into one sequence and prunes
+// it to what can repeat (pruneUnrepeatable). The per-unit mask scans
+// (metadata walks plus a decode of every word) are independent and fan
+// out on the worker pool; the symbol interning that follows is inherently
+// sequential — symbol identity depends on first-seen order — and stays a
+// serial walk in group order, so the sequence is identical for every
+// worker count.
 //
-// The two phases are timed into st (SepScan, Symbolize) rather than
-// traced as spans: this pool is nested inside a group task that already
-// owns a worker lane, and spans from a nested pool would interleave with
-// the outer tasks on the same lanes. The per-group instant event carries
-// these durations instead. A cancelled scan returns ctx.Err() and no
-// sequence.
+// The two phases are timed into st (SepScan, Symbolize, the pruning
+// included) rather than traced as spans: this pool is nested inside a
+// group task that already owns a worker lane, and spans from a nested
+// pool would interleave with the outer tasks on the same lanes. The
+// per-group instant event carries these durations instead. A cancelled
+// scan returns ctx.Err() and no sequence.
 func buildSequence(ctx context.Context, units []Sequence, group []int, opts Options, st *Stats) ([]uint32, []position, error) {
 	t0 := time.Now()
 	seps, err := par.MapCtx(ctx, opts.Workers, len(group), func(i int) ([]bool, error) {
@@ -221,7 +233,7 @@ func buildSequence(ctx context.Context, units []Sequence, group []int, opts Opti
 	for _, mi := range group {
 		total += len(units[mi].Words())
 	}
-	sym := newSymbolizer()
+	sym := newSymbolizer(total)
 	seq := make([]uint32, 0, total)
 	pos := make([]position, 0, total)
 	for gi, mi := range group {
@@ -239,7 +251,46 @@ func buildSequence(ctx context.Context, units []Sequence, group []int, opts Opti
 		seq = append(seq, sym.separator())
 		pos = append(pos, position{method: -1})
 	}
+	if pruneSequences {
+		seq, pos = pruneUnrepeatable(seq, pos, sym.repeated, max(opts.MinLength, 1))
+	}
 	return seq, pos, nil
+}
+
+// pruneSequences is cleared only by tests, which detect over the full
+// sequence as the reference the pruned one must match.
+var pruneSequences = true
+
+// pruneUnrepeatable compacts seq and pos in place to the positions a
+// repeat of at least minLen symbols can cover, plus one terminator per
+// kept run. A symbol seen once (every separator, and a word that occurs
+// once) cannot be part of any repeat, so the symbols seen more than once
+// form maximal runs between such unique symbols, and every occurrence of
+// every repeat lies inside one run. A run shorter than minLen holds no
+// repeat long enough to report and is dropped with the unique symbol
+// after it. A kept run keeps that symbol as its terminator: no two
+// suffixes can match across it, so every suffix comparison stops where it
+// stopped in the full sequence, and the repeats, their counts, their
+// occurrences mapped back through pos, and the detectors' relative
+// ordinals are those of the full sequence (the suffix array's ordinal,
+// first occurrence × 1000 + length, keeps its order while repeats are
+// shorter than 1000 symbols). Symbols are not renumbered, which keeps
+// every comparison's outcome. seq must end in a unique symbol, as
+// buildSequence's closing unit boundary does.
+func pruneUnrepeatable(seq []uint32, pos []position, repeated []bool, minLen int) ([]uint32, []position) {
+	n, run := 0, 0 // run is where the current run starts in the output
+	for i, s := range seq {
+		seq[n], pos[n] = s, pos[i]
+		n++
+		if !repeated[s] {
+			// s ends the run seq[run:n-1]: keep both, or drop both.
+			if n-1-run < minLen {
+				n = run
+			}
+			run = n
+		}
+	}
+	return seq[:n], pos[:n]
 }
 
 // repeatCand is one detected repeat, detector-agnostic.
@@ -299,6 +350,19 @@ func wordsAt(units []Sequence, pos []position, start, length int) []uint32 {
 	return words
 }
 
+// rankCandidates sorts repeats by potential benefit, longest first among
+// ties, the detector's ordinal as the deterministic tie-break. The ordinal
+// is unique per candidate, so this is a total order and the ranking cannot
+// depend on the sort algorithm.
+func rankCandidates(repeats []repeatCand) {
+	slices.SortFunc(repeats, func(a, b repeatCand) int {
+		return cmp.Or(
+			cmp.Compare(suffixtree.Benefit(b.length, b.count), suffixtree.Benefit(a.length, a.count)),
+			cmp.Compare(b.length, a.length),
+			cmp.Compare(a.ord, b.ord))
+	})
+}
+
 // outlineGroup runs detection and selection over one unit group and
 // returns the functions to create (with their chosen occurrences). It is
 // the one route for every DetectShards value: detectShards returns the
@@ -311,16 +375,7 @@ func outlineGroup(ctx context.Context, units []Sequence, group []int, opts Optio
 		return nil, st, err
 	}
 	t1 := time.Now()
-	// Rank by potential benefit, longest first among ties, the detector's
-	// ordinal as the deterministic tie-break.
-	// The ordinal is unique per candidate, so this is a total order and
-	// the ranking cannot depend on the sort algorithm.
-	slices.SortFunc(repeats, func(a, b repeatCand) int {
-		return cmp.Or(
-			cmp.Compare(suffixtree.Benefit(b.length, b.count), suffixtree.Benefit(a.length, a.count)),
-			cmp.Compare(b.length, a.length),
-			cmp.Compare(a.ord, b.ord))
-	})
+	rankCandidates(repeats)
 
 	taken := make([]bool, len(pos))
 	var funcs []outlinedFunc

@@ -6,26 +6,31 @@ import (
 )
 
 // mapSymbolizer is the reference interning the flat table must match: a
-// Go map from word to symbol, with separators from the same counter.
+// Go map from word to symbol, with separators from the same counter, and
+// a count of every symbol's uses.
 type mapSymbolizer struct {
-	dict map[uint32]uint32
-	next uint32
+	dict  map[uint32]uint32
+	next  uint32
+	count map[uint32]int
 }
 
 func (s *mapSymbolizer) word(w uint32) uint32 {
-	if id, ok := s.dict[w]; ok {
-		return id
+	id, ok := s.dict[w]
+	if !ok {
+		id = s.next
+		s.dict[w] = id
+		s.next++
 	}
-	s.dict[w] = s.next
-	s.next++
-	return s.next - 1
+	s.count[id]++
+	return id
 }
 
 // TestSymbolizerMatchesMap feeds the same streams of words and separators
 // to the flat table and to the map reference and requires identical
-// symbols: the extreme words 0 and 0xFFFFFFFF, words that share a home
-// slot (so they probe past each other), and more distinct words than the
-// initial table holds (so it grows mid-stream).
+// symbols and the same record of which symbols were seen more than once:
+// the extreme words 0 and 0xFFFFFFFF, words that share a home slot (so
+// they probe past each other), and more distinct words than the initial
+// table holds (so it grows mid-stream).
 func TestSymbolizerMatchesMap(t *testing.T) {
 	// Words colliding on one home slot of the initial table.
 	var colliding []uint32
@@ -47,7 +52,7 @@ func TestSymbolizerMatchesMap(t *testing.T) {
 		{"colliding", append(append(append([]uint32(nil), colliding...), colliding...), 0)},
 		{"growth", append(many, many[:500]...)},
 	} {
-		got, want := newSymbolizer(), &mapSymbolizer{dict: map[uint32]uint32{}}
+		got, want := newSymbolizer(0), &mapSymbolizer{dict: map[uint32]uint32{}, count: map[uint32]int{}}
 		for i, w := range c.words {
 			if i%7 == 3 {
 				gs, ws := got.separator(), want.next
@@ -58,6 +63,14 @@ func TestSymbolizerMatchesMap(t *testing.T) {
 			}
 			if g, m := got.word(w), want.word(w); g != m {
 				t.Fatalf("%s: word %d (%#x) = %d, want %d", c.name, i, w, g, m)
+			}
+		}
+		if len(got.repeated) != int(want.next) {
+			t.Fatalf("%s: %d symbols recorded, want %d", c.name, len(got.repeated), want.next)
+		}
+		for id, rep := range got.repeated {
+			if rep != (want.count[uint32(id)] > 1) {
+				t.Fatalf("%s: symbol %d repeated = %v, used %d times", c.name, id, rep, want.count[uint32(id)])
 			}
 		}
 		if c.name == "growth" && len(got.slots) <= 1<<symbolizerLogSize {

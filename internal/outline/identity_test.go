@@ -25,13 +25,12 @@ func TestDetectorByteIdentityPin(t *testing.T) {
 		cfg  core.Config
 		name string
 	}
-	plShard := core.CTOLTBOPl(4)
-	plShard.DetectShards = 2
-	plShard.Rounds = 2
-	plShard.DedupFunctions = true
+	plRounds := core.CTOLTBOPl(4)
+	plRounds.Rounds = 2
+	plRounds.DedupFunctions = true
 	cases := []pinCase{
 		{"Wechat", core.CTOLTBO(), "wechat-ltbo"},
-		{"Wechat", plShard, "wechat-plopti4-shards2-rounds2-dedup"},
+		{"Wechat", plRounds, "wechat-plopti4-rounds2-dedup"},
 		{"Taobao", core.CTOLTBOPl(8), "taobao-plopti8"},
 	}
 

@@ -27,21 +27,17 @@ func imageBytes(t *testing.T, seed int64, methods int, opts Options) []byte {
 	return data
 }
 
-// TestDetectShardsPin pins the images the outliner produces at one, two
-// and four detection shards, under both detection backends and two
-// rounds. The digests were generated from the outliner that still had a
-// separate sharded selection, so the single detect-and-select path is
-// held to its bytes at every shard count.
+// TestDetectShardsPin pins the images the outliner produces over two
+// rounds on three generated apps. The digests were generated from the
+// outliner that still had a separate sharded selection and a second
+// detection backend, so the one detect-and-select path is held to the
+// bytes it has always produced.
 // Regenerate (deliberately) with `go test ./internal/outline -update`.
 func TestDetectShardsPin(t *testing.T) {
 	var sb strings.Builder
 	for _, seed := range []int64{1, 7, 99} {
-		for _, detector := range []DetectorKind{DetectorSuffixTree, DetectorSuffixArray} {
-			for _, shards := range []int{1, 2, 4} {
-				data := imageBytes(t, seed, 120, Options{Detector: detector, Rounds: 2, DetectShards: shards})
-				fmt.Fprintf(&sb, "seed=%d detector=%d shards=%d %x\n", seed, detector, shards, sha256.Sum256(data))
-			}
-		}
+		data := imageBytes(t, seed, 120, Options{Rounds: 2})
+		fmt.Fprintf(&sb, "seed=%d %x\n", seed, sha256.Sum256(data))
 	}
 	checkGolden(t, "shards.golden", sb.String())
 }

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/emu"
-	"repro/internal/outline"
 	"repro/internal/report"
 )
 
@@ -164,34 +163,6 @@ func BenchmarkAblationTreeCount(b *testing.B) {
 			t.AddRow(fmt.Sprint(k),
 				report.Reduction(base, res.TextBytes()),
 				res.Outline.TreeBuild.Round(100_000).String(), res.Outline.Detect.Round(100_000).String())
-		}
-		if i == 0 {
-			fmt.Println(t)
-		}
-	}
-}
-
-// BenchmarkAblationDetector compares the repeat-detection backends: the
-// paper's suffix tree vs a suffix array. Both find identical repeat
-// families (tested in internal/outline); the trade-off is construction
-// time vs memory — the resource the paper's global tree exhausts.
-func BenchmarkAblationDetector(b *testing.B) {
-	ab := ablationApp(b)
-	base := build(b, ab, "baseline").TextBytes()
-	for i := 0; i < b.N; i++ {
-		t := &report.Table{
-			Title:  "\nAblation: detection backend (suffix tree vs suffix array, global scope)",
-			Header: []string{"backend", "reduction", "build", "detect"},
-		}
-		for _, d := range []struct {
-			name string
-			kind outline.DetectorKind
-		}{{"suffix tree", outline.DetectorSuffixTree}, {"suffix array", outline.DetectorSuffixArray}} {
-			res := sweep(b, ab, func(c *core.Config) { c.Detector = d.kind })
-			t.AddRow(d.name,
-				report.Reduction(base, res.TextBytes()),
-				res.Outline.TreeBuild.Round(100_000).String(),
-				res.Outline.Detect.Round(100_000).String())
 		}
 		if i == 0 {
 			fmt.Println(t)

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	calibro -app Wechat [-scale 0.25] [-config baseline|cto|ltbo|plopti|hfopti]
-//	        [-trees 8] [-shards 1] [-j N] [-runs 20] [-measure] [-o out.oat]
+//	        [-trees 8] [-j N] [-runs 20] [-measure] [-o out.oat]
 //	        [-trace t.json] [-metrics m.json] [-stats] [-pprof cpu.out|mem.out]
 //	        [-cache] [-cache-dir DIR] [-remote-cache URL]
 //	calibro -debloat app.oat [-roots 0,1,2] [-reoutline] [-o smaller.oat]
@@ -93,7 +93,6 @@ func run(args []string, out io.Writer) error {
 		scale   = fs.Float64("scale", 0.25, "app scale factor (1.0 = full reproduction scale)")
 		config  = fs.String("config", "plopti", "baseline | cto | ltbo | plopti | hfopti")
 		trees   = fs.Int("trees", 8, "parallel suffix trees for plopti/hfopti")
-		shards  = fs.Int("shards", 1, "detection shards per tree; 1 = exact global structure, N>=2 parallelizes detection (Table 6 tradeoff)")
 		workers = fs.Int("j", 0, "build worker goroutines; 0 = all CPUs (output is identical for every value)")
 		rounds  = fs.Int("rounds", 1, "outlining rounds")
 		dedup   = fs.Bool("dedup", false, "merge identical outlined functions across trees")
@@ -119,6 +118,9 @@ func run(args []string, out io.Writer) error {
 			return nil
 		}
 		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	if *trees < 0 || *rounds < 0 || *runs < 0 || *scale < 0 {
+		return errors.New("-trees, -rounds, -runs and -scale must not be negative")
 	}
 
 	var cc *cache.Cache
@@ -160,7 +162,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	cfg.Rounds = *rounds
-	cfg.DetectShards = *shards
 	cfg.DedupFunctions = *dedup
 	cfg.Workers = *workers
 	cfg.Tracer = tracer

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -29,6 +30,26 @@ func TestRunUnknownConfig(t *testing.T) {
 	err := run([]string{"-app", "Taobao", "-scale", "0.05", "-config", "turbo"}, &buf)
 	if err == nil || !strings.Contains(err.Error(), `unknown config "turbo"`) {
 		t.Fatalf("err = %v, want unknown config", err)
+	}
+}
+
+// TestRunRefusesNegativeCounts: a negative tree count, round count, run
+// count or scale ends in an error before anything is built, not in a
+// panic, an empty outline or a full-scale app.
+func TestRunRefusesNegativeCounts(t *testing.T) {
+	for _, flagName := range []string{"-trees", "-rounds", "-runs", "-scale"} {
+		err := run([]string{"-app", "Taobao", "-scale", "0.02", flagName, "-1"}, &strings.Builder{})
+		if err == nil || !strings.Contains(err.Error(), "must not be negative") {
+			t.Errorf("%s -1: err = %v, want a negative-value refusal", flagName, err)
+		}
+	}
+}
+
+// TestRunShardsUnknown: the removed -shards knob is an unknown flag.
+func TestRunShardsUnknown(t *testing.T) {
+	err := run([]string{"-app", "Taobao", "-shards", "2"}, &strings.Builder{})
+	if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "-shards") {
+		t.Errorf("err = %v, want a usage error naming -shards", err)
 	}
 }
 

@@ -56,7 +56,7 @@ func usage(errOut io.Writer) {
 	fmt.Fprintln(errOut, `usage: calibroctl [-addr host:port | -fleet a:p,b:p,...] <command> [flags]
 
 commands:
-  submit   -app NAME | -dex FILE  [-config C] [-scale F] [-trees N] [-shards N]
+  submit   -app NAME | -dex FILE  [-config C] [-scale F] [-trees N]
            [-rounds N] [-dedup] [-j N] [-runs N] [-verify] [-lint] [-timeout d]
            [-version N] [-delta F]
            -kind debloat|reoutline -oat FILE  [-roots 0,1,2] rewrites an
@@ -179,7 +179,6 @@ func (c *client) submit(args []string) error {
 		config  = fs.String("config", "plopti", "ladder config: baseline|cto|ltbo|plopti|hfopti")
 		scale   = fs.Float64("scale", 0, "app scale; 0 = server default")
 		trees   = fs.Int("trees", 0, "parallel suffix trees; 0 = server default")
-		shards  = fs.Int("shards", 0, "detection shards per tree; 0/1 = exact global structure")
 		rounds  = fs.Int("rounds", 0, "outlining rounds; 0 = default")
 		dedup   = fs.Bool("dedup", false, "merge identical outlined functions")
 		workers = fs.Int("j", 0, "per-build worker goroutines; 0 = server default")
@@ -234,9 +233,6 @@ func (c *client) submit(args []string) error {
 	}
 	if *trees > 0 {
 		req["trees"] = *trees
-	}
-	if *shards > 1 {
-		req["shards"] = *shards
 	}
 	if *rounds > 0 {
 		req["rounds"] = *rounds

@@ -55,6 +55,15 @@ func TestSubmitBadRoots(t *testing.T) {
 	}
 }
 
+// TestSubmitShardsUnknown: the removed -shards knob is an unknown flag,
+// refused before any request is sent.
+func TestSubmitShardsUnknown(t *testing.T) {
+	code, out, errOut := runCtl("-addr", "127.0.0.1:1", "submit", "-app", "Taobao", "-shards", "2")
+	if code != 2 || !strings.Contains(errOut, "flag provided but not defined: -shards") || out != "" {
+		t.Errorf("exit %d, stdout %q, stderr %q; want 2 and an unknown -shards flag", code, out, errOut)
+	}
+}
+
 // TestJobOperandAddress: an ID@ADDR operand goes to the daemon it names,
 // not to -addr, with the bare ID in the path.
 func TestJobOperandAddress(t *testing.T) {

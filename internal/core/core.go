@@ -34,11 +34,8 @@ type Config struct {
 	// ParallelTrees is the number of partitioned suffix trees (PlOpti);
 	// values <= 1 build one global tree.
 	ParallelTrees int
-	// DetectShards splits each tree's sequence construction and repeat
-	// detection into N parallel shards whose candidates merge into one
-	// global selection (outline.Options.DetectShards) — the Table 6
-	// global-vs-parallel tradeoff as a tunable. <= 1 keeps the exact
-	// global structure per tree.
+	// Deprecated: DetectShards is ignored; each tree is detected as a
+	// whole.
 	DetectShards int
 	// HotFilter, together with Profile, excludes the hottest functions
 	// from outlining (HfOpti).
@@ -56,8 +53,8 @@ type Config struct {
 	// merges identical outlined bodies across trees and rounds.
 	Rounds         int
 	DedupFunctions bool
-	// Detector selects the repeat-detection backend (suffix tree by
-	// default; outline.DetectorSuffixArray for the low-memory variant).
+	// Deprecated: Detector is ignored; repeats are always detected with
+	// one suffix tree per group.
 	Detector outline.DetectorKind
 	// VerifyImage runs the static image verifier (internal/analysis) on
 	// the linked image and fails the build on any warning or error. It is
@@ -205,10 +202,8 @@ func BuildCtx(ctx context.Context, app *dex.App, cfg Config) (*Result, error) {
 			MinLength:      cfg.MinLength,
 			MinBenefit:     cfg.MinBenefit,
 			Parallel:       cfg.ParallelTrees,
-			DetectShards:   cfg.DetectShards,
 			Rounds:         cfg.Rounds,
 			DedupFunctions: cfg.DedupFunctions,
-			Detector:       cfg.Detector,
 			Workers:        cfg.Workers,
 			Tracer:         cfg.Tracer,
 		}

@@ -52,22 +52,19 @@ func Analyze(methods []*codegen.CompiledMethod, respectBoundaries bool) *Analysi
 		}
 		group[i] = i
 	}
-	// The study counts repeats of two or more words; buildSequence prunes
-	// to what such a repeat can cover. context.TODO never cancels, and
-	// cancellation is buildSequence's only error.
-	const minLength = 2
-	seq, pos, _ := buildSequence(context.TODO(), units, group, Options{MinLength: minLength}, &Stats{})
+	// The study counts repeats of two or more words, over the outliner's
+	// detection route. context.TODO never cancels, and cancellation is
+	// detectGroup's only error.
+	pos, tree, repeats, _ := detectGroup(context.TODO(), units, group, Options{MinLength: 2}, &Stats{})
 
 	a := &Analysis{
 		TotalWords:          totalWords(methods),
 		RepeatFamilies:      map[int]int{},
 		OccurrencesByLength: map[int]int64{},
 	}
-	if len(seq) == 0 {
+	if tree == nil {
 		return a
 	}
-	tree := suffixtree.Build(seq)
-	repeats := tree.Repeats(minLength, 2)
 	for _, r := range repeats {
 		a.RepeatFamilies[r.Length]++
 		a.OccurrencesByLength[r.Length] += int64(r.Count)
@@ -78,18 +75,8 @@ func Analyze(methods []*codegen.CompiledMethod, respectBoundaries bool) *Analysi
 	// a family's occurrences taken before testing whether the family
 	// clears the benefit bar, so a rejected family still blocks later
 	// ones; DESIGN.md records what that costs the Table 1 estimate.
-	sort.Slice(repeats, func(i, j int) bool {
-		bi := suffixtree.Benefit(repeats[i].Length, repeats[i].Count)
-		bj := suffixtree.Benefit(repeats[j].Length, repeats[j].Count)
-		if bi != bj {
-			return bi > bj
-		}
-		if repeats[i].Length != repeats[j].Length {
-			return repeats[i].Length > repeats[j].Length
-		}
-		return repeats[i].Node < repeats[j].Node
-	})
-	taken := make([]bool, len(seq))
+	rankCandidates(repeats)
+	taken := make([]bool, len(pos))
 	for _, rep := range repeats {
 		if suffixtree.Benefit(rep.Length, rep.Count) < 1 {
 			break

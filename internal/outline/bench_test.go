@@ -44,7 +44,7 @@ func BenchmarkDetect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st = Stats{}
-		if _, _, err := detectShards(context.Background(), units, group, opts, &st); err != nil {
+		if _, _, _, err := detectGroup(context.Background(), units, group, opts, &st); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,9 +19,9 @@ func (c countingSeq) Mask() []bool {
 	return c.Sequence.Mask()
 }
 
-// TestNestedPoolsCancel covers the pools that run nested inside a group
-// task: the separator scan (buildSequence) and the shard fan-out of
-// outlineGroup, at one and at four shards. On an already-cancelled context
+// TestNestedPoolsCancel covers the pool that runs nested inside a group
+// task: the separator scan, called directly (buildSequence) and through
+// the group's detection (outlineGroup). On an already-cancelled context
 // both must return context.Canceled, no partial result, and start no
 // scan, at the serial and the parallel pool width alike.
 func TestNestedPoolsCancel(t *testing.T) {
@@ -55,13 +55,10 @@ func TestNestedPoolsCancel(t *testing.T) {
 			t.Errorf("workers=%d: buildSequence = (%d symbols, %d positions, %v), want (nil, nil, context.Canceled)",
 				workers, len(seq), len(pos), err)
 		}
-		for _, shards := range []int{1, 4} {
-			opts.DetectShards = shards
-			funcs, _, err := outlineGroup(ctx, units, group, opts)
-			if !errors.Is(err, context.Canceled) || funcs != nil {
-				t.Errorf("workers=%d shards=%d: outlineGroup = (%d functions, %v), want (nil, context.Canceled)",
-					workers, shards, len(funcs), err)
-			}
+		funcs, _, err := outlineGroup(ctx, units, group, opts)
+		if !errors.Is(err, context.Canceled) || funcs != nil {
+			t.Errorf("workers=%d: outlineGroup = (%d functions, %v), want (nil, context.Canceled)",
+				workers, len(funcs), err)
 		}
 	}
 	if got := scans.Load(); got != 0 {

@@ -52,22 +52,11 @@ type Options struct {
 	// re-outliner passes codegen.SymKindReoutlined so the provenance of
 	// every outlined body survives in the image's symbol table.
 	SymKind int
-	// Detector selects the repeat-detection backend. The default suffix
-	// tree matches the paper; the suffix-array backend finds the identical
-	// repeat families with a far smaller memory footprint (the resource
-	// the paper's global tree exhausts at production scale).
+	// Deprecated: Detector is ignored; repeats are always detected with
+	// one suffix tree per group.
 	Detector DetectorKind
-	// DetectShards splits each group's sequence construction and repeat
-	// detection into N shards that fan out on the worker pool, merging the
-	// per-shard candidate sets by content before the group's one
-	// selection. This is the paper's global-structure-vs-parallel-detection
-	// tradeoff (Table 6) as a tunable: <= 1 builds the exact global
-	// structure per group; N >= 2 trades a little detection power — a
-	// repeat whose occurrences all land in different shards is invisible —
-	// for a parallel detection stage.
-	// Orthogonal to Parallel, which partitions what is *selected over*;
-	// DetectShards only partitions what is *detected over*, selection
-	// stays global within the group.
+	// Deprecated: DetectShards is ignored; each group is detected as a
+	// whole.
 	DetectShards int
 	// Workers bounds the goroutines the outliner uses for the group
 	// fan-out, the per-method separator scans, and the per-method
@@ -83,14 +72,9 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
-// DetectorKind selects a repeat-detection backend.
+// Deprecated: DetectorKind is ignored; it typed the removed Options.Detector
+// backend choice.
 type DetectorKind int
-
-// Detection backends.
-const (
-	DetectorSuffixTree DetectorKind = iota
-	DetectorSuffixArray
-)
 
 func (o Options) withDefaults() Options {
 	if o.MinLength == 0 {
@@ -104,9 +88,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Rounds == 0 {
 		o.Rounds = 1
-	}
-	if o.DetectShards == 0 {
-		o.DetectShards = 1
 	}
 	if o.SymKind == 0 {
 		o.SymKind = codegen.SymKindOutlined
@@ -163,14 +144,17 @@ func (s *Stats) Counters() map[string]int64 {
 // functions as linker blobs. Methods' Code, Meta, StackMap, and Ext are
 // rewritten; the caller links with oat.Link(methods, blobs).
 //
-// Cancellation is cooperative: the group fan-out, sharded detection, the
-// separator scan and the per-method rewrite pool check ctx before every
-// task, and the round loop checks it between rounds, so a cancelled or
-// deadline-expired context stops outlining promptly and returns
-// ctx.Err().
+// Cancellation is cooperative: the group fan-out, the separator scan and
+// the per-method rewrite pool check ctx before every task, and the round
+// loop checks it between rounds, so a cancelled or deadline-expired
+// context stops outlining promptly and returns ctx.Err(). A negative
+// Parallel or Rounds is refused before any work.
 func RunCtx(ctx context.Context, methods []*codegen.CompiledMethod, opts Options) ([]oat.Blob, *Stats, error) {
-	opts = opts.withDefaults()
 	total := &Stats{}
+	if opts.Parallel < 0 || opts.Rounds < 0 {
+		return nil, total, fmt.Errorf("outline: Parallel (%d) and Rounds (%d) must not be negative", opts.Parallel, opts.Rounds)
+	}
+	opts = opts.withDefaults()
 	var blobs []oat.Blob
 	for round := 0; round < opts.Rounds; round++ {
 		created, stats, err := runPass(ctx, methods, opts, len(blobs))
@@ -257,9 +241,9 @@ func accumulate(total, pass *Stats) {
 	total.Rewrite += pass.Rewrite
 }
 
-// foldSlowest folds the stats of one of several concurrent tasks (groups
-// or shards) into st: symbol counts add, and each phase keeps the slowest
-// task's time, since the tasks overlap on the pool.
+// foldSlowest folds the stats of one of several concurrent groups into st:
+// symbol counts add, and each phase keeps the slowest group's time, since
+// the groups overlap on the pool.
 func (st *Stats) foldSlowest(task *Stats) {
 	st.SequenceSymbols += task.SequenceSymbols
 	st.SepScan = max(st.SepScan, task.SepScan)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -453,36 +454,22 @@ func TestDedupFunctionsAcrossTrees(t *testing.T) {
 	}
 }
 
-func TestDetectorBackendsAgree(t *testing.T) {
-	// The suffix tree and suffix array expose the same repeat families, so
-	// the outliner must achieve identical savings with either backend (the
-	// functions may differ in order/identity).
-	app, man := genApp(t, 151, 70)
-	mTree := compile(t, app, true)
-	_, sTree, err := RunCtx(context.Background(), mTree, Options{Detector: DetectorSuffixTree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mArr := compile(t, app, true)
-	blobs, sArr, err := RunVerifiedCtx(context.Background(), mArr, Options{Detector: DetectorSuffixArray})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sArr.OutlinedOccurrences == 0 {
-		t.Fatal("array backend outlined nothing")
-	}
-	// Allow a tiny wobble from tie-breaking differences among
-	// equal-benefit overlapping candidates.
-	d := sTree.NetWordsSaved() - sArr.NetWordsSaved()
-	if d < 0 {
-		d = -d
-	}
-	if d*100 > sTree.NetWordsSaved() {
-		t.Errorf("backends disagree: tree saves %d, array saves %d",
-			sTree.NetWordsSaved(), sArr.NetWordsSaved())
-	}
-	img := link(t, mArr, blobs)
-	for _, entry := range man.Drivers {
-		diff(t, app, img, entry, []int64{9, 2})
+// TestRunRefusesNegativeCounts: a negative tree count or round count is
+// refused with an error and leaves the methods untouched, rather than
+// panicking on a negative group count or outlining nothing.
+func TestRunRefusesNegativeCounts(t *testing.T) {
+	app, _ := genApp(t, 5, 40)
+	want := compile(t, app, true)
+	for _, opts := range []Options{{Parallel: -1}, {Rounds: -1}, {Parallel: -2, Rounds: 2}} {
+		cms := compile(t, app, true)
+		blobs, _, err := RunVerifiedCtx(context.Background(), cms, opts)
+		if err == nil || blobs != nil {
+			t.Errorf("%+v: %d blobs, err %v; want a refusal", opts, len(blobs), err)
+		}
+		for i, cm := range cms {
+			if !slices.Equal(cm.Code, want[i].Code) {
+				t.Fatalf("%+v: method %d rewritten by a refused run", opts, i)
+			}
+		}
 	}
 }

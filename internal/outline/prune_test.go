@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/suffixtree"
 	"repro/internal/workload"
 )
 
@@ -33,48 +34,48 @@ func (c rankedCand) String() string {
 }
 
 // detection is what selection reads from one detection pass: the
-// candidates in rank order, the same in ordinal order, and the number of
+// candidates in rank order, the same in tree-node order, and the number of
 // symbols the detector was given.
 type detection struct {
-	ranked, byOrd []rankedCand
-	symbols       int
+	ranked, byNode []rankedCand
+	symbols        int
 }
 
-// detect runs outlineGroup's detection route (detectShards, then the
+// detect runs outlineGroup's detection route (detectGroup, then the
 // ranking) over the full or the pruned sequence.
 func detect(t *testing.T, units []Sequence, group []int, opts Options, prune bool) detection {
 	t.Helper()
 	pruneSequences = prune
 	defer func() { pruneSequences = true }()
 	var st Stats
-	pos, cands, err := detectShards(context.Background(), units, group, opts.withDefaults(), &st)
+	pos, tree, reps, err := detectGroup(context.Background(), units, group, opts.withDefaults(), &st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped := func(c repeatCand) rankedCand {
-		occs := c.occurrences()
+	mapped := func(r suffixtree.Repeat) rankedCand {
+		occs := tree.Occurrences(r.Node)
 		slices.Sort(occs)
-		rc := rankedCand{Length: c.length, Count: c.count}
+		rc := rankedCand{Length: r.Length, Count: r.Count}
 		for _, o := range occs {
 			rc.Occurrences = append(rc.Occurrences, pos[o])
 		}
 		return rc
 	}
 	d := detection{symbols: st.SequenceSymbols}
-	rankCandidates(cands)
-	for _, c := range cands {
-		d.ranked = append(d.ranked, mapped(c))
+	rankCandidates(reps)
+	for _, r := range reps {
+		d.ranked = append(d.ranked, mapped(r))
 	}
-	slices.SortFunc(cands, func(a, b repeatCand) int { return cmp.Compare(a.ord, b.ord) })
-	for _, c := range cands {
-		d.byOrd = append(d.byOrd, mapped(c))
+	slices.SortFunc(reps, func(a, b suffixtree.Repeat) int { return cmp.Compare(a.Node, b.Node) })
+	for _, r := range reps {
+		d.byNode = append(d.byNode, mapped(r))
 	}
 	return d
 }
 
 // samePruned requires detection over the pruned sequence to report
 // exactly what detection over the full sequence reports, in the same rank
-// and ordinal order, and returns the two symbol counts.
+// and node order, and returns the two symbol counts.
 func samePruned(t *testing.T, name string, units []Sequence, group []int, opts Options) (full, pruned int) {
 	t.Helper()
 	want := detect(t, units, group, opts, false)
@@ -82,7 +83,7 @@ func samePruned(t *testing.T, name string, units []Sequence, group []int, opts O
 	for _, c := range []struct {
 		what      string
 		got, want []rankedCand
-	}{{"ranked", got.ranked, want.ranked}, {"ordinal", got.byOrd, want.byOrd}} {
+	}{{"ranked", got.ranked, want.ranked}, {"node", got.byNode, want.byNode}} {
 		if !reflect.DeepEqual(c.got, c.want) {
 			for i := range min(len(c.got), len(c.want)) {
 				if !reflect.DeepEqual(c.got[i], c.want[i]) {
@@ -138,10 +139,9 @@ func randomUnits(r *rand.Rand, minLen int) []Sequence {
 // TestPrunedDetectionMatchesFull holds the sequence pruning to its claim:
 // over random sequences (small alphabets, runs at and just under the
 // minimum length, words seen once and exactly twice) at minimum lengths 1
-// to 5, one to three detection shards, and both backends, detection over
-// the pruned sequence reports the candidates of the full sequence: the
+// to 5, detection over the pruned sequence reports the candidates of the full sequence: the
 // same lengths, counts and occurrences mapped back to unit positions, in
-// the same rank and ordinal order.
+// the same rank and node order.
 func TestPrunedDetectionMatchesFull(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	var full, pruned int
@@ -152,14 +152,10 @@ func TestPrunedDetectionMatchesFull(t *testing.T) {
 			for i := range group {
 				group[i] = i
 			}
-			for _, detector := range []DetectorKind{DetectorSuffixTree, DetectorSuffixArray} {
-				for shards := 1; shards <= 3; shards++ {
-					name := fmt.Sprintf("trial %d minLen %d detector %d shards %d", trial, minLen, detector, shards)
-					f, p := samePruned(t, name, units, group, Options{MinLength: minLen, Detector: detector, DetectShards: shards})
-					full += f
-					pruned += p
-				}
-			}
+			name := fmt.Sprintf("trial %d minLen %d", trial, minLen)
+			f, p := samePruned(t, name, units, group, Options{MinLength: minLen})
+			full += f
+			pruned += p
 		}
 	}
 	if pruned >= full {
@@ -189,14 +185,9 @@ func TestPrunedLadderMatchesFull(t *testing.T) {
 				group = append(group, i)
 			}
 		}
-		for _, detector := range []DetectorKind{DetectorSuffixTree, DetectorSuffixArray} {
-			for shards := 1; shards <= 3; shards++ {
-				name := fmt.Sprintf("%s detector %d shards %d", prof.Name, detector, shards)
-				full, pruned := samePruned(t, name, units, group, Options{Detector: detector, DetectShards: shards})
-				if pruned >= full {
-					t.Errorf("%s: pruning kept %d of %d symbols", name, pruned, full)
-				}
-			}
+		full, pruned := samePruned(t, prof.Name, units, group, Options{})
+		if pruned >= full {
+			t.Errorf("%s: pruning kept %d of %d symbols", prof.Name, pruned, full)
 		}
 		for _, bounded := range []bool{false, true} {
 			got := Analyze(cms, bounded)

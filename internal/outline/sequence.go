@@ -9,7 +9,6 @@ import (
 	"repro/internal/a64"
 	"repro/internal/codegen"
 	"repro/internal/par"
-	"repro/internal/suffixarray"
 	"repro/internal/suffixtree"
 )
 
@@ -214,8 +213,9 @@ func (s *symbolizer) separator() uint32 {
 // included) rather than traced as spans: this pool is nested inside a
 // group task that already owns a worker lane, and spans from a nested
 // pool would interleave with the outer tasks on the same lanes. The
-// per-group instant event carries these durations instead. A cancelled
-// scan returns ctx.Err() and no sequence.
+// per-group instant event carries these durations instead, and
+// st.SequenceSymbols the pruned length. A cancelled scan returns
+// ctx.Err() and no sequence.
 func buildSequence(ctx context.Context, units []Sequence, group []int, opts Options, st *Stats) ([]uint32, []position, error) {
 	t0 := time.Now()
 	seps, err := par.MapCtx(ctx, opts.Workers, len(group), func(i int) ([]bool, error) {
@@ -254,6 +254,7 @@ func buildSequence(ctx context.Context, units []Sequence, group []int, opts Opti
 	if pruneSequences {
 		seq, pos = pruneUnrepeatable(seq, pos, sym.repeated, max(opts.MinLength, 1))
 	}
+	st.SequenceSymbols = len(seq)
 	return seq, pos, nil
 }
 
@@ -271,12 +272,10 @@ var pruneSequences = true
 // after it. A kept run keeps that symbol as its terminator: no two
 // suffixes can match across it, so every suffix comparison stops where it
 // stopped in the full sequence, and the repeats, their counts, their
-// occurrences mapped back through pos, and the detectors' relative
-// ordinals are those of the full sequence (the suffix array's ordinal,
-// first occurrence × 1000 + length, keeps its order while repeats are
-// shorter than 1000 symbols). Symbols are not renumbered, which keeps
-// every comparison's outcome. seq must end in a unique symbol, as
-// buildSequence's closing unit boundary does.
+// occurrences mapped back through pos, and the relative order of the
+// tree's repeat nodes are those of the full sequence. Symbols are not
+// renumbered, which keeps every comparison's outcome. seq must end in a
+// unique symbol, as buildSequence's closing unit boundary does.
 func pruneUnrepeatable(seq []uint32, pos []position, repeated []bool, minLen int) ([]uint32, []position) {
 	n, run := 0, 0 // run is where the current run starts in the output
 	for i, s := range seq {
@@ -293,49 +292,23 @@ func pruneUnrepeatable(seq []uint32, pos []position, repeated []bool, minLen int
 	return seq[:n], pos[:n]
 }
 
-// repeatCand is one detected repeat, detector-agnostic.
-type repeatCand struct {
-	length, count int
-	ord           int          // deterministic tie-break ordinal
-	first         int          // one occurrence start, cheap and deterministic
-	occurrences   func() []int // start positions in the sequence
-}
-
-// detectRepeats runs the configured detection backend.
-func detectRepeats(seq []uint32, opts Options, st *Stats) []repeatCand {
-	var cands []repeatCand
-	switch opts.Detector {
-	case DetectorSuffixArray:
-		t0 := time.Now()
-		arr := suffixarray.Build(seq)
-		st.TreeBuild = time.Since(t0)
-		t1 := time.Now()
-		for _, rep := range arr.Repeats(opts.MinLength, 2) {
-			rep := rep
-			cands = append(cands, repeatCand{
-				length: rep.Length, count: rep.Count,
-				ord:         rep.Occurrences()[0]*1000 + rep.Length,
-				first:       rep.First(),
-				occurrences: rep.Occurrences,
-			})
-		}
-		st.Detect = time.Since(t1)
-	default: // DetectorSuffixTree
-		t0 := time.Now()
-		tree := suffixtree.Build(seq)
-		st.TreeBuild = time.Since(t0)
-		t1 := time.Now()
-		for _, rep := range tree.Repeats(opts.MinLength, 2) {
-			rep := rep
-			cands = append(cands, repeatCand{
-				length: rep.Length, count: rep.Count, ord: rep.Node,
-				first:       tree.FirstOccurrence(rep.Node),
-				occurrences: func() []int { return tree.Occurrences(rep.Node) },
-			})
-		}
-		st.Detect = time.Since(t1)
+// detectGroup is the one detection route (§3.3.2): it symbolizes one
+// group (buildSequence), builds the suffix tree over the sequence, and
+// enumerates the tree's repeats of at least opts.MinLength symbols that
+// occur at least twice. It returns the position map with them; the tree is
+// nil, and there are no repeats, when nothing in the group can repeat.
+func detectGroup(ctx context.Context, units []Sequence, group []int, opts Options, st *Stats) ([]position, *suffixtree.Tree, []suffixtree.Repeat, error) {
+	seq, pos, err := buildSequence(ctx, units, group, opts, st)
+	if err != nil || len(seq) == 0 {
+		return pos, nil, nil, err
 	}
-	return cands
+	t0 := time.Now()
+	tree := suffixtree.Build(seq)
+	st.TreeBuild = time.Since(t0)
+	t1 := time.Now()
+	repeats := tree.Repeats(opts.MinLength, 2)
+	st.Detect = time.Since(t1)
+	return pos, tree, repeats, nil
 }
 
 // wordsAt reads length instruction words starting at sequence position
@@ -351,26 +324,24 @@ func wordsAt(units []Sequence, pos []position, start, length int) []uint32 {
 }
 
 // rankCandidates sorts repeats by potential benefit, longest first among
-// ties, the detector's ordinal as the deterministic tie-break. The ordinal
-// is unique per candidate, so this is a total order and the ranking cannot
-// depend on the sort algorithm.
-func rankCandidates(repeats []repeatCand) {
-	slices.SortFunc(repeats, func(a, b repeatCand) int {
+// ties, the tree node as the deterministic tie-break. The node is unique
+// per repeat, so this is a total order and the ranking cannot depend on
+// the sort algorithm.
+func rankCandidates(repeats []suffixtree.Repeat) {
+	slices.SortFunc(repeats, func(a, b suffixtree.Repeat) int {
 		return cmp.Or(
-			cmp.Compare(suffixtree.Benefit(b.length, b.count), suffixtree.Benefit(a.length, a.count)),
-			cmp.Compare(b.length, a.length),
-			cmp.Compare(a.ord, b.ord))
+			cmp.Compare(suffixtree.Benefit(b.Length, b.Count), suffixtree.Benefit(a.Length, a.Count)),
+			cmp.Compare(b.Length, a.Length),
+			cmp.Compare(a.Node, b.Node))
 	})
 }
 
 // outlineGroup runs detection and selection over one unit group and
-// returns the functions to create (with their chosen occurrences). It is
-// the one route for every DetectShards value: detectShards returns the
-// candidates in one sequence coordinate, and a single greedy selection
-// runs over it. With one shard that is the paper's global structure.
+// returns the functions to create (with their chosen occurrences): one
+// suffix tree per group, and one greedy selection over its repeats.
 func outlineGroup(ctx context.Context, units []Sequence, group []int, opts Options) ([]outlinedFunc, Stats, error) {
 	var st Stats
-	pos, repeats, err := detectShards(ctx, units, group, opts, &st)
+	pos, tree, repeats, err := detectGroup(ctx, units, group, opts, &st)
 	if err != nil {
 		return nil, st, err
 	}
@@ -381,10 +352,10 @@ func outlineGroup(ctx context.Context, units []Sequence, group []int, opts Optio
 	var funcs []outlinedFunc
 	var chosen []int // reused across repeats
 	for _, rep := range repeats {
-		if suffixtree.Benefit(rep.length, rep.count) < opts.MinBenefit {
+		if suffixtree.Benefit(rep.Length, rep.Count) < opts.MinBenefit {
 			break // sorted by benefit: nothing below can qualify either
 		}
-		occs := rep.occurrences()
+		occs := tree.Occurrences(rep.Node)
 		slices.Sort(occs)
 		chosen = chosen[:0]
 		lastEnd := -1
@@ -393,7 +364,7 @@ func outlineGroup(ctx context.Context, units []Sequence, group []int, opts Optio
 				continue // overlaps previous occurrence of this repeat
 			}
 			free := true
-			for p := o; p < o+rep.length; p++ {
+			for p := o; p < o+rep.Length; p++ {
 				if taken[p] {
 					free = false
 					break
@@ -403,17 +374,17 @@ func outlineGroup(ctx context.Context, units []Sequence, group []int, opts Optio
 				continue
 			}
 			chosen = append(chosen, o)
-			lastEnd = o + rep.length
+			lastEnd = o + rep.Length
 		}
-		if len(chosen) < 2 || suffixtree.Benefit(rep.length, len(chosen)) < opts.MinBenefit {
+		if len(chosen) < 2 || suffixtree.Benefit(rep.Length, len(chosen)) < opts.MinBenefit {
 			continue
 		}
 		f := outlinedFunc{
-			words:       wordsAt(units, pos, chosen[0], rep.length),
+			words:       wordsAt(units, pos, chosen[0], rep.Length),
 			occurrences: make([]occurrence, 0, len(chosen)),
 		}
 		for _, o := range chosen {
-			for p := o; p < o+rep.length; p++ {
+			for p := o; p < o+rep.Length; p++ {
 				taken[p] = true
 			}
 			f.occurrences = append(f.occurrences, occurrence{

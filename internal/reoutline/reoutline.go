@@ -10,7 +10,7 @@
 //     metadata and stack maps remapped through the expansion. Methods the
 //     mask — or a defensive check during lifting — freezes are carried
 //     through byte-for-byte.
-//  2. Detect. The shared outline detector (trees, shards, rounds, dedup —
+//  2. Detect. The shared outline detector (trees, rounds, dedup —
 //     the exact link-time machine) runs over the lifted bodies and
 //     rewrites them, minting SymKindReoutlined functions so dumps and
 //     lint rules can tell post-hoc outlining from link-time outlining.
@@ -46,13 +46,11 @@ import (
 )
 
 // Config tunes the pass. The zero value runs a single global suffix tree
-// with the link-time detector's default thresholds and backend (§3.3).
+// with the link-time detector's default thresholds (§3.3).
 type Config struct {
 	// ParallelTrees partitions the lifted methods into K independent
 	// suffix trees (PlOpti); <= 1 builds one global tree.
 	ParallelTrees int
-	// DetectShards shards detection inside each tree.
-	DetectShards int
 	// Rounds repeats the outlining cycle; DedupFunctions merges identical
 	// re-outlined bodies across trees and rounds.
 	Rounds         int
@@ -175,7 +173,6 @@ func RunCtx(ctx context.Context, img *oat.Image, cfg Config) (*oat.Image, *Stats
 	}
 	blobs, ost, err := outline.RunVerifiedCtx(ctx, compact, outline.Options{
 		Parallel:       cfg.ParallelTrees,
-		DetectShards:   cfg.DetectShards,
 		Rounds:         cfg.Rounds,
 		DedupFunctions: cfg.DedupFunctions,
 		Workers:        cfg.Workers,

@@ -48,6 +48,7 @@ func TestFleetKeySchema(t *testing.T) {
 		"trees":   func(r *JobRequest) { r.Trees = 4 },
 		"rounds":  func(r *JobRequest) { r.Rounds = 2 },
 		"dedup":   func(r *JobRequest) { r.Dedup = true },
+		"runs":    func(r *JobRequest) { r.Runs = 5 },
 	} {
 		other := base
 		mut(&other)

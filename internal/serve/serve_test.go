@@ -229,6 +229,11 @@ func TestSubmitValidation(t *testing.T) {
 		{"both inputs", JobRequest{App: "Taobao", Dex: []byte("x"), Config: "plopti"}},
 		{"unknown app", JobRequest{App: "NotAnApp", Config: "plopti"}},
 		{"unknown config", JobRequest{App: "Taobao", Config: "turbo"}},
+		{"negative trees", JobRequest{App: "Taobao", Config: "plopti", Trees: -1}},
+		{"negative rounds", JobRequest{App: "Taobao", Config: "ltbo", Rounds: -1}},
+		{"negative runs", JobRequest{App: "Taobao", Config: "hfopti", Runs: -1}},
+		{"negative scale", JobRequest{App: "Taobao", Config: "plopti", Scale: -1}},
+		{"reoutline negative trees", JobRequest{Kind: KindReoutline, Oat: []byte("x"), Trees: -1}},
 	}
 	for _, tc := range cases {
 		resp, st := postJob(t, ts, tc.req)
@@ -253,6 +258,7 @@ func TestSubmitBodyStrict(t *testing.T) {
 		{"trailing whitespace", "{\"app\":\"Taobao\"}\n\t ", http.StatusAccepted},
 		{"misspelled field", `{"app":"Taobao","confg":"ltbo"}`, http.StatusBadRequest},
 		{"unknown field", `{"app":"Taobao","bogus":1}`, http.StatusBadRequest},
+		{"removed shards field", `{"app":"Taobao","shards":2}`, http.StatusBadRequest},
 		{"second object", `{"app":"Taobao"} {"app":"Taobao"}`, http.StatusBadRequest},
 		{"trailing garbage", `{"app":"Taobao"}x`, http.StatusBadRequest},
 		{"trailing bracket", `{"app":"Taobao"}]`, http.StatusBadRequest},

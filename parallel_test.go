@@ -60,7 +60,7 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestConcurrentBuildsShareScratch runs several full builds at once, each
-// with a wide worker pool, sharded detection, and a live tracer. The
+// with a wide worker pool and a live tracer. The
 // compile and cache-hashing hot paths hand out scratch buffers from
 // package-level sync.Pools, so concurrent builds recycle each other's
 // buffers — this test is the race-detector surface for that sharing (and
@@ -72,7 +72,6 @@ func TestConcurrentBuildsShareScratch(t *testing.T) {
 
 	ref := CTOLTBOPl(8)
 	ref.Workers = 1
-	ref.DetectShards = 4
 	refRes, err := Build(app, ref)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +91,6 @@ func TestConcurrentBuildsShareScratch(t *testing.T) {
 			defer wg.Done()
 			cfg := CTOLTBOPl(8)
 			cfg.Workers = 8
-			cfg.DetectShards = 4
 			cfg.VerifyImage = true
 			cfg.Tracer = NewTracer()
 			res, err := Build(app, cfg)

@@ -41,7 +41,8 @@ func TestOneSpellingPerOperation(t *testing.T) {
 
 // TestDocsNameOnlyWhatExists keeps the user-facing documents honest about
 // the tree: every `make <target>` they cite is a Makefile target, every
-// cmd/<name> is a command directory, every BENCH_*.json archive is in
+// cmd/<name> is a command directory, every internal/<pkg> path names a
+// package directory, every BENCH_*.json archive is in
 // the repository, and so is every .go, .md, .txt, .golden, .json or .sh
 // file a code span names. CHANGES.md and ROADMAP.md are history and may name
 // what has since been deleted.
@@ -57,6 +58,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	var (
 		makeRE  = regexp.MustCompile("(?m)(?:^|`)make ([a-z][a-z0-9-]*)")
 		cmdRE   = regexp.MustCompile(`\bcmd/([a-z][a-z0-9]*)`)
+		pkgRE   = regexp.MustCompile(`\binternal((?:/[a-z][a-z0-9_]*)+)(\.[a-z])?`)
 		benchRE = regexp.MustCompile(`\bBENCH_[A-Za-z0-9_]+\.json`)
 		codeRE  = regexp.MustCompile("`[^`\n]+`")
 		fileRE  = regexp.MustCompile(`\.(go|md|txt|golden|json|sh)$`)
@@ -79,6 +81,17 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		for _, m := range cmdRE.FindAllStringSubmatch(text, -1) {
 			if !exists(filepath.Join("cmd", m[1])) {
 				t.Errorf("%s cites cmd/%s, which does not exist", doc, m[1])
+			}
+		}
+		// A package path, e.g. internal/outline, is a directory; a file
+		// path such as internal/outline/sequence.go names its directory.
+		for _, m := range pkgRE.FindAllStringSubmatch(text, -1) {
+			dir := "internal" + m[1]
+			if m[2] != "" {
+				dir = filepath.Dir(dir)
+			}
+			if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+				t.Errorf("%s cites %s, which is not a package directory", doc, dir)
 			}
 		}
 		for _, name := range benchRE.FindAllString(text, -1) {

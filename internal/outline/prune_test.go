@@ -139,9 +139,9 @@ func randomUnits(r *rand.Rand, minLen int) []Sequence {
 // TestPrunedDetectionMatchesFull holds the sequence pruning to its claim:
 // over random sequences (small alphabets, runs at and just under the
 // minimum length, words seen once and exactly twice) at minimum lengths 1
-// to 5, detection over the pruned sequence reports the candidates of the full sequence: the
-// same lengths, counts and occurrences mapped back to unit positions, in
-// the same rank and node order.
+// to 5, detection over the pruned sequence reports the candidates of the
+// full sequence: the same lengths, counts and occurrences mapped back to
+// unit positions, in the same rank and node order.
 func TestPrunedDetectionMatchesFull(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	var full, pruned int

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var updatePaperTables = flag.Bool("update", false, "rewrite testdata/paper_tables.golden")
+var updateGoldens = flag.Bool("update", false, "rewrite the goldens under testdata")
 
 // paperTableScale is the app scale the golden pins, whatever
 // CALIBRO_SCALE says: small enough to keep `go test` quick, large enough
@@ -68,7 +68,7 @@ func TestPaperTables(t *testing.T) {
 	}
 
 	path := filepath.Join("testdata", "paper_tables.golden")
-	if *updatePaperTables {
+	if *updateGoldens {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

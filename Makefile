@@ -80,9 +80,10 @@ bench:
 # TestPaperTables keeps running. The suffix-tree construction benchmark
 # runs once per size, the image-only analysis, debloat and post-hoc
 # re-outlining benchmarks once per ladder app, and the cache-key,
-# image-marshal, dex-load and repeat-detection kernels once each, so they
-# keep compiling. Archived measurements come from layerbench
-# (`bash layerbench/run.sh`), not from these runs.
+# image-marshal, dex-load, repeat-detection and IR-optimizer
+# (BenchmarkOptimize) kernels once each, so they keep compiling. Archived
+# measurements come from layerbench (`bash layerbench/run.sh`), not from
+# these runs.
 bench-smoke:
 	$(GO) test -short -run xxx -bench 'BenchmarkCompileWorkers|BenchmarkCompileScalingSmoke|BenchmarkBuildTraced|BenchmarkBuildColdVsWarm' -benchtime 1x . >/dev/null
 	$(GO) test -short -run xxx -bench 'Ablation|Table6_|Figure' -benchtime 1x . >/dev/null
@@ -92,6 +93,7 @@ bench-smoke:
 	$(GO) test -run xxx -bench BenchmarkMarshal -benchtime 1x -benchmem ./internal/oat >/dev/null
 	$(GO) test -run xxx -bench BenchmarkLoad -benchtime 1x -benchmem ./internal/workload >/dev/null
 	$(GO) test -short -run xxx -bench BenchmarkDetect -benchtime 1x -benchmem ./internal/outline >/dev/null
+	$(GO) test -short -run xxx -bench BenchmarkOptimize -benchtime 1x -benchmem ./internal/hgraph >/dev/null
 	$(GO) test -short -run xxx -bench BenchmarkReoutline -benchtime 1x ./internal/reoutline >/dev/null
 
 # serve-smoke boots calibrod on a random port, drives one job end to end

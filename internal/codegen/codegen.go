@@ -135,12 +135,15 @@ func compileMethod(m *dex.Method, opts Options) (*CompiledMethod, error) {
 	if err != nil {
 		return nil, err
 	}
+	var lv *hgraph.Liveness
 	if opts.Optimize {
-		hgraph.Optimize(g)
+		lv = hgraph.Optimize(g)
+	} else {
+		lv = hgraph.ComputeLiveness(g)
 	}
 	e := emitterPool.Get().(*emitter)
 	e.reset(m, g, opts)
-	cm, err := e.emit()
+	cm, err := e.emit(lv)
 	e.m, e.g = nil, nil // don't pin the graph while pooled
 	emitterPool.Put(e)
 	return cm, err

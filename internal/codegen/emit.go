@@ -102,8 +102,8 @@ func allocated(vr uint8) (a64.Reg, bool) {
 // spillOff returns the frame offset of a spilled vreg slot.
 func spillOff(vr uint8) int64 { return spillBase + 8*int64(vr-numAllocRegs) }
 
-// emit generates the complete method.
-func (e *emitter) emit() (*CompiledMethod, error) {
+// emit generates the complete method; lv is the graph's liveness.
+func (e *emitter) emit(lv *hgraph.Liveness) (*CompiledMethod, error) {
 	spills := e.m.NumRegs - numAllocRegs
 	if spills < 0 {
 		spills = 0
@@ -120,7 +120,7 @@ func (e *emitter) emit() (*CompiledMethod, error) {
 	e.npeLabel = e.asm.NewLabel()
 	e.boundsLabel = e.asm.NewLabel()
 
-	liveMasks := hgraph.LiveAfterMasks(e.g)
+	liveMasks := hgraph.LiveAfterMasks(e.g, lv)
 	e.prologue()
 	for bi, b := range e.g.Blocks {
 		e.asm.Bind(e.blockLabels[b.ID])

@@ -178,11 +178,14 @@ func naturalLoops(g *Graph, idom []int) []loopInfo {
 //     (hoisting must not clobber a value the first iteration reads);
 //   - its block dominates every loop exit (a value computed on a partial
 //     iteration must not escape) and every in-loop use of the destination.
-func hoistInvariants(g *Graph) bool {
+//
+// lv is the graph's liveness. Loops that hoist nothing leave the graph
+// alone, so every loop up to the first hoist reads the same lv.
+func hoistInvariants(g *Graph, lv *Liveness) bool {
 	idom := Dominators(g)
 	loops := naturalLoops(g, idom)
 	for _, lp := range loops {
-		if g.hoistLoop(lp, idom) {
+		if g.hoistLoop(lp, idom, lv) {
 			// CFG shape changed (new preheader); let the caller re-run the
 			// pipeline so dominators and loop sets are fresh.
 			return true
@@ -192,8 +195,16 @@ func hoistInvariants(g *Graph) bool {
 }
 
 // hoistLoop hoists what it can out of one loop; returns whether anything
-// moved.
-func (g *Graph) hoistLoop(lp loopInfo, idom []int) bool {
+// moved. lv is the graph's liveness on entry, and every round reads it.
+// The one liveness fact canHoist asks is whether a candidate's
+// destination d is live into the header, and a register's liveness
+// depends only on the CFG and the instructions that define or read it.
+// Removing a hoisted instruction changes neither for d: the CFG stays
+// as it is until the preheader is made; the removed instruction defines
+// a register now marked hoisted, which d is not; and it reads only
+// registers the loop never defines or that are marked hoisted, while d is
+// defined in the loop and not marked.
+func (g *Graph) hoistLoop(lp loopInfo, idom []int, lv *Liveness) bool {
 	// Definition counts per register inside the loop; a dense stack array
 	// beats a map here (registers are uint8 and the loop runs per method).
 	var defCount [256]int32
@@ -224,7 +235,6 @@ func (g *Graph) hoistLoop(lp loopInfo, idom []int) bool {
 	var hoistedInsns []Insn
 	for again := true; again; {
 		again = false
-		lv := ComputeLiveness(g)
 		// The hoisted set is frozen for the round so that instructions
 		// hoisted together never depend on one another; dependence chains
 		// hoist over successive rounds, which also puts them in dependence

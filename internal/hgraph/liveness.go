@@ -28,7 +28,7 @@ type Liveness struct {
 // ComputeLiveness runs the standard backward dataflow over the graph.
 func ComputeLiveness(g *Graph) *Liveness {
 	// One backing array serves all four per-block set slices; the dataflow
-	// runs once per DCE round per method, so the allocation count matters.
+	// runs several times per method, so the allocation count matters.
 	nb := len(g.Blocks)
 	sets := make([]regSet, 4*nb)
 	lv := &Liveness{
@@ -80,10 +80,10 @@ func ComputeLiveness(g *Graph) *Liveness {
 
 // LiveAfterMasks returns, for every block, the registers live immediately
 // after each instruction as 32-bit masks (virtual registers above v31 are
-// not represented; the modeled methods use at most 12). The code generator
-// records these in stack map entries (§3.5).
-func LiveAfterMasks(g *Graph) [][]uint32 {
-	lv := ComputeLiveness(g)
+// not represented; the modeled methods use at most 12). lv must be the
+// graph's liveness, as Optimize or ComputeLiveness returns it. The code
+// generator records these in stack map entries (§3.5).
+func LiveAfterMasks(g *Graph, lv *Liveness) [][]uint32 {
 	out := make([][]uint32, len(g.Blocks))
 	backing := make([]uint32, g.NumInsns())
 	for _, b := range g.Blocks {

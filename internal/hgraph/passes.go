@@ -8,32 +8,115 @@ import (
 )
 
 // Optimize runs the per-function optimization pipeline the way dex2oat's
-// HGraph phase does when every code-size optimization is enabled: local
-// constant folding and propagation, copy propagation, local value numbering
-// (common subexpression elimination), dead code elimination, unreachable
-// code elimination, and return merging. The pipeline iterates until a pass
-// stops making progress, bounded to a fixed number of rounds.
-func Optimize(g *Graph) {
+// HGraph phase does when every code-size optimization is enabled. Each
+// round runs six passes in order: constant folding and propagation with
+// copy propagation, local value numbering and branch folding; dead code
+// elimination; unreachable-block removal; block coalescing; loop-invariant
+// code motion; and return merging. Rounds repeat until one round in which
+// no pass reports a change, and stop after four rounds regardless.
+//
+// A pass is skipped, and counts as reporting no change, while the graph
+// is exactly as it was when that pass last ran and altered nothing: a
+// pass is a function of the graph alone, so it would do nothing again.
+// Liveness is computed once per graph state and shared by the passes
+// that read it. Optimize returns the liveness of the optimized graph,
+// which LiveAfterMasks takes so the code generator need not recompute it.
+func Optimize(g *Graph) *Liveness {
+	return optimize(g, nil)
+}
+
+// The passes, in the order every round runs them.
+const (
+	passFold = iota
+	passDCE
+	passUnreachable
+	passCoalesce
+	passLICM
+	passMergeReturns
+	numPasses
+)
+
+// optimizer is Optimize's state: a version number for the graph and the
+// liveness of one version.
+type optimizer struct {
+	g *Graph
+	// gen names the graph's current state; every pass that alters the
+	// graph, whether or not it reports the change, moves it on.
+	gen   int
+	lv    *Liveness
+	lvGen int // the state lv describes; 0 when there is none
+}
+
+// liveness returns the liveness of the current graph, computing it only
+// when the graph has changed since the last computation.
+func (o *optimizer) liveness() *Liveness {
+	if o.lvGen != o.gen {
+		o.lv, o.lvGen = ComputeLiveness(o.g), o.gen
+	}
+	return o.lv
+}
+
+// run runs pass p once. It returns whether the pass reports a change,
+// which drives the round loop, and whether it altered the graph at all,
+// which decides what may be skipped: fold's copy propagation rewrites
+// operands without reporting it.
+func (o *optimizer) run(p int) (reported, altered bool) {
+	switch p {
+	case passFold:
+		return foldAndPropagate(o.g)
+	case passDCE:
+		reported = eliminateDeadCode(o.g, o.liveness())
+	case passUnreachable:
+		reported = removeUnreachable(o.g)
+	case passCoalesce:
+		reported = coalesceBlocks(o.g)
+	case passLICM:
+		reported = hoistInvariants(o.g, o.liveness())
+	case passMergeReturns:
+		reported = mergeReturns(o.g)
+	}
+	return reported, reported
+}
+
+// optimize is Optimize; when ran is non-nil it counts each pass's runs.
+func optimize(g *Graph, ran *[numPasses]int) *Liveness {
+	o := optimizer{g: g, gen: 1}
+	// cleanAt[p] is the state in which pass p last ran and altered
+	// nothing; 0 when it has not run or its last run altered the graph.
+	var cleanAt [numPasses]int
 	for round := 0; round < 4; round++ {
 		changed := false
-		changed = foldAndPropagate(g) || changed
-		changed = eliminateDeadCode(g) || changed
-		changed = removeUnreachable(g) || changed
-		changed = coalesceBlocks(g) || changed
-		changed = hoistInvariants(g) || changed
-		changed = mergeReturns(g) || changed
+		for p := 0; p < numPasses; p++ {
+			if cleanAt[p] == o.gen {
+				continue
+			}
+			if ran != nil {
+				ran[p]++
+			}
+			reported, altered := o.run(p)
+			changed = changed || reported
+			if altered {
+				o.gen++
+				cleanAt[p] = 0
+			} else {
+				cleanAt[p] = o.gen
+			}
+		}
 		if !changed {
 			break
 		}
 	}
+	return o.liveness()
 }
 
 // foldAndPropagate performs, per basic block: constant propagation, copy
 // propagation, arithmetic constant folding, local value numbering, and
-// folding of conditional branches whose outcome is known.
-func foldAndPropagate(g *Graph) bool {
+// folding of conditional branches whose outcome is known. It reports
+// whether it folded anything, and separately whether it altered the graph
+// at all, which also covers propagated copies and dropped nops.
+func foldAndPropagate(g *Graph) (changed, altered bool) {
 	st := foldPool.Get().(*foldState)
-	changed := false
+	st.altered = false
 	for _, b := range g.Blocks {
 		if b == nil {
 			continue
@@ -43,8 +126,9 @@ func foldAndPropagate(g *Graph) bool {
 			changed = true
 		}
 	}
+	altered = changed || st.altered
 	foldPool.Put(st)
-	return changed
+	return changed, altered
 }
 
 // exprKey identifies a pure computation for local value numbering.
@@ -54,30 +138,38 @@ type exprKey struct {
 	lit  int64
 }
 
+// exprEntry is one available expression and the register holding it.
+type exprEntry struct {
+	key exprKey
+	reg uint8
+}
+
 // foldState is the per-block scratch for blockFold. Constant and copy facts
-// are keyed by register, so dense arrays guarded by presence bitsets replace
-// the maps the fold used to allocate per block; only the value-numbering
-// table stays a map (its key is a full expression). States are pooled across
-// methods — blockFold runs on every block of every method every round, so
-// this is one of the hottest paths in the compiler.
+// are keyed by register, so dense arrays guarded by presence bitsets hold
+// them; the value-numbering table is a short slice searched linearly (a
+// block holds a handful of available expressions, and invalidation must
+// visit them all on every def). States are pooled across methods —
+// blockFold runs on every block of every method every round, so this is
+// one of the hottest paths in the compiler.
 type foldState struct {
 	constVal [256]int64 // reg -> known constant (when constSet has reg)
 	copyOf   [256]uint8 // reg -> original it copies (when copySet has reg)
 	constSet regSet
 	copySet  regSet
-	exprs    map[exprKey]uint8 // available expression -> holding reg
+	exprs    []exprEntry // available expressions, each key at most once
+	// altered records, across the blocks of one fold, a rewrite blockFold
+	// does not report: a propagated copy or a dropped nop.
+	altered bool
 }
 
-var foldPool = sync.Pool{New: func() any {
-	return &foldState{exprs: make(map[exprKey]uint8)}
-}}
+var foldPool = sync.Pool{New: func() any { return new(foldState) }}
 
 // reset clears all facts; the arrays need no clearing because the bitsets
 // gate every read.
 func (st *foldState) reset() {
 	st.constSet = regSet{}
 	st.copySet = regSet{}
-	clear(st.exprs)
+	st.exprs = st.exprs[:0]
 }
 
 func (st *foldState) constOf(r uint8) (int64, bool) {
@@ -85,6 +177,27 @@ func (st *foldState) constOf(r uint8) (int64, bool) {
 		return 0, false
 	}
 	return st.constVal[r], true
+}
+
+// lookupExpr returns the register holding key's value, if one does.
+func (st *foldState) lookupExpr(key exprKey) (uint8, bool) {
+	for _, e := range st.exprs {
+		if e.key == key {
+			return e.reg, true
+		}
+	}
+	return 0, false
+}
+
+// insertExpr records that reg holds key's value.
+func (st *foldState) insertExpr(key exprKey, reg uint8) {
+	for i := range st.exprs {
+		if st.exprs[i].key == key {
+			st.exprs[i].reg = reg
+			return
+		}
+	}
+	st.exprs = append(st.exprs, exprEntry{key, reg})
 }
 
 // invalidate removes every fact that mentions r.
@@ -102,16 +215,20 @@ func (st *foldState) invalidate(r uint8) {
 			}
 		}
 	}
-	for k, v := range st.exprs {
-		if v == r || k.b == r || k.c == r {
-			delete(st.exprs, k)
+	kept := st.exprs[:0]
+	for _, e := range st.exprs {
+		if e.reg != r && e.key.b != r && e.key.c != r {
+			kept = append(kept, e)
 		}
 	}
+	st.exprs = kept
 }
 
-// resolve chases the copy chain for an operand.
+// resolve chases the copy chain for an operand. A copy is recorded only
+// between distinct registers, so every hit rewrites the operand.
 func (st *foldState) resolve(r uint8) uint8 {
 	if st.copySet.has(r) {
+		st.altered = true
 		return st.copyOf[r]
 	}
 	return r
@@ -196,14 +313,14 @@ func blockFold(g *Graph, b *Block, st *foldState) bool {
 			if in.Op != dex.OpAddLit {
 				key.c = in.C
 			}
-			if holder, ok := st.exprs[key]; ok && holder != in.A {
+			if holder, ok := st.lookupExpr(key); ok && holder != in.A {
 				*in = Insn{Op: dex.OpMove, A: in.A, B: holder}
 				changed = true
 			} else {
 				d := in.A
 				invalidate(d)
 				if key.b != d && key.c != d {
-					st.exprs[key] = d
+					st.insertExpr(key, d)
 				}
 				continue
 			}
@@ -224,12 +341,15 @@ func blockFold(g *Graph, b *Block, st *foldState) bool {
 			}
 		}
 	}
-	// Drop nops introduced by branch folding.
+	// Drop nops introduced by branch folding (and any the input carried).
 	out := b.Insns[:0]
 	for _, in := range b.Insns {
 		if in.Op != dex.OpNopCode {
 			out = append(out, in)
 		}
+	}
+	if len(out) != len(b.Insns) {
+		st.altered = true
 	}
 	b.Insns = out
 	return changed
@@ -364,9 +484,8 @@ func foldBranch(in *Insn, st *foldState) (taken, known bool) {
 }
 
 // eliminateDeadCode removes pure instructions whose results are never read,
-// using global liveness.
-func eliminateDeadCode(g *Graph) bool {
-	lv := ComputeLiveness(g)
+// using lv, the graph's global liveness.
+func eliminateDeadCode(g *Graph, lv *Liveness) bool {
 	changed := false
 	for _, b := range g.Blocks {
 		if b == nil {

@@ -168,8 +168,9 @@ func naturalLoops(g *Graph, idom []int) []loopInfo {
 }
 
 // hoistInvariants performs loop-invariant code motion, one of the HGraph
-// code-size/speed optimizations the dex2oat pipeline runs. A pure
-// instruction is hoisted into a freshly created preheader when:
+// code-size/speed optimizations the dex2oat pipeline runs. Loops headed by
+// the entry block are left alone. A pure instruction is hoisted into a
+// freshly created preheader when:
 //
 //   - every operand is loop-invariant (no definition inside the loop,
 //     or defined only by an already-hoisted instruction);
@@ -185,6 +186,11 @@ func hoistInvariants(g *Graph, lv *Liveness) bool {
 	idom := Dominators(g)
 	loops := naturalLoops(g, idom)
 	for _, lp := range loops {
+		if lp.header == 0 {
+			// The method is entered at block 0 from outside the graph,
+			// so no preheader can be put in front of it.
+			continue
+		}
 		if g.hoistLoop(lp, idom, lv) {
 			// CFG shape changed (new preheader); let the caller re-run the
 			// pipeline so dominators and loop sets are fresh.

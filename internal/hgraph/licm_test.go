@@ -219,3 +219,21 @@ func TestOptimizeWithLoopsPreservesSemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestLICMLeavesEntryLoopAlone: a loop headed by the entry block has no
+// predecessor to route through a preheader, since the method is entered
+// there from outside the graph. A hoisted instruction would land in a
+// block nothing reaches and be deleted with it.
+func TestLICMLeavesEntryLoopAlone(t *testing.T) {
+	// do { v0 = v7 + 9; v6-- } while (v6 != 0); return v0
+	m := method("entryloop", 8, 2, []dex.Insn{
+		{Op: dex.OpAddLit, A: 0, B: 7, Lit: 9}, // invariant
+		{Op: dex.OpAddLit, A: 6, B: 6, Lit: -1},
+		{Op: dex.OpIfNez, A: 6, Target: 0},
+		{Op: dex.OpReturn, A: 0},
+	})
+	app, _ := optimizeMethod(t, m)
+	if got := run(t, app, 0, 3, 5).Ret; got != 14 {
+		t.Errorf("entryloop(3, 5) = %d, want 14\noptimized: %v", got, app.Methods[0].Code)
+	}
+}

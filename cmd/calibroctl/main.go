@@ -228,38 +228,36 @@ func (c *client) submit(args []string) error {
 		}
 		req["roots"] = ids
 	}
-	if *scale > 0 {
-		req["scale"] = *scale
-	}
-	if *trees > 0 {
-		req["trees"] = *trees
-	}
-	if *rounds > 0 {
-		req["rounds"] = *rounds
+	// Every numeric flag the user set is forwarded as given, so the
+	// daemon's validation answers for a value out of range (a negative
+	// -trees is refused, not replaced by the default).
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, f := range []struct {
+		flag, field string
+		value       any
+	}{
+		{"scale", "scale", *scale},
+		{"trees", "trees", *trees},
+		{"rounds", "rounds", *rounds},
+		{"j", "workers", *workers},
+		{"runs", "runs", *runs},
+		{"timeout", "timeout_ms", timeout.Milliseconds()},
+		{"version", "version", *version},
+		{"delta", "delta", *delta},
+	} {
+		if set[f.flag] {
+			req[f.field] = f.value
+		}
 	}
 	if *dedup {
 		req["dedup"] = true
-	}
-	if *workers > 0 {
-		req["workers"] = *workers
-	}
-	if *runs > 0 {
-		req["runs"] = *runs
 	}
 	if *verify {
 		req["verify"] = true
 	}
 	if *lint {
 		req["lint"] = true
-	}
-	if *timeout > 0 {
-		req["timeout_ms"] = timeout.Milliseconds()
-	}
-	if *version > 0 {
-		req["version"] = *version
-	}
-	if *delta > 0 {
-		req["delta"] = *delta
 	}
 	body, err := json.Marshal(req)
 	if err != nil {

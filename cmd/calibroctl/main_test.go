@@ -64,6 +64,27 @@ func TestSubmitShardsUnknown(t *testing.T) {
 	}
 }
 
+// TestSubmitForwardsNegativeCounts: a negative count flag reaches the
+// daemon as given and its validation refuses the job with 400, instead of
+// the client dropping the flag and the daemon building with its default.
+func TestSubmitForwardsNegativeCounts(t *testing.T) {
+	s := serve.New(serve.Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Drain(ctx)
+	}()
+	addr := strings.TrimPrefix(ts.URL, "http://")
+	for _, flag := range []string{"-trees", "-rounds", "-runs", "-scale"} {
+		code, out, errOut := runCtl("-addr", addr, "submit", "-app", "Taobao", flag, "-1")
+		if code == 0 || out != "" || !strings.Contains(errOut, "400") || !strings.Contains(errOut, "must not be negative") {
+			t.Errorf("submit %s -1: exit %d, stdout %q, stderr %q; want a 400 refusal", flag, code, out, errOut)
+		}
+	}
+}
+
 // TestJobOperandAddress: an ID@ADDR operand goes to the daemon it names,
 // not to -addr, with the bare ID in the path.
 func TestJobOperandAddress(t *testing.T) {

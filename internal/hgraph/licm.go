@@ -180,16 +180,22 @@ func naturalLoops(g *Graph, idom []int) []loopInfo {
 //   - its block dominates every loop exit (a value computed on a partial
 //     iteration must not escape) and every in-loop use of the destination.
 //
-// lv is the graph's liveness. Loops that hoist nothing leave the graph
-// alone, so every loop up to the first hoist reads the same lv.
-func hoistInvariants(g *Graph, lv *Liveness) bool {
+// liveness returns the graph's liveness; it is called at most once, and
+// only when there is a loop to hoist from. Loops that hoist nothing leave
+// the graph alone, so every loop up to the first hoist reads the same
+// liveness.
+func hoistInvariants(g *Graph, liveness func() *Liveness) bool {
 	idom := Dominators(g)
 	loops := naturalLoops(g, idom)
+	var lv *Liveness
 	for _, lp := range loops {
 		if lp.header == 0 {
 			// The method is entered at block 0 from outside the graph,
 			// so no preheader can be put in front of it.
 			continue
+		}
+		if lv == nil {
+			lv = liveness()
 		}
 		if g.hoistLoop(lp, idom, lv) {
 			// CFG shape changed (new preheader); let the caller re-run the

@@ -17,7 +17,7 @@ func optimizeFullRounds(g *Graph) {
 		changed = eliminateDeadCode(g, ComputeLiveness(g)) || changed
 		changed = removeUnreachable(g) || changed
 		changed = coalesceBlocks(g) || changed
-		changed = hoistInvariants(g, ComputeLiveness(g)) || changed
+		changed = hoistInvariants(g, func() *Liveness { return ComputeLiveness(g) }) || changed
 		changed = mergeReturns(g) || changed
 		if !changed {
 			break

@@ -71,7 +71,7 @@ func (o *optimizer) run(p int) (reported, altered bool) {
 	case passCoalesce:
 		reported = coalesceBlocks(o.g)
 	case passLICM:
-		reported = hoistInvariants(o.g, o.liveness())
+		reported = hoistInvariants(o.g, o.liveness)
 	case passMergeReturns:
 		reported = mergeReturns(o.g)
 	}

@@ -2,6 +2,7 @@ package oat
 
 import (
 	"context"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -249,6 +250,12 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 		"trailing":   append(append([]byte{}, data...), 0),
 		"huge count": append(append([]byte{}, data[:4]...), append([]byte{0xFF, 0xFF, 0xFF, 0x7F}, data[8:]...)...),
 	}
+	// A .text section whose offset plus size wraps around 2^64.
+	wrap := append([]byte{}, data...)
+	textHeader := binary.LittleEndian.Uint64(wrap[40:]) + sectionEntrySize
+	binary.LittleEndian.PutUint64(wrap[textHeader+24:], 8)
+	binary.LittleEndian.PutUint64(wrap[textHeader+32:], ^uint64(0))
+	cases["wrapping section"] = wrap
 	for name, d := range cases {
 		if _, err := Unmarshal(d); err == nil {
 			t.Errorf("%s: accepted", name)

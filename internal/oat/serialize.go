@@ -160,7 +160,8 @@ func Unmarshal(data []byte) (*Image, error) {
 			off:  le.Uint64(data[base+24:]),
 			size: le.Uint64(data[base+32:]),
 		}
-		if secs[i].off+secs[i].size > uint64(len(data)) {
+		// Compared so that off+size cannot wrap around.
+		if secs[i].off > uint64(len(data)) || secs[i].size > uint64(len(data))-secs[i].off {
 			return nil, fmt.Errorf("oat: section %d out of bounds", i)
 		}
 	}

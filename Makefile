@@ -56,15 +56,24 @@ layerbench-check:
 # input to equal a fresh analysis of the output's re-parsed bytes.
 # FuzzUnmarshalApp attacks the dex decoder and verifier every dex-payload
 # build job runs, and requires each accepted container to round-trip.
+# FuzzDecode and FuzzPatchRel attack the A64 decoder and branch patcher.
+# Every pattern is anchored: -fuzz must match exactly one fuzzer, and a
+# bare FuzzUnmarshal also matches FuzzUnmarshalLint. Minimizing a new
+# input is bounded to 100 execs (the default is 60 s): the image seeds are
+# large, and an unbounded first minimization used up the whole 20 s budget
+# of the call-graph and lift fuzzers.
+FUZZ = -fuzztime 20s -fuzzminimizetime 100x
 fuzz:
-	$(GO) test ./internal/dex -run xxx -fuzz FuzzUnmarshalApp -fuzztime 20s
-	$(GO) test ./internal/oat -run xxx -fuzz FuzzUnmarshal -fuzztime 20s
-	$(GO) test ./internal/oat -run xxx -fuzz FuzzUnmarshalLint -fuzztime 20s
-	$(GO) test ./internal/cache -run xxx -fuzz FuzzCacheEntry -fuzztime 20s
-	$(GO) test ./internal/cache -run xxx -fuzz FuzzRemoteFrame -fuzztime 20s
-	$(GO) test ./internal/cache/cacheserver -run xxx -fuzz FuzzRemoteRequest -fuzztime 20s
-	$(GO) test ./internal/analysis -run xxx -fuzz FuzzCallGraph -fuzztime 20s
-	$(GO) test ./internal/reoutline -run xxx -fuzz FuzzLift -fuzztime 20s
+	$(GO) test ./internal/a64 -run xxx -fuzz '^FuzzDecode$$' $(FUZZ)
+	$(GO) test ./internal/a64 -run xxx -fuzz '^FuzzPatchRel$$' $(FUZZ)
+	$(GO) test ./internal/dex -run xxx -fuzz '^FuzzUnmarshalApp$$' $(FUZZ)
+	$(GO) test ./internal/oat -run xxx -fuzz '^FuzzUnmarshal$$' $(FUZZ)
+	$(GO) test ./internal/oat -run xxx -fuzz '^FuzzUnmarshalLint$$' $(FUZZ)
+	$(GO) test ./internal/cache -run xxx -fuzz '^FuzzCacheEntry$$' $(FUZZ)
+	$(GO) test ./internal/cache -run xxx -fuzz '^FuzzRemoteFrame$$' $(FUZZ)
+	$(GO) test ./internal/cache/cacheserver -run xxx -fuzz '^FuzzRemoteRequest$$' $(FUZZ)
+	$(GO) test ./internal/analysis -run xxx -fuzz '^FuzzCallGraph$$' $(FUZZ)
+	$(GO) test ./internal/reoutline -run xxx -fuzz '^FuzzLift$$' $(FUZZ)
 
 # bench regenerates the paper's tables and figures.
 bench:

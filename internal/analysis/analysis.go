@@ -40,7 +40,9 @@ type MethodSummary struct {
 }
 
 // Report is the full analyzer output: every finding at every severity,
-// plus per-method summaries and image-level statistics.
+// plus per-method summaries and image-level statistics. Methods holds one
+// summary for each well-formed method record, in text order; a malformed
+// record draws a [record] finding instead.
 type Report struct {
 	Findings  []Finding
 	Methods   []MethodSummary

@@ -104,8 +104,9 @@ type CGBlob struct {
 }
 
 // CallGraph is the whole-image call graph. Nodes is indexed by method
-// table slot; Blobs lists the well-formed outlined-function records in
-// table order.
+// table slot, and node i carries ID i even when slot i's record claims
+// another; Blobs lists the well-formed outlined-function records in text
+// order.
 type CallGraph struct {
 	Nodes []CGNode
 	Blobs []CGBlob
@@ -201,7 +202,8 @@ func buildCallGraphFrom(ctx context.Context, l *layout, carried []*methodWalk, w
 			cg.Nodes[i] = mw.node
 			fs.list = append(fs.list, mw.fs...)
 		} else {
-			cg.Nodes[i] = CGNode{ID: img.Methods[i].ID, Corrupt: true, Unknown: true}
+			// The node models the slot, whatever ID its record claims.
+			cg.Nodes[i] = CGNode{ID: dexID(i), Corrupt: true, Unknown: true}
 		}
 	}
 
@@ -265,7 +267,7 @@ type methodWalk struct {
 // truncated or corrupt record can only have produced a finding upstream,
 // never a panic here.
 func walkMethod(l *layout, r region) *methodWalk {
-	mw := &methodWalk{node: CGNode{ID: l.img.Methods[r.method].ID, Size: r.size}, high: math.MaxInt64}
+	mw := &methodWalk{node: CGNode{ID: dexID(r.method), Size: r.size}, high: math.MaxInt64}
 	var fs findings
 	rec := l.img.Methods[r.method]
 	words := l.words(r)

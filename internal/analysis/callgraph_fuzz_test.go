@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/a64"
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/oat"
@@ -59,8 +60,26 @@ func FuzzCallGraph(f *testing.F) {
 		if len(cg.Nodes) != len(img.Methods) {
 			t.Fatalf("graph covers %d of %d methods", len(cg.Nodes), len(img.Methods))
 		}
-		if len(cg.Blobs) != len(img.Outlined) {
-			t.Fatalf("graph covers %d of %d outlined functions", len(cg.Blobs), len(img.Outlined))
+		// Blobs holds exactly the outlined-function records that are
+		// well-formed (aligned and inside the text); a malformed one draws
+		// a [record] finding instead.
+		wellFormed := map[oat.FuncRecord]int{}
+		for _, f := range img.Outlined {
+			if f.Offset >= 0 && f.Size >= 0 && f.Offset%a64.WordSize == 0 && f.Size%a64.WordSize == 0 && f.Offset+f.Size <= img.TextBytes() {
+				wellFormed[f]++
+			}
+		}
+		for _, bl := range cg.Blobs {
+			f := oat.FuncRecord{Sym: bl.Sym, Offset: bl.Offset, Size: bl.Size}
+			if wellFormed[f] == 0 {
+				t.Fatalf("blob %+v is not a well-formed outlined-function record", f)
+			}
+			wellFormed[f]--
+		}
+		for f, n := range wellFormed {
+			if n > 0 {
+				t.Fatalf("graph covers no blob for well-formed outlined-function record %+v", f)
+			}
 		}
 		checkEdges := func(what string, size int, edges []analysis.Edge) {
 			for _, e := range edges {

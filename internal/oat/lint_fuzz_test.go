@@ -4,8 +4,10 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/a64"
 	"repro/internal/analysis"
 	"repro/internal/codegen"
+	"repro/internal/dex"
 	"repro/internal/oat"
 	"repro/internal/workload"
 )
@@ -65,9 +67,28 @@ func FuzzUnmarshalLint(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The report must be internally consistent even for garbage.
-		if len(rep.Methods) != len(parsed.Methods) {
-			t.Fatalf("report covers %d of %d methods", len(rep.Methods), len(parsed.Methods))
+		// The report must be internally consistent even for garbage: one
+		// summary for each well-formed method record (its table slot
+		// matches its ID, and it is aligned and inside the text); a
+		// malformed record draws a [record] finding instead.
+		summarized := map[dex.MethodID]bool{}
+		for _, m := range rep.Methods {
+			if summarized[m.ID] {
+				t.Fatalf("m%d summarized twice", m.ID)
+			}
+			summarized[m.ID] = true
+		}
+		for i, m := range parsed.Methods {
+			wellFormed := int(m.ID) == i && m.Offset >= 0 && m.Size >= 0 &&
+				m.Offset%a64.WordSize == 0 && m.Size%a64.WordSize == 0 && m.Offset+m.Size <= parsed.TextBytes()
+			if wellFormed != summarized[dex.MethodID(i)] {
+				t.Fatalf("method slot %d (m%d at %d, size %d): well-formed %v, summarized %v",
+					i, m.ID, m.Offset, m.Size, wellFormed, summarized[dex.MethodID(i)])
+			}
+			delete(summarized, dex.MethodID(i))
+		}
+		for id := range summarized {
+			t.Fatalf("summary for m%d, which names no method slot", id)
 		}
 		for _, fd := range rep.Findings {
 			_ = fd.String() // rendering must not panic either

@@ -25,11 +25,13 @@ func TestDetectorByteIdentityPin(t *testing.T) {
 		cfg  core.Config
 		name string
 	}
-	plRounds := core.CTOLTBOPl(4)
+	plDedup := core.CTOLTBOPl(4)
+	plDedup.DedupFunctions = true
+	plRounds := plDedup
 	plRounds.Rounds = 2
-	plRounds.DedupFunctions = true
 	cases := []pinCase{
 		{"Wechat", core.CTOLTBO(), "wechat-ltbo"},
+		{"Wechat", plDedup, "wechat-plopti4-dedup"},
 		{"Wechat", plRounds, "wechat-plopti4-rounds2-dedup"},
 		{"Taobao", core.CTOLTBOPl(8), "taobao-plopti8"},
 	}

@@ -86,7 +86,7 @@ func liftableEdge(img *oat.Image, rec *oat.MethodRecord, e Edge) bool {
 		if e.Kind == EdgeOutlined || e.Kind == EdgeMethod {
 			return true
 		}
-		return thunkSymKind(e.Sym)
+		return codegen.IsThunkSym(e.Sym)
 	case a64.OpBlr:
 		// Only table-dispatched indirect calls are layout-independent.
 		// blr through anything but the link register never comes out of
@@ -104,13 +104,6 @@ func liftableEdge(img *oat.Image, rec *oat.MethodRecord, e Edge) bool {
 		}
 	}
 	return false
-}
-
-// thunkSymKind reports whether sym names a CTO pattern thunk.
-func thunkSymKind(sym int) bool {
-	kind, _ := codegen.UnpackSym(sym)
-	return kind == codegen.SymKindJavaEntry || kind == codegen.SymKindNativeEP ||
-		kind == codegen.SymKindStackCheck
 }
 
 // PinnedIndirect scans for an indirect call that resolved to a target

@@ -35,6 +35,13 @@ const (
 	SymKindMethod = 6
 )
 
+// IsThunkSym reports whether sym names a CTO pattern thunk: a Java-call,
+// runtime-entrypoint or stack-check thunk.
+func IsThunkSym(sym int) bool {
+	kind, _ := UnpackSym(sym)
+	return kind == SymKindJavaEntry || kind == SymKindNativeEP || kind == SymKindStackCheck
+}
+
 // PackSym builds a symbol int from kind and value.
 func PackSym(kind int, value int64) int {
 	if value < 0 || value >= 1<<32 {

@@ -91,10 +91,10 @@ func Link(methods []*codegen.CompiledMethod, extras []Blob) (*Image, error) {
 	for _, cm := range methods {
 		for _, ref := range cm.Ext {
 			kind, _ := codegen.UnpackSym(ref.Symbol)
-			switch kind {
-			case codegen.SymKindJavaEntry, codegen.SymKindNativeEP, codegen.SymKindStackCheck:
+			switch {
+			case codegen.IsThunkSym(ref.Symbol):
 				thunkSyms[ref.Symbol] = true
-			case codegen.SymKindOutlined:
+			case kind == codegen.SymKindOutlined:
 				// bound against extras
 			default:
 				return nil, fmt.Errorf("oat: unknown symbol kind %d", kind)

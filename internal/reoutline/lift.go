@@ -53,17 +53,6 @@ func inlinableBodies(img *oat.Image) map[int][]uint32 {
 	return bodies
 }
 
-// liftThunkSym reports whether sym names a CTO pattern thunk. A bl whose
-// edge carries a thunk symbol physically targets the thunk even when the
-// edge's Kind reflects who the thunk dispatches to (the java_entry
-// pattern resolves through it), so this check must come before any
-// Kind-based classification.
-func liftThunkSym(sym int) bool {
-	kind, _ := codegen.UnpackSym(sym)
-	return kind == codegen.SymKindJavaEntry || kind == codegen.SymKindNativeEP ||
-		kind == codegen.SymKindStackCheck
-}
-
 // liftMethod lifts one method. A nil result means the method must be
 // frozen instead, with reason saying why — every reason is a defensive
 // refinement of the LiftFrozen mask, never a relaxation of it.
@@ -114,7 +103,12 @@ func liftMethod(img *oat.Image, rec *oat.MethodRecord, edges []analysis.Edge, bo
 					return nil, "callee outlined body is not inlinable"
 				}
 				inlined[w] = body
-			case liftThunkSym(e.Sym):
+			case codegen.IsThunkSym(e.Sym):
+				// A bl whose edge carries a thunk symbol physically
+				// targets the thunk even when the edge's Kind reflects
+				// who the thunk dispatches to (the java_entry pattern
+				// resolves through it), so this case comes before any
+				// Kind-based one.
 				syms[w], hasSym[w] = e.Sym, true
 			case e.Kind == analysis.EdgeMethod:
 				syms[w], hasSym[w] = codegen.PackSym(codegen.SymKindMethod, int64(e.Target)), true

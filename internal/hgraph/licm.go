@@ -183,8 +183,12 @@ func naturalLoops(g *Graph, idom []int) []loopInfo {
 // liveness returns the graph's liveness; it is called at most once, and
 // only when there is a loop to hoist from. Loops that hoist nothing leave
 // the graph alone, so every loop up to the first hoist reads the same
-// liveness.
+// liveness. A graph with no backward edge has no cycle, so no loop, and
+// skips the dominator tree too.
 func hoistInvariants(g *Graph, liveness func() *Liveness) bool {
+	if !hasBackwardEdge(g) {
+		return false
+	}
 	idom := Dominators(g)
 	loops := naturalLoops(g, idom)
 	var lv *Liveness
@@ -201,6 +205,20 @@ func hoistInvariants(g *Graph, liveness func() *Liveness) bool {
 			// CFG shape changed (new preheader); let the caller re-run the
 			// pipeline so dominators and loop sets are fresh.
 			return true
+		}
+	}
+	return false
+}
+
+// hasBackwardEdge reports whether some edge runs from block i to a block
+// j <= i. Every cycle has such an edge, so without one the graph is
+// acyclic.
+func hasBackwardEdge(g *Graph) bool {
+	for _, b := range g.Blocks {
+		for _, s := range b.Succs {
+			if s <= b.ID {
+				return true
+			}
 		}
 	}
 	return false

@@ -2,7 +2,7 @@ package calibro
 
 // Ablation benchmarks for the design decisions DESIGN.md §4 calls out:
 // minimum repeat length, the benefit-model threshold, the hot-set coverage
-// fraction, the number of parallel trees, and multi-round outlining. Each
+// fraction, the number of parallel trees, and function deduplication. Each
 // prints a small sweep table; none corresponds to a paper table — they
 // probe *why* the design is what it is.
 
@@ -83,29 +83,6 @@ func BenchmarkAblationMinBenefit(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRounds sweeps multi-round outlining: later rounds
-// recover fragments the greedy first pass left behind, with diminishing
-// returns.
-func BenchmarkAblationRounds(b *testing.B) {
-	ab := ablationApp(b)
-	base := build(b, ab, "baseline").TextBytes()
-	for i := 0; i < b.N; i++ {
-		t := &report.Table{
-			Title:  "\nAblation: outlining rounds vs reduction",
-			Header: []string{"rounds", "reduction", "functions", "net words saved"},
-		}
-		for _, rounds := range []int{1, 2, 3, 4} {
-			res := sweep(b, ab, func(c *core.Config) { c.Rounds = rounds })
-			t.AddRow(fmt.Sprint(rounds),
-				report.Reduction(base, res.TextBytes()),
-				fmt.Sprint(res.Outline.OutlinedFunctions), fmt.Sprint(res.Outline.NetWordsSaved()))
-		}
-		if i == 0 {
-			fmt.Println(t)
-		}
-	}
-}
-
 // BenchmarkAblationHotFraction sweeps the §3.4.2 hot-set coverage rule
 // (the paper uses 80% of execution time): larger fractions protect more
 // code, trading size for speed.
@@ -170,29 +147,25 @@ func BenchmarkAblationTreeCount(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDedup measures how much of the PlOpti loss cross-tree
-// function deduplication recovers.
+// BenchmarkAblationDedup measures, on every app, how much of the PlOpti
+// loss cross-tree function deduplication recovers, and that it recovers
+// nothing on one global tree.
 func BenchmarkAblationDedup(b *testing.B) {
-	ab := ablationApp(b)
-	base := build(b, ab, "baseline").TextBytes()
 	for i := 0; i < b.N; i++ {
 		t := &report.Table{
 			Title:  "\nAblation: cross-tree function deduplication (extension beyond the paper)",
-			Header: []string{"configuration", "reduction", "functions"},
+			Header: []string{"app", "1 tree", "1 tree + dedup", "8 trees", "8 trees + dedup"},
 		}
-		for _, cfg := range []struct {
-			name  string
-			trees int
-			dedup bool
-		}{
-			{"1 tree", 1, false},
-			{"8 trees", 8, false},
-			{"8 trees + dedup", 8, true},
-		} {
-			res := sweep(b, ab, func(c *core.Config) { c.ParallelTrees, c.DedupFunctions = cfg.trees, cfg.dedup })
-			t.AddRow(cfg.name,
-				report.Reduction(base, res.TextBytes()),
-				fmt.Sprint(res.Outline.OutlinedFunctions))
+		for _, ab := range suite(b) {
+			base := build(b, ab, "baseline").TextBytes()
+			row := []string{ab.prof.Name}
+			for _, trees := range []int{1, 8} {
+				for _, dedup := range []bool{false, true} {
+					res := sweep(b, ab, func(c *core.Config) { c.ParallelTrees, c.DedupFunctions = trees, dedup })
+					row = append(row, report.Reduction(base, res.TextBytes()))
+				}
+			}
+			t.AddRow(row...)
 		}
 		if i == 0 {
 			fmt.Println(t)

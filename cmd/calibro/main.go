@@ -94,7 +94,6 @@ func run(args []string, out io.Writer) error {
 		config  = fs.String("config", "plopti", "baseline | cto | ltbo | plopti | hfopti")
 		trees   = fs.Int("trees", 8, "parallel suffix trees for plopti/hfopti")
 		workers = fs.Int("j", 0, "build worker goroutines; 0 = all CPUs (output is identical for every value)")
-		rounds  = fs.Int("rounds", 1, "outlining rounds")
 		dedup   = fs.Bool("dedup", false, "merge identical outlined functions across trees")
 		runs    = fs.Int("runs", 20, "scripted runs for profiling/measurement")
 		measure = fs.Bool("measure", false, "run the script on the emulator and report cycles/memory")
@@ -119,8 +118,8 @@ func run(args []string, out io.Writer) error {
 		}
 		return fmt.Errorf("%w: %v", errUsage, err)
 	}
-	if *trees < 0 || *rounds < 0 || *runs < 0 || *scale < 0 {
-		return errors.New("-trees, -rounds, -runs and -scale must not be negative")
+	if *trees < 0 || *runs < 0 || *scale < 0 {
+		return errors.New("-trees, -runs and -scale must not be negative")
 	}
 
 	var cc *cache.Cache
@@ -161,7 +160,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg.Rounds = *rounds
 	cfg.DedupFunctions = *dedup
 	cfg.Workers = *workers
 	cfg.Tracer = tracer

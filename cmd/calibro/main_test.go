@@ -33,11 +33,11 @@ func TestRunUnknownConfig(t *testing.T) {
 	}
 }
 
-// TestRunRefusesNegativeCounts: a negative tree count, round count, run
-// count or scale ends in an error before anything is built, not in a
+// TestRunRefusesNegativeCounts: a negative tree count, run count or
+// scale ends in an error before anything is built, not in a
 // panic, an empty outline or a full-scale app.
 func TestRunRefusesNegativeCounts(t *testing.T) {
-	for _, flagName := range []string{"-trees", "-rounds", "-runs", "-scale"} {
+	for _, flagName := range []string{"-trees", "-runs", "-scale"} {
 		err := run([]string{"-app", "Taobao", "-scale", "0.02", flagName, "-1"}, &strings.Builder{})
 		if err == nil || !strings.Contains(err.Error(), "must not be negative") {
 			t.Errorf("%s -1: err = %v, want a negative-value refusal", flagName, err)
@@ -45,11 +45,14 @@ func TestRunRefusesNegativeCounts(t *testing.T) {
 	}
 }
 
-// TestRunShardsUnknown: the removed -shards knob is an unknown flag.
-func TestRunShardsUnknown(t *testing.T) {
-	err := run([]string{"-app", "Taobao", "-shards", "2"}, &strings.Builder{})
-	if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "-shards") {
-		t.Errorf("err = %v, want a usage error naming -shards", err)
+// TestRunRemovedFlagsUnknown: the removed -shards and -rounds knobs are
+// unknown flags.
+func TestRunRemovedFlagsUnknown(t *testing.T) {
+	for _, name := range []string{"-shards", "-rounds"} {
+		err := run([]string{"-app", "Taobao", name, "2"}, &strings.Builder{})
+		if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s 2: err = %v, want a usage error naming %s", name, err, name)
+		}
 	}
 }
 

@@ -57,7 +57,7 @@ func usage(errOut io.Writer) {
 
 commands:
   submit   -app NAME | -dex FILE  [-config C] [-scale F] [-trees N]
-           [-rounds N] [-dedup] [-j N] [-runs N] [-verify] [-lint] [-timeout d]
+           [-dedup] [-j N] [-runs N] [-verify] [-lint] [-timeout d]
            [-version N] [-delta F]
            -kind debloat|reoutline -oat FILE  [-roots 0,1,2] rewrites an
            existing image instead of building one
@@ -179,7 +179,6 @@ func (c *client) submit(args []string) error {
 		config  = fs.String("config", "plopti", "ladder config: baseline|cto|ltbo|plopti|hfopti")
 		scale   = fs.Float64("scale", 0, "app scale; 0 = server default")
 		trees   = fs.Int("trees", 0, "parallel suffix trees; 0 = server default")
-		rounds  = fs.Int("rounds", 0, "outlining rounds; 0 = default")
 		dedup   = fs.Bool("dedup", false, "merge identical outlined functions")
 		workers = fs.Int("j", 0, "per-build worker goroutines; 0 = server default")
 		runs    = fs.Int("runs", 0, "hfopti profiling runs; 0 = server default")
@@ -239,7 +238,6 @@ func (c *client) submit(args []string) error {
 	}{
 		{"scale", "scale", *scale},
 		{"trees", "trees", *trees},
-		{"rounds", "rounds", *rounds},
 		{"j", "workers", *workers},
 		{"runs", "runs", *runs},
 		{"timeout", "timeout_ms", timeout.Milliseconds()},

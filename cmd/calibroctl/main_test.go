@@ -55,12 +55,14 @@ func TestSubmitBadRoots(t *testing.T) {
 	}
 }
 
-// TestSubmitShardsUnknown: the removed -shards knob is an unknown flag,
-// refused before any request is sent.
-func TestSubmitShardsUnknown(t *testing.T) {
-	code, out, errOut := runCtl("-addr", "127.0.0.1:1", "submit", "-app", "Taobao", "-shards", "2")
-	if code != 2 || !strings.Contains(errOut, "flag provided but not defined: -shards") || out != "" {
-		t.Errorf("exit %d, stdout %q, stderr %q; want 2 and an unknown -shards flag", code, out, errOut)
+// TestSubmitRemovedFlagsUnknown: the removed -shards and -rounds knobs
+// are unknown flags, refused before any request is sent.
+func TestSubmitRemovedFlagsUnknown(t *testing.T) {
+	for _, name := range []string{"-shards", "-rounds"} {
+		code, out, errOut := runCtl("-addr", "127.0.0.1:1", "submit", "-app", "Taobao", name, "2")
+		if code != 2 || !strings.Contains(errOut, "flag provided but not defined: "+name) || out != "" {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want 2 and an unknown %s flag", name, code, out, errOut, name)
+		}
 	}
 }
 
@@ -77,7 +79,7 @@ func TestSubmitForwardsNegativeCounts(t *testing.T) {
 		s.Drain(ctx)
 	}()
 	addr := strings.TrimPrefix(ts.URL, "http://")
-	for _, flag := range []string{"-trees", "-rounds", "-runs", "-scale"} {
+	for _, flag := range []string{"-trees", "-runs", "-scale"} {
 		code, out, errOut := runCtl("-addr", addr, "submit", "-app", "Taobao", flag, "-1")
 		if code == 0 || out != "" || !strings.Contains(errOut, "400") || !strings.Contains(errOut, "must not be negative") {
 			t.Errorf("submit %s -1: exit %d, stdout %q, stderr %q; want a 400 refusal", flag, code, out, errOut)

@@ -49,13 +49,13 @@ type Config struct {
 	// MinLength/MinBenefit tune the outliner (defaults per §3.3).
 	MinLength  int
 	MinBenefit int
-	// Rounds repeats the outlining cycle (default 1); DedupFunctions
-	// merges identical outlined bodies across trees and rounds.
-	Rounds         int
+	// DedupFunctions merges identical outlined bodies across trees.
 	DedupFunctions bool
 	// Deprecated: Detector is ignored; repeats are always detected with
 	// one suffix tree per group.
 	Detector outline.DetectorKind
+	// Deprecated: Rounds is ignored; the outliner runs one pass.
+	Rounds int
 	// VerifyImage runs the static image verifier (internal/analysis) on
 	// the linked image and fails the build on any warning or error. It is
 	// the image-only counterpart of the always-on outline.VerifyRewriteCtx:
@@ -202,7 +202,6 @@ func BuildCtx(ctx context.Context, app *dex.App, cfg Config) (*Result, error) {
 			MinLength:      cfg.MinLength,
 			MinBenefit:     cfg.MinBenefit,
 			Parallel:       cfg.ParallelTrees,
-			Rounds:         cfg.Rounds,
 			DedupFunctions: cfg.DedupFunctions,
 			Workers:        cfg.Workers,
 			Tracer:         cfg.Tracer,

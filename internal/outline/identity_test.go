@@ -27,12 +27,9 @@ func TestDetectorByteIdentityPin(t *testing.T) {
 	}
 	plDedup := core.CTOLTBOPl(4)
 	plDedup.DedupFunctions = true
-	plRounds := plDedup
-	plRounds.Rounds = 2
 	cases := []pinCase{
 		{"Wechat", core.CTOLTBO(), "wechat-ltbo"},
 		{"Wechat", plDedup, "wechat-plopti4-dedup"},
-		{"Wechat", plRounds, "wechat-plopti4-rounds2-dedup"},
 		{"Taobao", core.CTOLTBOPl(8), "taobao-plopti8"},
 	}
 

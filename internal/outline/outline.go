@@ -36,15 +36,9 @@ type Options struct {
 	// Hot marks methods whose non-slow-path code must not be outlined
 	// (§3.4.2). Nil disables hot-function filtering.
 	Hot map[dex.MethodID]bool
-	// Rounds repeats the detect/outline/patch cycle on the rewritten
-	// binaries (default 1). Later rounds recover repeats that the greedy
-	// non-overlapping selection of earlier rounds fragmented — the
-	// multi-round scheme of the iOS outlining line of work the paper
-	// builds on. Rounds stop early when a pass creates nothing.
-	Rounds int
 	// DedupFunctions merges identical outlined-function bodies created by
-	// different suffix trees (or rounds) into one copy. The paper accepts
-	// the cross-tree duplication as the price of PlOpti (§3.4.1);
+	// different suffix trees into one copy. The paper accepts the
+	// cross-tree duplication as the price of PlOpti (§3.4.1);
 	// deduplication recovers part of that loss for one cheap linear pass.
 	DedupFunctions bool
 	// SymKind is the codegen symbol kind minted for created functions;
@@ -58,6 +52,9 @@ type Options struct {
 	// Deprecated: DetectShards is ignored; each group is detected as a
 	// whole.
 	DetectShards int
+	// Deprecated: Rounds is ignored; the outliner runs one
+	// detect/outline/patch pass, as the paper's LTBO does (§3.3).
+	Rounds int
 	// Workers bounds the goroutines the outliner uses for the group
 	// fan-out, the per-method separator scans, and the per-method
 	// rewrites; <= 0 selects runtime.GOMAXPROCS(0). Distinct from
@@ -86,9 +83,6 @@ func (o Options) withDefaults() Options {
 	if o.Parallel == 0 {
 		o.Parallel = 1
 	}
-	if o.Rounds == 0 {
-		o.Rounds = 1
-	}
 	if o.SymKind == 0 {
 		o.SymKind = codegen.SymKindOutlined
 	}
@@ -113,7 +107,7 @@ type Stats struct {
 
 	// Phase wall clocks. With K parallel trees, SepScan through Detect
 	// are the slowest group's time (groups overlap); Rewrite is the wall
-	// time of the whole rewrite fan-out. Across rounds they accumulate.
+	// time of the whole rewrite fan-out.
 	SepScan   time.Duration // per-method separator scans (inside buildSequence)
 	Symbolize time.Duration // sequence symbol interning (serial per group)
 	TreeBuild time.Duration
@@ -145,54 +139,55 @@ func (s *Stats) Counters() map[string]int64 {
 // rewritten; the caller links with oat.Link(methods, blobs).
 //
 // Cancellation is cooperative: the group fan-out, the separator scan and
-// the per-method rewrite pool check ctx before every task, and the round
-// loop checks it between rounds, so a cancelled or deadline-expired
-// context stops outlining promptly and returns ctx.Err(). A negative
-// Parallel or Rounds is refused before any work.
+// the per-method rewrite pool check ctx before every task, so a cancelled
+// or deadline-expired context stops outlining promptly and returns
+// ctx.Err(). A negative Parallel is refused before any work.
 func RunCtx(ctx context.Context, methods []*codegen.CompiledMethod, opts Options) ([]oat.Blob, *Stats, error) {
-	total := &Stats{}
-	if opts.Parallel < 0 || opts.Rounds < 0 {
-		return nil, total, fmt.Errorf("outline: Parallel (%d) and Rounds (%d) must not be negative", opts.Parallel, opts.Rounds)
+	if opts.Parallel < 0 {
+		return nil, &Stats{}, fmt.Errorf("outline: Parallel (%d) must not be negative", opts.Parallel)
 	}
 	opts = opts.withDefaults()
-	var blobs []oat.Blob
-	for round := 0; round < opts.Rounds; round++ {
-		created, stats, err := runPass(ctx, methods, opts, len(blobs))
-		if err != nil {
-			return nil, total, err
-		}
-		accumulate(total, stats)
-		blobs = append(blobs, created...)
-		if len(created) == 0 {
-			break
-		}
+	blobs, stats, err := runPass(ctx, methods, opts)
+	if err != nil {
+		return nil, stats, err
 	}
 	if opts.DedupFunctions {
-		blobs = dedupBlobs(methods, blobs, total)
+		blobs = FoldIdentical(methods, blobs, blobs, stats)
 	}
-	for name, v := range total.Counters() {
+	for name, v := range stats.Counters() {
 		opts.Tracer.Count("outline."+name, v)
 	}
-	return blobs, total, nil
+	return blobs, stats, nil
 }
 
-// dedupBlobs merges byte-identical outlined functions: call sites of every
-// duplicate are redirected to the first copy, and duplicates are dropped.
-// Call sites carry symbols (displacements bind at link), so the redirect is
-// a symbol rewrite, no patching needed.
-func dedupBlobs(methods []*codegen.CompiledMethod, blobs []oat.Blob, total *Stats) []oat.Blob {
-	canon := map[string]int{} // body -> canonical symbol
+// FoldIdentical merges outlined bodies that are byte-identical to one in
+// into. Each blob whose body equals that of another symbol in into — the
+// first such — is dropped, and its call sites in methods are re-bound to
+// that symbol; the kept blobs are returned in order. Passing blobs as
+// into merges the duplicates among them into their first copy. Call sites
+// carry symbols (displacements bind at link), so the re-binding is a
+// symbol rewrite, no patching needed. Each dropped body also leaves st's
+// OutlinedFunctions and WordsAdded, so st counts what is written.
+func FoldIdentical(methods []*codegen.CompiledMethod, into, blobs []oat.Blob, st *Stats) []oat.Blob {
+	if len(into) == 0 || len(blobs) == 0 {
+		return blobs
+	}
+	canon := make(map[string]int, len(into)) // body -> first symbol with it
+	for _, b := range into {
+		key := bodyKey(b.Code)
+		if _, ok := canon[key]; !ok {
+			canon[key] = b.Sym
+		}
+	}
 	remap := map[int]int{}
 	var kept []oat.Blob
 	for _, b := range blobs {
-		key := blobKey(b.Code)
-		if sym, ok := canon[key]; ok {
+		if sym, ok := canon[bodyKey(b.Code)]; ok && sym != b.Sym {
 			remap[b.Sym] = sym
-			total.OutlinedFunctions--
-			total.WordsAdded -= len(b.Code)
+			st.OutlinedFunctions--
+			st.WordsAdded -= len(b.Code)
 			continue
 		}
-		canon[key] = b.Sym
 		kept = append(kept, b)
 	}
 	if len(remap) == 0 {
@@ -208,7 +203,8 @@ func dedupBlobs(methods []*codegen.CompiledMethod, blobs []oat.Blob, total *Stat
 	return kept
 }
 
-func blobKey(words []uint32) string {
+// bodyKey is a map key holding a body's words.
+func bodyKey(words []uint32) string {
 	b := make([]byte, 4*len(words))
 	for i, w := range words {
 		b[4*i] = byte(w)
@@ -217,28 +213,6 @@ func blobKey(words []uint32) string {
 		b[4*i+3] = byte(w >> 24)
 	}
 	return string(b)
-}
-
-// accumulate folds one pass's stats into the running total. Counts add;
-// phase durations add (rounds run sequentially); exclusion counts are
-// identical each round and kept from the first.
-func accumulate(total, pass *Stats) {
-	if total.CandidateMethods == 0 {
-		total.CandidateMethods = pass.CandidateMethods
-		total.ExcludedIndirect = pass.ExcludedIndirect
-		total.ExcludedNative = pass.ExcludedNative
-		total.HotFiltered = pass.HotFiltered
-		total.SequenceSymbols = pass.SequenceSymbols
-	}
-	total.OutlinedFunctions += pass.OutlinedFunctions
-	total.OutlinedOccurrences += pass.OutlinedOccurrences
-	total.WordsRemoved += pass.WordsRemoved
-	total.WordsAdded += pass.WordsAdded
-	total.SepScan += pass.SepScan
-	total.Symbolize += pass.Symbolize
-	total.TreeBuild += pass.TreeBuild
-	total.Detect += pass.Detect
-	total.Rewrite += pass.Rewrite
 }
 
 // foldSlowest folds the stats of one of several concurrent groups into st:
@@ -252,8 +226,8 @@ func (st *Stats) foldSlowest(task *Stats) {
 	st.Detect = max(st.Detect, task.Detect)
 }
 
-// runPass performs one detect/outline/patch cycle.
-func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Options, symBase int) ([]oat.Blob, *Stats, error) {
+// runPass performs the detect/outline/patch cycle.
+func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Options) ([]oat.Blob, *Stats, error) {
 	stats := &Stats{}
 
 	// §3.3.1: choose candidate methods.
@@ -348,7 +322,7 @@ func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Option
 			})
 		}
 		for _, f := range res.funcs {
-			sym := codegen.PackSym(opts.SymKind, int64(symBase+len(blobs)))
+			sym := codegen.PackSym(opts.SymKind, int64(len(blobs)))
 			body := append(append([]uint32(nil), f.words...),
 				a64.MustEncode(a64.Inst{Op: a64.OpBr, Rn: a64.LR}))
 			blobs = append(blobs, oat.Blob{Sym: sym, Code: body})

@@ -272,39 +272,6 @@ func TestHotFilterReducesLess(t *testing.T) {
 	}
 }
 
-func TestMultiRoundOutlining(t *testing.T) {
-	app, man := genApp(t, 91, 70)
-	m1 := compile(t, app, true)
-	b1, s1, err := RunCtx(context.Background(), m1, Options{Rounds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m3 := compile(t, app, true)
-	b3, s3, err := RunCtx(context.Background(), m3, Options{Rounds: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3.NetWordsSaved() < s1.NetWordsSaved() {
-		t.Errorf("more rounds saved less: %d < %d", s3.NetWordsSaved(), s1.NetWordsSaved())
-	}
-	if len(b3) < len(b1) {
-		t.Errorf("rounds produced fewer functions: %d < %d", len(b3), len(b1))
-	}
-	// Symbols must stay unique across rounds.
-	seen := map[int]bool{}
-	for _, b := range b3 {
-		if seen[b.Sym] {
-			t.Fatalf("duplicate symbol %s across rounds", codegen.SymName(b.Sym))
-		}
-		seen[b.Sym] = true
-	}
-	// And the multi-round result must still be semantically intact.
-	img := link(t, m3, b3)
-	for _, entry := range man.Drivers {
-		diff(t, app, img, entry, []int64{3, 7})
-	}
-}
-
 func TestAnalyze(t *testing.T) {
 	app, _ := genApp(t, 61, 60)
 	methods := compile(t, app, false)
@@ -441,7 +408,7 @@ func TestDedupFunctionsAcrossTrees(t *testing.T) {
 	// No two kept blobs share a body.
 	seen := map[string]bool{}
 	for _, b := range blobs {
-		key := blobKey(b.Code)
+		key := bodyKey(b.Code)
 		if seen[key] {
 			t.Fatal("duplicate bodies survived dedup")
 		}
@@ -454,13 +421,12 @@ func TestDedupFunctionsAcrossTrees(t *testing.T) {
 	}
 }
 
-// TestRunRefusesNegativeCounts: a negative tree count or round count is
-// refused with an error and leaves the methods untouched, rather than
+// TestRunRefusesNegativeCounts: a negative tree count is refused with an error and leaves the methods untouched, rather than
 // panicking on a negative group count or outlining nothing.
 func TestRunRefusesNegativeCounts(t *testing.T) {
 	app, _ := genApp(t, 5, 40)
 	want := compile(t, app, true)
-	for _, opts := range []Options{{Parallel: -1}, {Rounds: -1}, {Parallel: -2, Rounds: 2}} {
+	for _, opts := range []Options{{Parallel: -1}, {Parallel: -2, DedupFunctions: true}} {
 		cms := compile(t, app, true)
 		blobs, _, err := RunVerifiedCtx(context.Background(), cms, opts)
 		if err == nil || blobs != nil {

@@ -14,7 +14,7 @@ func TestRunVerifiedAcceptsHonestRewrites(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		app, _ := genApp(t, 100+seed, 60)
 		methods := compile(t, app, true)
-		blobs, stats, err := RunVerifiedCtx(context.Background(), methods, Options{Parallel: 4, Rounds: 2})
+		blobs, stats, err := RunVerifiedCtx(context.Background(), methods, Options{Parallel: 4, DedupFunctions: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

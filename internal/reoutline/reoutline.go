@@ -10,7 +10,7 @@
 //     metadata and stack maps remapped through the expansion. Methods the
 //     mask — or a defensive check during lifting — freezes are carried
 //     through byte-for-byte.
-//  2. Detect. The shared outline detector (trees, rounds, dedup —
+//  2. Detect. The shared outline detector (trees, dedup —
 //     the exact link-time machine) runs over the lifted bodies and
 //     rewrites them, minting SymKindReoutlined functions so dumps and
 //     lint rules can tell post-hoc outlining from link-time outlining.
@@ -51,9 +51,7 @@ type Config struct {
 	// ParallelTrees partitions the lifted methods into K independent
 	// suffix trees (PlOpti); <= 1 builds one global tree.
 	ParallelTrees int
-	// Rounds repeats the outlining cycle; DedupFunctions merges identical
-	// re-outlined bodies across trees and rounds.
-	Rounds         int
+	// DedupFunctions merges identical re-outlined bodies across trees.
 	DedupFunctions bool
 	// Workers bounds every parallel stage; <= 0 selects GOMAXPROCS. The
 	// output image is byte-identical at every width.
@@ -173,7 +171,6 @@ func RunCtx(ctx context.Context, img *oat.Image, cfg Config) (*oat.Image, *Stats
 	}
 	blobs, ost, err := outline.RunVerifiedCtx(ctx, compact, outline.Options{
 		Parallel:       cfg.ParallelTrees,
-		Rounds:         cfg.Rounds,
 		DedupFunctions: cfg.DedupFunctions,
 		Workers:        cfg.Workers,
 		Tracer:         cfg.Tracer,
@@ -190,7 +187,18 @@ func RunCtx(ctx context.Context, img *oat.Image, cfg Config) (*oat.Image, *Stats
 	t2 := time.Now()
 	sp = cfg.Tracer.Start("stage", "reoutline.relink").Arg("new_blobs", int64(len(blobs)))
 	retained := retainedBlobs(img, cg, frozen)
-	blobs = dedupAgainstRetained(img, retained, blobs, lifted, st)
+	// A new body byte-identical to a retained one folds into it, so a
+	// frozen caller and a re-outlined caller share one body exactly as
+	// they did at link time.
+	var into []oat.Blob
+	for _, f := range img.Outlined {
+		if retained[f.Sym] {
+			into = append(into, oat.Blob{Sym: f.Sym, Code: img.Text[f.Offset/4 : (f.Offset+f.Size)/4]})
+		}
+	}
+	created := len(blobs)
+	blobs = outline.FoldIdentical(compact, into, blobs, ost)
+	st.BlobsDeduped = created - len(blobs)
 	st.BlobsCreated = len(blobs)
 	st.BlobsRetained = len(retained)
 	out, err := oat.Rewrite(img, relinkEdits(img, lifted, blobs, retained))
@@ -276,50 +284,4 @@ func retainedBlobs(img *oat.Image, cg *analysis.CallGraph, frozen []bool) map[in
 		}
 	}
 	return retained
-}
-
-// dedupAgainstRetained folds newly created bodies that are byte-identical
-// to a retained original blob: the new function is dropped and its call
-// sites re-bound to the survivor, so a frozen caller and a re-outlined
-// caller share one body exactly as they did at link time.
-func dedupAgainstRetained(img *oat.Image, retained map[int]bool, blobs []oat.Blob, lifted []*codegen.CompiledMethod, st *Stats) []oat.Blob {
-	if len(retained) == 0 || len(blobs) == 0 {
-		return blobs
-	}
-	key := func(words []uint32) string {
-		b := make([]byte, 0, len(words)*4)
-		for _, w := range words {
-			b = append(b, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
-		}
-		return string(b)
-	}
-	retKey := map[string]int{}
-	for _, f := range img.Outlined {
-		if retained[f.Sym] {
-			retKey[key(img.Text[f.Offset/4:(f.Offset+f.Size)/4])] = f.Sym
-		}
-	}
-	remap := map[int]int{}
-	kept := blobs[:0]
-	for _, b := range blobs {
-		if sym, ok := retKey[key(b.Code)]; ok {
-			remap[b.Sym] = sym
-			st.BlobsDeduped++
-			continue
-		}
-		kept = append(kept, b)
-	}
-	if len(remap) > 0 {
-		for _, cm := range lifted {
-			if cm == nil {
-				continue
-			}
-			for j, e := range cm.Ext {
-				if sym, ok := remap[e.Symbol]; ok {
-					cm.Ext[j].Symbol = sym
-				}
-			}
-		}
-	}
-	return kept
 }

@@ -292,6 +292,14 @@ func TestReoutlineRetainsFrozenCallees(t *testing.T) {
 	if st.BlobsRetained != 14 || st.BlobsDeduped != 9 {
 		t.Errorf("retained=%d deduped=%d, want 14 and 9", st.BlobsRetained, st.BlobsDeduped)
 	}
+	// The stats count what was written: a folded body is not a created one.
+	if st.Outline.OutlinedFunctions != st.BlobsCreated {
+		t.Errorf("Outline.OutlinedFunctions = %d, want BlobsCreated = %d", st.Outline.OutlinedFunctions, st.BlobsCreated)
+	}
+	if len(out.Outlined) != st.BlobsCreated+st.BlobsRetained {
+		t.Errorf("%d outlined functions in the output, want created %d + retained %d",
+			len(out.Outlined), st.BlobsCreated, st.BlobsRetained)
+	}
 	if fs, _ := analysis.LintCtx(context.Background(), out, 0, nil); len(fs) > 0 {
 		t.Errorf("output does not lint clean: %s", fs[0])
 	}

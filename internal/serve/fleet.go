@@ -41,7 +41,7 @@ import (
 // fleetJobSchema versions the job key layout. Bumping it orphans every
 // published artifact at once — the safe response to any change in what
 // the key covers or what the artifact encodes.
-const fleetJobSchema = "calibro/job-key/v2"
+const fleetJobSchema = "calibro/job-key/v3"
 
 // fleetEligible reports whether a job may be served from or published to
 // the fleet store. Only profile-named build jobs qualify: their inputs
@@ -67,7 +67,6 @@ func fleetKey(req JobRequest) cache.Key {
 	h.Uint(math.Float64bits(req.Delta))
 	h.Str(req.Config)
 	h.Int(int64(req.Trees))
-	h.Int(int64(req.Rounds))
 	h.Bool(req.Dedup)
 	h.Int(int64(req.Runs))
 	return h.Sum()

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -30,30 +31,80 @@ func fleetRemote(t *testing.T, flaky *cachetest.Flaky) *cache.Remote {
 	})
 }
 
+// TestFleetKeySchema walks every JobRequest field: each must either
+// change the job key or be named below with the reason the key may ignore
+// it, so a field added without a key decision fails here.
 func TestFleetKeySchema(t *testing.T) {
 	base := JobRequest{App: "Taobao", Scale: 0.05, Config: "ltbo"}.withDefaults(0.25)
-
-	same := base
-	same.Workers = 7 // scheduling knob: must not change the key
-	same.TimeoutMS = 12345
-	if fleetKey(base) != fleetKey(same) {
-		t.Fatal("Workers/TimeoutMS changed the job key; fleet sharing across -j is broken")
+	if !fleetEligible(base) || base.validate() != nil {
+		t.Fatal("base request must be a valid, fleet-eligible build")
 	}
 
-	for name, mut := range map[string]func(*JobRequest){
-		"app":     func(r *JobRequest) { r.App = "Wechat" },
-		"scale":   func(r *JobRequest) { r.Scale = 0.06 },
-		"config":  func(r *JobRequest) { r.Config = "plopti" },
-		"version": func(r *JobRequest) { r.Version = 2; r.Delta = 0.1 },
-		"trees":   func(r *JobRequest) { r.Trees = 4 },
-		"rounds":  func(r *JobRequest) { r.Rounds = 2 },
-		"dedup":   func(r *JobRequest) { r.Dedup = true },
-		"runs":    func(r *JobRequest) { r.Runs = 5 },
-	} {
-		other := base
-		mut(&other)
-		if fleetKey(base) == fleetKey(other) {
-			t.Errorf("mutating %s did not change the job key", name)
+	keyed := map[string]func(*JobRequest){
+		"App":     func(r *JobRequest) { r.App = "Wechat" },
+		"Scale":   func(r *JobRequest) { r.Scale = 0.06 },
+		"Version": func(r *JobRequest) { r.Version = 2 },
+		"Delta":   func(r *JobRequest) { r.Delta = 0.2 },
+		"Config":  func(r *JobRequest) { r.Config = "plopti" },
+		"Trees":   func(r *JobRequest) { r.Trees = 4 },
+		"Dedup":   func(r *JobRequest) { r.Dedup = true },
+		"Runs":    func(r *JobRequest) { r.Runs = 5 },
+	}
+	// Fields the key leaves out, each with a check of why that is safe.
+	sameImage := func(r JobRequest) bool { return fleetKey(r) == fleetKey(base) }
+	notShared := func(r JobRequest) bool { return !fleetEligible(r) }
+	refused := func(r JobRequest) bool { return r.validate() != nil }
+	unkeyed := map[string]struct {
+		mut  func(*JobRequest)
+		safe func(JobRequest) bool
+	}{
+		// Scheduling only: the image is byte-identical at any value.
+		"Workers":   {func(r *JobRequest) { r.Workers = 7 }, sameImage},
+		"TimeoutMS": {func(r *JobRequest) { r.TimeoutMS = 12345 }, sameImage},
+		// Jobs that set these are never served from or published to the fleet.
+		"Kind":   {func(r *JobRequest) { r.Kind = KindDebloat }, notShared},
+		"Dex":    {func(r *JobRequest) { r.Dex = []byte("dex payload") }, notShared},
+		"Verify": {func(r *JobRequest) { r.Verify = true }, notShared},
+		"Lint":   {func(r *JobRequest) { r.Lint = true }, notShared},
+		// Rewrite-job inputs a build job refuses.
+		"Oat":   {func(r *JobRequest) { r.Oat = []byte("oat") }, refused},
+		"Roots": {func(r *JobRequest) { r.Roots = []uint32{0} }, refused},
+	}
+
+	typ := reflect.TypeOf(JobRequest{})
+	fields := map[string]bool{}
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		fields[name] = true
+		mut, isKeyed := keyed[name]
+		un, isUnkeyed := unkeyed[name]
+		switch {
+		case isKeyed && isUnkeyed:
+			t.Errorf("%s is listed as both keyed and unkeyed", name)
+		case isKeyed:
+			other := base
+			mut(&other)
+			if fleetKey(base) == fleetKey(other) {
+				t.Errorf("mutating %s did not change the job key", name)
+			}
+		case isUnkeyed:
+			other := base
+			un.mut(&other)
+			if !un.safe(other) {
+				t.Errorf("%s is left out of the job key, but a request that sets it is shared under the same key", name)
+			}
+		default:
+			t.Errorf("JobRequest.%s has no key decision: hash it in fleetKey or list why it may be left out", name)
+		}
+	}
+	for name := range keyed {
+		if !fields[name] {
+			t.Errorf("keyed list names %s, which JobRequest no longer has", name)
+		}
+	}
+	for name := range unkeyed {
+		if !fields[name] {
+			t.Errorf("unkeyed list names %s, which JobRequest no longer has", name)
 		}
 	}
 }
@@ -263,7 +314,7 @@ func TestFleetDeterminismDifferential(t *testing.T) {
 		{App: "Toutiao", Scale: 0.05, Config: "ltbo"},
 		{App: "Taobao", Scale: 0.05, Config: "plopti"},
 		{App: "Toutiao", Scale: 0.05, Config: "ltbo"}, // repeat: warm path
-		{App: "Fanqie", Scale: 0.05, Config: "cto", Rounds: 2},
+		{App: "Fanqie", Scale: 0.05, Config: "cto"},
 	}
 	want := make([][]byte, len(reqs))
 	for i, req := range reqs {

@@ -67,7 +67,6 @@ type JobRequest struct {
 
 	Config string `json:"config,omitempty"` // baseline|cto|ltbo|plopti|hfopti (default plopti)
 	Trees  int    `json:"trees,omitempty"`  // parallel suffix trees (default 8)
-	Rounds int    `json:"rounds,omitempty"` // outlining rounds
 	Dedup  bool   `json:"dedup,omitempty"`  // merge identical outlined functions
 
 	Workers int  `json:"workers,omitempty"` // per-build pool width; server default when 0
@@ -116,8 +115,8 @@ const (
 
 // validate rejects a request before it takes a queue slot.
 func (r JobRequest) validate() error {
-	if r.Trees < 0 || r.Rounds < 0 || r.Runs < 0 || r.Scale < 0 {
-		return errors.New("trees, rounds, runs and scale must not be negative")
+	if r.Trees < 0 || r.Runs < 0 || r.Scale < 0 {
+		return errors.New("trees, runs and scale must not be negative")
 	}
 	switch r.Kind {
 	case KindBuild:
@@ -387,7 +386,6 @@ func (s *Server) compile(ctx context.Context, req JobRequest, tr *obs.Tracer) (*
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg.Rounds = req.Rounds
 	cfg.DedupFunctions = req.Dedup
 	cfg.VerifyImage = req.Verify
 	cfg.Workers = req.Workers
@@ -471,7 +469,6 @@ func reoutline(ctx context.Context, req JobRequest, tr *obs.Tracer) (*oat.Image,
 	start := time.Now()
 	res, rs, err := core.ReoutlineImageCtx(ctx, img, core.ReoutlineConfig{
 		ParallelTrees:  req.Trees,
-		Rounds:         req.Rounds,
 		DedupFunctions: req.Dedup,
 		Workers:        req.Workers,
 		Tracer:         tr,

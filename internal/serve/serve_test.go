@@ -130,7 +130,6 @@ func directImage(t *testing.T, req JobRequest) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Rounds = req.Rounds
 	cfg.DedupFunctions = req.Dedup
 	cfg.VerifyImage = req.Verify
 	cfg.Workers = req.Workers
@@ -230,7 +229,6 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown app", JobRequest{App: "NotAnApp", Config: "plopti"}},
 		{"unknown config", JobRequest{App: "Taobao", Config: "turbo"}},
 		{"negative trees", JobRequest{App: "Taobao", Config: "plopti", Trees: -1}},
-		{"negative rounds", JobRequest{App: "Taobao", Config: "ltbo", Rounds: -1}},
 		{"negative runs", JobRequest{App: "Taobao", Config: "hfopti", Runs: -1}},
 		{"negative scale", JobRequest{App: "Taobao", Config: "plopti", Scale: -1}},
 		{"reoutline negative trees", JobRequest{Kind: KindReoutline, Oat: []byte("x"), Trees: -1}},
@@ -259,6 +257,7 @@ func TestSubmitBodyStrict(t *testing.T) {
 		{"misspelled field", `{"app":"Taobao","confg":"ltbo"}`, http.StatusBadRequest},
 		{"unknown field", `{"app":"Taobao","bogus":1}`, http.StatusBadRequest},
 		{"removed shards field", `{"app":"Taobao","shards":2}`, http.StatusBadRequest},
+		{"removed rounds field", `{"app":"Taobao","rounds":2}`, http.StatusBadRequest},
 		{"second object", `{"app":"Taobao"} {"app":"Taobao"}`, http.StatusBadRequest},
 		{"trailing garbage", `{"app":"Taobao"}x`, http.StatusBadRequest},
 		{"trailing bracket", `{"app":"Taobao"}]`, http.StatusBadRequest},

@@ -111,6 +111,82 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}
 }
 
+// TestMakeFuzzRunsEveryFuzzer keeps the Makefile's fuzz recipe complete:
+// every func FuzzX in the module is run exactly once, from its own
+// package, under an anchored '^FuzzX$$' pattern (a bare pattern also
+// matches every fuzzer whose name it prefixes, and go test then refuses
+// to fuzz).
+func TestMakeFuzzRunsEveryFuzzer(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recipe := regexp.MustCompile(`(?m)^fuzz:\n((?:\t.*\n)+)`).FindSubmatch(makefile)
+	if recipe == nil {
+		t.Fatal("Makefile has no fuzz recipe")
+	}
+	lineRE := regexp.MustCompile(`^\$\(GO\) test (\./\S+) .*-fuzz '\^(Fuzz\w+)\$\$'`)
+	runs := map[string][]string{} // fuzzer -> package paths that run it
+	for _, line := range strings.Split(strings.TrimSpace(string(recipe[1])), "\n") {
+		line = strings.TrimSpace(line)
+		m := lineRE.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("fuzz recipe line %q does not run one anchored '^FuzzX$$' pattern", line)
+			continue
+		}
+		runs[m[2]] = append(runs[m[2]], m[1])
+	}
+
+	fuzzRE := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	declared := map[string]bool{}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir // another module; make fuzz does not reach it
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		pkg := "./" + filepath.ToSlash(filepath.Dir(path))
+		for _, m := range fuzzRE.FindAllStringSubmatch(string(data), -1) {
+			name := m[1]
+			declared[name] = true
+			switch got := runs[name]; {
+			case len(got) == 0:
+				t.Errorf("%s (%s) is not in the Makefile's fuzz recipe", name, pkg)
+			case len(got) > 1:
+				t.Errorf("%s runs %d times in the fuzz recipe", name, len(got))
+			case got[0] != pkg:
+				t.Errorf("%s is declared in %s, but the fuzz recipe runs it from %s", name, pkg, got[0])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name := range runs {
+		if !declared[name] {
+			t.Errorf("the fuzz recipe runs %s, which no test file declares", name)
+		}
+	}
+}
+
 // TestEveryExportIsCalled requires every exported package-level function
 // in internal/ to be referenced from some .go file other than the one that
 // declares it; tests and the layerbench module count. An export nothing

@@ -133,28 +133,20 @@ func run(args []string, out, errOut io.Writer) int {
 		}
 	}
 
+	spec, err := analysis.ParseRuleSpec(*rules)
+	if err != nil {
+		fmt.Fprintln(errOut, "oatlint:", err)
+		return 2
+	}
+	// One call serves every flag: the empty spec is the legacy rule set,
+	// byte-identical to AnalyzeCtx, and a nil orig silences the paired
+	// rules.
 	sp := tracer.Start("stage", "lint").Arg("methods", int64(len(img.Methods)))
-	var rep *analysis.Report
-	if *rules == "" {
-		// A background context never cancels, so the error is impossible.
-		rep, _ = analysis.AnalyzeCtx(context.Background(), img, *workers, tracer)
-	} else {
-		spec, err := analysis.ParseRuleSpec(*rules)
-		if err != nil {
-			sp.End()
-			fmt.Fprintln(errOut, "oatlint:", err)
-			return 2
-		}
-		if orig != nil {
-			rep, err = analysis.RunRulesPaired(context.Background(), img, orig, spec, rootSet, *workers, tracer)
-		} else {
-			rep, err = analysis.RunRules(context.Background(), img, spec, rootSet, *workers, tracer)
-		}
-		if err != nil {
-			sp.End()
-			fmt.Fprintln(errOut, "oatlint:", err)
-			return 2
-		}
+	rep, err := analysis.RunRulesPaired(context.Background(), img, orig, spec, rootSet, *workers, tracer)
+	if err != nil {
+		sp.End()
+		fmt.Fprintln(errOut, "oatlint:", err)
+		return 2
 	}
 	sp.End()
 	if code := writeTelemetry(tracer, *tracePath, *metricsPath, stopProfile, errOut); code != 0 {
@@ -162,7 +154,7 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 
 	if *dumpCG || *dumpRch {
-		cg, _ := analysis.BuildCallGraphCtx(context.Background(), img, 0)
+		cg, _ := analysis.BuildCallGraphCtx(context.Background(), img, *workers)
 		if *dumpCG {
 			if err := cg.WriteDump(out); err != nil {
 				fmt.Fprintln(errOut, "oatlint:", err)

@@ -273,15 +273,7 @@ func walkMethod(l *layout, r region) *methodWalk {
 	words := l.words(r)
 	n := len(words)
 
-	data := make([]bool, n)
-	for _, d := range rec.Meta.EmbeddedData {
-		if !wellFormedData(d, r.size) {
-			continue // the per-method pass reports this
-		}
-		for w := d.Start / a64.WordSize; w < d.End/a64.WordSize; w++ {
-			data[w] = true
-		}
-	}
+	data := dataWords(rec.Meta.EmbeddedData, r.size)
 	insts := make([]a64.Inst, n)
 	decoded := make([]bool, n)
 	writesTR := false

@@ -80,7 +80,7 @@ func newMethodCtx(l *layout, r region, fs *findings) *methodCtx {
 	mc := &methodCtx{
 		l: l, r: r, rec: rec, fs: fs,
 		words:       l.words(r),
-		data:        make([]bool, n),
+		data:        dataWords(rec.Meta.EmbeddedData, r.size),
 		insts:       make([]a64.Inst, n),
 		decoded:     make([]bool, n),
 		sound:       true,
@@ -89,10 +89,6 @@ func newMethodCtx(l *layout, r region, fs *findings) *methodCtx {
 	for _, d := range rec.Meta.EmbeddedData {
 		if !wellFormedData(d, r.size) {
 			mc.errf(d.Start, RuleMetadata, "embedded-data range [%#x,%#x) out of method bounds", d.Start, d.End)
-			continue
-		}
-		for w := d.Start / a64.WordSize; w < d.End/a64.WordSize; w++ {
-			mc.data[w] = true
 		}
 	}
 	for w, word := range mc.words {
@@ -117,6 +113,20 @@ func newMethodCtx(l *layout, r region, fs *findings) *methodCtx {
 // range; the per-method pass reports it.
 func wellFormedData(d a64.Range, size int) bool {
 	return d.Start >= 0 && d.End >= d.Start && d.End <= size && d.Start%a64.WordSize == 0
+}
+
+// dataWords marks, per word of a method of size bytes, the words inside
+// its well-formed embedded-data ranges.
+func dataWords(ranges []a64.Range, size int) []bool {
+	data := make([]bool, size/a64.WordSize)
+	for _, d := range ranges {
+		if wellFormedData(d, size) {
+			for w := d.Start / a64.WordSize; w < d.End/a64.WordSize; w++ {
+				data[w] = true
+			}
+		}
+	}
+	return data
 }
 
 func (mc *methodCtx) id() dex.MethodID { return mc.rec.ID }

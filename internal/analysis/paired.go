@@ -48,15 +48,7 @@ func flattenMethod(lay *layout, mi int) ([]flatTok, bool) {
 		return nil, false
 	}
 	n := len(words)
-	data := make([]bool, n)
-	for _, d := range rec.Meta.EmbeddedData {
-		if !wellFormedData(d, rec.Size) {
-			continue
-		}
-		for w := d.Start / a64.WordSize; w < d.End/a64.WordSize; w++ {
-			data[w] = true
-		}
-	}
+	data := dataWords(rec.Meta.EmbeddedData, rec.Size)
 
 	// inlined[w] is the body the bl at w expands to (nil when the word is
 	// not a bl to an outlined-function head).

@@ -89,8 +89,9 @@ func (d *deriver) reuse(r region) (res methodResult, walk *methodWalk, ok bool) 
 	}
 	ow := prevImg.Text[po.Offset/a64.WordSize : (po.Offset+po.Size)/a64.WordSize]
 	nw := d.l.words(r)
+	data := dataWords(po.Meta.EmbeddedData, po.Size)
 	for w := range ow {
-		if ow[w]&blMask == blBits && !dataWord(po.Meta.EmbeddedData, po.Size, w) {
+		if ow[w]&blMask == blBits && !data[w] {
 			// A call: it must land on the head of a region with the same
 			// identity in both images.
 			inst, ok := a64.Decode(ow[w])
@@ -158,15 +159,4 @@ func sameRecords(x, y *oat.MethodRecord) bool {
 		slices.Equal(x.Meta.EmbeddedData, y.Meta.EmbeddedData) &&
 		slices.Equal(x.Meta.Slowpaths, y.Meta.Slowpaths) &&
 		slices.Equal(x.StackMap, y.StackMap)
-}
-
-// dataWord reports whether word w of a method of size bytes is embedded
-// data, as the per-method pass marks it.
-func dataWord(ranges []a64.Range, size, w int) bool {
-	for _, d := range ranges {
-		if wellFormedData(d, size) && d.Start/a64.WordSize <= w && w < d.End/a64.WordSize {
-			return true
-		}
-	}
-	return false
 }

@@ -11,8 +11,10 @@
 package outline
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/a64"
@@ -285,8 +287,9 @@ func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Option
 	}
 
 	// The call-site rewrites, grouped by method in one backing array (a
-	// counting sort on the method index): method mi's plans are
-	// plans[first[mi]:first[mi+1]], in creation order.
+	// counting sort on the method index): method mi's splices are
+	// splices[first[mi]:first[mi+1]], in creation order. Every splice
+	// shares one bl word; the linker binds it through the splice's Sym.
 	first := make([]int, len(methods)+1)
 	for _, res := range results {
 		for _, f := range res.funcs {
@@ -298,8 +301,9 @@ func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Option
 	for mi := range methods {
 		first[mi+1] += first[mi]
 	}
-	plans := make([]rewritePlan, first[len(methods)])
+	splices := make([]codegen.Splice, first[len(methods)])
 	next := append([]int(nil), first[:len(methods)]...)
+	bl := []uint32{a64.MustEncode(a64.Inst{Op: a64.OpBl})}
 
 	// Merge deterministically in group order.
 	var blobs []oat.Blob
@@ -331,7 +335,7 @@ func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Option
 			for _, occ := range f.occurrences {
 				stats.OutlinedOccurrences++
 				stats.WordsRemoved += len(f.words) - 1 // bl replaces the sequence
-				plans[next[occ.method]] = rewritePlan{start: occ.wordOff, length: len(f.words), sym: sym}
+				splices[next[occ.method]] = codegen.Splice{Start: occ.wordOff, Len: len(f.words), Words: bl, Sym: sym}
 				next[occ.method]++
 			}
 		}
@@ -354,7 +358,9 @@ func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Option
 	})
 	if err := par.EachObsCtx(ctx, opts.Workers, len(order), rwObserver, func(i int) error {
 		mi := order[i]
-		if err := rewriteMethod(methods[mi], plans[first[mi]:first[mi+1]]); err != nil {
+		own := splices[first[mi]:first[mi+1]]
+		slices.SortFunc(own, func(a, b codegen.Splice) int { return cmp.Compare(a.Start, b.Start) })
+		if err := methods[mi].Rewrite(own); err != nil {
 			return fmt.Errorf("outline: %s: %w", methods[mi].M.FullName(), err)
 		}
 		return nil
@@ -375,11 +381,4 @@ type occurrence struct {
 type outlinedFunc struct {
 	words       []uint32
 	occurrences []occurrence
-}
-
-// rewritePlan is one call-site rewrite within a method.
-type rewritePlan struct {
-	start  int // word index
-	length int // words replaced
-	sym    int
 }

@@ -18,7 +18,7 @@ import (
 	"repro/internal/workload"
 )
 
-var updateRewrite = flag.Bool("update", false, "rewrite the image-rewriter byte-identity golden file")
+var updateRewrite = flag.Bool("update", false, "rewrite the image-rewriter byte-identity golden file and the committed FuzzLift seed")
 
 // TestRewriteByteIdentityPin pins the exact bytes of every image the three
 // layout paths emit — the linker (CTOOnly and CTO+LTBO builds), debloat

@@ -2,6 +2,7 @@ package reoutline
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/a64"
 	"repro/internal/analysis"
@@ -53,20 +54,24 @@ func inlinableBodies(img *oat.Image) map[int][]uint32 {
 	return bodies
 }
 
-// liftMethod lifts one method. A nil result means the method must be
-// frozen instead, with reason saying why — every reason is a defensive
-// refinement of the LiftFrozen mask, never a relaxation of it.
-func liftMethod(img *oat.Image, rec *oat.MethodRecord, edges []analysis.Edge, bodies map[int][]uint32) (*codegen.CompiledMethod, string) {
+// liftMethod lifts one method: it plans an expansion splice for every call
+// into an inlinable outlined body and a symbolic Ext entry for every other
+// bl, then hands both to codegen's one method rewriter. A nil result means
+// the method must be frozen instead: planning found a word it cannot
+// classify, or the rewriter refused the splices. Either is a defensive
+// refinement of the LiftFrozen mask, never a relaxation of it. The
+// record's metadata is copied first, so the input image is never touched.
+func liftMethod(img *oat.Image, rec *oat.MethodRecord, edges []analysis.Edge, bodies map[int][]uint32) *codegen.CompiledMethod {
 	words := img.MethodCode(rec.ID)
 	if words == nil {
-		return nil, "malformed method record"
+		return nil // a malformed method record
 	}
 	n := len(words)
 	data := make([]bool, n)
 	for _, d := range rec.Meta.EmbeddedData {
 		if d.Start < 0 || d.End < d.Start || d.End > rec.Size ||
 			d.Start%a64.WordSize != 0 || d.End%a64.WordSize != 0 {
-			return nil, "malformed embedded-data range"
+			return nil // a malformed embedded-data range
 		}
 		for w := d.Start / a64.WordSize; w < d.End/a64.WordSize; w++ {
 			data[w] = true
@@ -77,143 +82,75 @@ func liftMethod(img *oat.Image, rec *oat.MethodRecord, edges []analysis.Edge, bo
 		edgeAt[e.Off] = e
 	}
 
-	// Plan every word: expanded (calls into outlined functions), symbolic
-	// (calls kept as bl + Ext), or verbatim.
-	inlined := make([][]uint32, n)
-	syms := make([]int, n)
-	hasSym := make([]bool, n)
+	// Plan every word in order: expanded (calls into outlined functions),
+	// symbolic (calls kept as bl + Ext), or verbatim. A kept bl word still
+	// encodes its pre-lift displacement; the relink rebinds it through its
+	// Ext entry, and the outliner treats calls as separators regardless of
+	// the encoded value, so the stale bits are never interpreted.
+	var splices []codegen.Splice
+	var ext []a64.ExtRef
 	for w := 0; w < n; w++ {
 		if data[w] {
 			continue
 		}
 		inst, ok := a64.Decode(words[w])
 		if !ok {
-			return nil, "undecodable instruction word"
+			return nil // an undecodable word
 		}
 		switch inst.Op {
 		case a64.OpBl:
 			e, ok := edgeAt[w*a64.WordSize]
 			if !ok {
-				return nil, "bl without a recovered call edge"
+				return nil // a bl without a recovered call edge
 			}
+			sym := 0
 			switch {
 			case e.Kind == analysis.EdgeOutlined:
 				body, ok := bodies[e.Sym]
 				if !ok {
-					return nil, "callee outlined body is not inlinable"
+					return nil // the callee's body is not inlinable
 				}
-				inlined[w] = body
+				splices = append(splices, codegen.Splice{Start: w, Len: 1, Words: body})
+				continue
 			case codegen.IsThunkSym(e.Sym):
 				// A bl whose edge carries a thunk symbol physically
 				// targets the thunk even when the edge's Kind reflects
 				// who the thunk dispatches to (the java_entry pattern
 				// resolves through it), so this case comes before any
 				// Kind-based one.
-				syms[w], hasSym[w] = e.Sym, true
+				sym = e.Sym
 			case e.Kind == analysis.EdgeMethod:
-				syms[w], hasSym[w] = codegen.PackSym(codegen.SymKindMethod, int64(e.Target)), true
+				sym = codegen.PackSym(codegen.SymKindMethod, int64(e.Target))
 			default:
-				return nil, "unresolvable call target"
+				return nil // an unresolvable call target
 			}
+			ext = append(ext, a64.ExtRef{InstOff: w * a64.WordSize, Symbol: sym})
 		case a64.OpBlr:
 			if inst.Rn != a64.LR {
-				return nil, "indirect call off the link register"
+				return nil // an indirect call off the link register
 			}
 		}
 	}
 
-	// Old-word -> new-word index map; an expanded call maps to the first
-	// word of the inlined body, and interior offsets shift monotonically.
-	newIdx := make([]int, n+1)
-	fl := 0
-	for w := 0; w < n; w++ {
-		newIdx[w] = fl
-		if inlined[w] != nil {
-			fl += len(inlined[w])
-		} else {
-			fl++
-		}
-	}
-	newIdx[n] = fl
-	mapOff := func(o int) int { return newIdx[o/a64.WordSize] * a64.WordSize }
-
-	code := make([]uint32, 0, fl)
-	var ext []a64.ExtRef
-	for w := 0; w < n; w++ {
-		if inlined[w] != nil {
-			code = append(code, inlined[w]...)
-			continue
-		}
-		if hasSym[w] {
-			// The kept bl word still encodes its pre-lift displacement;
-			// the relink rebinds it through this Ext entry, and the
-			// outliner treats calls as separators regardless of the
-			// encoded value, so the stale bits are never interpreted.
-			ext = append(ext, a64.ExtRef{InstOff: newIdx[w] * a64.WordSize, Symbol: syms[w]})
-		}
-		code = append(code, words[w])
-	}
-
-	meta := codegen.Meta{}
-	for _, r := range rec.Meta.PCRel {
-		if r.InstOff%a64.WordSize != 0 || r.InstOff < 0 || r.InstOff >= rec.Size ||
-			r.TargetOff < 0 || r.TargetOff > rec.Size || r.TargetOff%a64.WordSize != 0 {
-			return nil, "malformed PC-relative record"
-		}
-		if inlined[r.InstOff/a64.WordSize] != nil {
-			return nil, "PC-relative record on an expanded call site"
-		}
-		// A branch targeting a call site lands on the first word of the
-		// expanded body — same successor semantics — so targets need no
-		// freeze, only the remap.
-		ni, nt := mapOff(r.InstOff), mapOff(r.TargetOff)
-		if nt-ni != r.TargetOff-r.InstOff {
-			patched, err := a64.PatchRel(code[ni/a64.WordSize], int64(nt-ni))
-			if err != nil {
-				return nil, "PC-relative displacement out of range after expansion"
-			}
-			code[ni/a64.WordSize] = patched
-		}
-		meta.PCRel = append(meta.PCRel, a64.Reloc{InstOff: ni, TargetOff: nt})
-	}
-	for _, t := range rec.Meta.Terminators {
-		if t < 0 || t >= rec.Size || t%a64.WordSize != 0 {
-			return nil, "malformed terminator offset"
-		}
-		if inlined[t/a64.WordSize] != nil {
-			// The call this terminator marked is gone; the expanded body
-			// is straight-line, so no boundary replaces it — which is
-			// exactly what lets the detector outline across it.
-			continue
-		}
-		meta.Terminators = append(meta.Terminators, mapOff(t))
-	}
-	for _, d := range rec.Meta.EmbeddedData {
-		meta.EmbeddedData = append(meta.EmbeddedData, a64.Range{Start: mapOff(d.Start), End: mapOff(d.End)})
-	}
-	for _, d := range rec.Meta.Slowpaths {
-		if d.Start < 0 || d.End < d.Start || d.End > rec.Size ||
-			d.Start%a64.WordSize != 0 || d.End%a64.WordSize != 0 {
-			return nil, "malformed slowpath range"
-		}
-		meta.Slowpaths = append(meta.Slowpaths, a64.Range{Start: mapOff(d.Start), End: mapOff(d.End)})
-	}
-	var sm []codegen.StackMapEntry
-	for _, s := range rec.StackMap {
-		if s.NativeOff < 0 || s.NativeOff >= rec.Size || s.NativeOff%a64.WordSize != 0 {
-			return nil, "malformed safepoint offset"
-		}
-		if inlined[s.NativeOff/a64.WordSize] != nil {
-			return nil, "safepoint on an expanded call site"
-		}
-		sm = append(sm, codegen.StackMapEntry{NativeOff: mapOff(s.NativeOff), DexPC: s.DexPC, Live: s.Live})
-	}
-
-	return &codegen.CompiledMethod{
+	// The rewriter drops any terminator on an expanded call: the expanded
+	// body is straight-line, so no boundary replaces it, which is what lets
+	// the detector outline across a former call site. A branch targeting a
+	// call site lands on the first word of the expanded body, the same
+	// successor.
+	meta := rec.Meta
+	meta.PCRel = slices.Clone(meta.PCRel)
+	meta.Terminators = slices.Clone(meta.Terminators)
+	meta.EmbeddedData = slices.Clone(meta.EmbeddedData)
+	meta.Slowpaths = slices.Clone(meta.Slowpaths)
+	cm := &codegen.CompiledMethod{
 		M:        &dex.Method{ID: rec.ID, Class: "oat", Name: fmt.Sprintf("m%d", rec.ID)},
-		Code:     code,
+		Code:     words,
 		Meta:     meta,
-		StackMap: sm,
+		StackMap: slices.Clone(rec.StackMap),
 		Ext:      ext,
-	}, ""
+	}
+	if cm.Rewrite(splices) != nil {
+		return nil
+	}
+	return cm
 }

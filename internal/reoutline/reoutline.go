@@ -117,27 +117,20 @@ func RunCtx(ctx context.Context, img *oat.Image, cfg Config) (*oat.Image, *Stats
 	sp = cfg.Tracer.Start("stage", "reoutline.lift")
 	frozen := analysis.LiftFrozen(img, cg)
 	bodies := inlinableBodies(img)
-	type liftResult struct {
-		cm     *codegen.CompiledMethod
-		reason string
-	}
-	results, err := par.MapCtx(ctx, cfg.Workers, len(img.Methods), func(i int) (liftResult, error) {
+	lifted, err := par.MapCtx(ctx, cfg.Workers, len(img.Methods), func(i int) (*codegen.CompiledMethod, error) {
 		if frozen[i] {
-			return liftResult{}, nil
+			return nil, nil
 		}
-		cm, reason := liftMethod(img, &img.Methods[i], cg.Nodes[i].Edges, bodies)
-		return liftResult{cm: cm, reason: reason}, nil
+		return liftMethod(img, &img.Methods[i], cg.Nodes[i].Edges, bodies), nil
 	})
 	if err != nil {
 		sp.End()
 		return nil, st, err
 	}
-	lifted := make([]*codegen.CompiledMethod, len(img.Methods))
-	for i, res := range results {
+	for i, cm := range lifted {
 		switch {
 		case frozen[i]:
-		case res.cm != nil:
-			lifted[i] = res.cm
+		case cm != nil:
 			st.MethodsLifted++
 		default:
 			// The legality mask admitted the method but a lift step could
@@ -187,6 +180,7 @@ func RunCtx(ctx context.Context, img *oat.Image, cfg Config) (*oat.Image, *Stats
 	t2 := time.Now()
 	sp = cfg.Tracer.Start("stage", "reoutline.relink").Arg("new_blobs", int64(len(blobs)))
 	retained := retainedBlobs(img, cg, frozen)
+	renumber(compact, blobs, retained)
 	// A new body byte-identical to a retained one folds into it, so a
 	// frozen caller and a re-outlined caller share one body exactly as
 	// they did at link time.
@@ -265,6 +259,37 @@ func relinkEdits(img *oat.Image, lifted []*codegen.CompiledMethod, blobs []oat.B
 		edits = append(edits, oat.Edit{Kind: oat.EditOutlined, Sym: b.Sym, Code: b.Code})
 	}
 	return edits
+}
+
+// renumber gives each new body, in order, the lowest ReoutlinedFunction
+// index no retained body holds, and re-binds its call sites in methods.
+// The detector mints indices from 0, which collide with retained bodies
+// of an input that was itself re-outlined; with none retained, every
+// index stays as minted.
+func renumber(methods []*codegen.CompiledMethod, blobs []oat.Blob, retained map[int]bool) {
+	remap := map[int]int{}
+	next := 0
+	for i, b := range blobs {
+		for retained[codegen.PackSym(codegen.SymKindReoutlined, int64(next))] {
+			next++
+		}
+		sym := codegen.PackSym(codegen.SymKindReoutlined, int64(next))
+		next++
+		if sym != b.Sym {
+			remap[b.Sym] = sym
+			blobs[i].Sym = sym
+		}
+	}
+	if len(remap) == 0 {
+		return
+	}
+	for _, cm := range methods {
+		for i, e := range cm.Ext {
+			if sym, ok := remap[e.Symbol]; ok {
+				cm.Ext[i].Symbol = sym
+			}
+		}
+	}
 }
 
 // retainedBlobs computes which existing outlined functions must survive:

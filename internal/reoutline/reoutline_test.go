@@ -5,10 +5,14 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/dex"
 	"repro/internal/emu"
@@ -271,20 +275,7 @@ func TestReoutlineRetainsFrozenCallees(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := res.Image
-	cg, _ := analysis.BuildCallGraphCtx(context.Background(), img, 0)
-	flagged := 0
-	for i := range img.Methods {
-		for _, e := range cg.Nodes[i].Edges {
-			if e.Kind == analysis.EdgeOutlined && flagged < 3 {
-				img.Methods[i].Meta.HasIndirectJump = true
-				flagged++
-				break
-			}
-		}
-	}
-	if fs, _ := analysis.LintCtx(context.Background(), img, 0, nil); len(fs) > 0 {
-		t.Fatalf("flagged input does not lint clean: %s", fs[0])
-	}
+	freezeCallers(t, img, codegen.SymKindOutlined)
 	out, st, err := reoutline.RunCtx(context.Background(), img, reoutline.Config{})
 	if err != nil {
 		t.Fatalf("reoutline: %v", err)
@@ -310,6 +301,88 @@ func TestReoutlineRetainsFrozenCallees(t *testing.T) {
 	const want = "f7b95226494c305a9d3aee0cdb309a943ce61374abda0965e0536ee8e7a9a98a"
 	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != want {
 		t.Errorf("output hash %x, want %s", sum, want)
+	}
+	requireIdempotent(t, prof.Name, out, reoutline.Config{})
+	diffRuns(t, prof.Name, app, out, workload.Script(man, 2, 1))
+}
+
+// freezeCallers flags the first three methods that call an outlined body
+// whose symbol has the given kind HasIndirectJump, which lint accepts on
+// a method without a computed branch and the lift mask freezes.
+func freezeCallers(t *testing.T, img *oat.Image, kind int) {
+	t.Helper()
+	cg, _ := analysis.BuildCallGraphCtx(context.Background(), img, 0)
+	flagged := 0
+	for i := range img.Methods {
+		for _, e := range cg.Nodes[i].Edges {
+			if k, _ := codegen.UnpackSym(e.Sym); e.Kind == analysis.EdgeOutlined && k == kind && flagged < 3 {
+				img.Methods[i].Meta.HasIndirectJump = true
+				flagged++
+				break
+			}
+		}
+	}
+	if flagged < 3 {
+		t.Fatalf("only %d callers of a %s body to flag", flagged, codegen.SymName(codegen.PackSym(kind, 0)))
+	}
+	if fs, _ := analysis.LintCtx(context.Background(), img, 0, nil); len(fs) > 0 {
+		t.Fatalf("flagged input does not lint clean: %s", fs[0])
+	}
+}
+
+// TestReoutlineMintsAroundRetained re-outlines an image in which frozen
+// methods still call re-outlined bodies: Taobao at 0.03 under CTO+LTBO,
+// re-outlined, with three callers of a ReoutlinedFunction flagged
+// HasIndirectJump. The retained bodies keep their names, so each new body
+// must take an index none of them holds; minting from 0 regardless made
+// the relink refuse the image with a duplicate symbol. The input is also
+// FuzzLift's committed seed, which -update rewrites.
+func TestReoutlineMintsAroundRetained(t *testing.T) {
+	prof, ok := workload.AppByName("Taobao", 0.03)
+	if !ok {
+		t.Fatal("Taobao profile missing")
+	}
+	app, man, err := workload.Generate(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.BuildCtx(context.Background(), app, core.CTOLTBO())
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, _, err := reoutline.RunCtx(context.Background(), res.Image, reoutline.Config{})
+	if err != nil {
+		t.Fatalf("first reoutline: %v", err)
+	}
+	freezeCallers(t, img, codegen.SymKindReoutlined)
+
+	data, err := img.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := filepath.Join("testdata", "fuzz", "FuzzLift", "retained-reoutlined")
+	enc := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+	if *updateRewrite {
+		if err := os.MkdirAll(filepath.Dir(seed), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(seed, []byte(enc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := os.ReadFile(seed); err != nil || string(got) != enc {
+		t.Errorf("FuzzLift seed %s does not hold this input (regenerate with -update): %v", seed, err)
+	}
+
+	out, st, err := reoutline.RunCtx(context.Background(), img, reoutline.Config{})
+	if err != nil {
+		t.Fatalf("second reoutline: %v", err)
+	}
+	if st.BlobsRetained == 0 || st.BlobsCreated == 0 {
+		t.Fatalf("retained %d, created %d; the test lost its teeth", st.BlobsRetained, st.BlobsCreated)
+	}
+	if fs, _ := analysis.LintCtx(context.Background(), out, 0, nil); len(fs) > 0 {
+		t.Errorf("output does not lint clean: %s", fs[0])
 	}
 	requireIdempotent(t, prof.Name, out, reoutline.Config{})
 	diffRuns(t, prof.Name, app, out, workload.Script(man, 2, 1))

@@ -41,7 +41,7 @@ func (cm *CompiledMethod) Rewrite(splices []Splice) error {
 	old := cm.Code
 	n := len(old)
 	size := n * a64.WordSize
-	grow, bound := 0, 0
+	grow := 0
 	for i, s := range splices {
 		if s.Len < 1 || len(s.Words) < 1 || s.Start < 0 || s.Start+s.Len > n {
 			return fmt.Errorf("splice of %d words at word %d is outside the method's %d words", s.Len, s.Start, n)
@@ -50,9 +50,6 @@ func (cm *CompiledMethod) Rewrite(splices []Splice) error {
 			return fmt.Errorf("splice at word %d overlaps or precedes the one before it", s.Start)
 		}
 		grow += len(s.Words) - s.Len
-		if s.Sym != 0 {
-			bound++
-		}
 	}
 
 	// newIdx maps an old word to its new index; a replaced word holds the
@@ -89,14 +86,14 @@ func (cm *CompiledMethod) Rewrite(splices []Splice) error {
 	// the method's size.
 	inst := func(off int) (newOff int, replaced bool, err error) {
 		if off < 0 || off >= size || off%a64.WordSize != 0 {
-			return 0, false, fmt.Errorf("instruction offset %#x outside the method's %d bytes", off, size)
+			return 0, false, fmt.Errorf("instruction offset %#x is misaligned or outside the method's %d bytes", off, size)
 		}
 		i, replaced := at(off / a64.WordSize)
 		return i * a64.WordSize, replaced, nil
 	}
 	edge := func(off int) (int, error) {
 		if off < 0 || off > size || off%a64.WordSize != 0 {
-			return 0, fmt.Errorf("offset %#x outside the method's %d bytes", off, size)
+			return 0, fmt.Errorf("offset %#x is misaligned or past the method's %d bytes", off, size)
 		}
 		i, _ := at(off / a64.WordSize)
 		return i * a64.WordSize, nil
@@ -170,10 +167,7 @@ func (cm *CompiledMethod) Rewrite(splices []Splice) error {
 
 	// Merge the remapped call sites with the splices' bound ones, both in
 	// offset order; newIdx is monotonic, so a sorted Ext stays sorted.
-	var ext []a64.ExtRef
-	if len(cm.Ext)+bound > 0 {
-		ext = make([]a64.ExtRef, 0, len(cm.Ext)+bound)
-	}
+	ext := make([]a64.ExtRef, 0, len(cm.Ext)+len(splices))
 	si, prev := 0, -1
 	flush := func(limit int) {
 		for ; si < len(splices); si++ {

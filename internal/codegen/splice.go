@@ -8,8 +8,9 @@ import (
 )
 
 // Splice replaces Len words of a method, starting at word Start, with
-// Words; both counts must be positive. A nonzero Sym binds the first new word to that symbol: it is a
-// call site the linker resolves, and Rewrite records it in Ext.
+// Words; both counts must be positive. A nonzero Sym binds the first new
+// word to that symbol: it is a call site the linker resolves, and Rewrite
+// records it in Ext.
 type Splice struct {
 	Start int
 	Len   int

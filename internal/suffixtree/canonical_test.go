@@ -4,12 +4,54 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateCanonical = flag.Bool("update", false, "rewrite the canonical tree golden file")
+
+// outlinerShaped returns an n-symbol sequence shaped like the outliner's
+// global sequence: instruction symbols from an alphabet of n/16, with a
+// symbol unique to its position after every 1-8 of them, and a unique
+// terminator. The unique separators make the root's child list as long as
+// the number of basic blocks, which is what every edge split under the
+// root has to relink.
+func outlinerShaped(n int, seed int64) []uint32 {
+	r := rand.New(rand.NewSource(seed))
+	alpha := n / 16
+	if alpha < 2 {
+		alpha = 2
+	}
+	next := uint32(alpha) // separators share the symbol counter, like the outliner's symbolizer
+	seq := make([]uint32, 0, n)
+	for len(seq) < n-1 {
+		for run := 1 + r.Intn(8); run > 0 && len(seq) < n-1; run-- {
+			seq = append(seq, uint32(r.Intn(alpha)))
+		}
+		seq = append(seq, next)
+		next++
+	}
+	if len(seq) < n {
+		seq = append(seq, next)
+	}
+	return seq
+}
+
+// random16 is TestTreeScalesLinearly's sequence: n symbols from a 16-symbol
+// alphabet and a unique terminator.
+func random16(n int) []uint32 {
+	r := rand.New(rand.NewSource(2))
+	seq := make([]uint32, n)
+	for i := range seq {
+		seq[i] = uint32(r.Intn(16))
+	}
+	return append(seq, 0xFFFFFFFF)
+}
 
 // canonicalHash digests a tree independently of how its nodes are stored:
 // every internal node (the root included) in creation order, as its edge
@@ -18,33 +60,21 @@ import (
 // suffix. A leaf's fields all follow from its suffix and its parent, so
 // this covers everything a caller of the tree can observe.
 func canonicalHash(t *Tree) string {
-	rank := make([]int64, len(t.nodes))
-	n := int64(0)
-	for i := range t.nodes {
-		rank[i] = -1
-		if i == int(root) || t.nodes[i].firstChild != -1 {
-			rank[i] = n
-			n++
-		}
-	}
 	h := sha256.New()
 	var buf []byte
 	for i := range t.nodes {
 		nd := &t.nodes[i]
-		if rank[i] < 0 {
-			continue
-		}
 		buf = buf[:0]
-		for _, v := range []int64{int64(nd.start), int64(nd.end), rank[nd.link], int64(nd.depth), int64(nd.leafCount)} {
+		for _, v := range []int64{int64(nd.start), int64(nd.end), int64(nd.link), int64(nd.depth), int64(nd.leafCount)} {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 		}
-		for c := nd.firstChild; c != -1; c = t.nodes[c].nextSibling {
-			if rank[c] >= 0 {
+		for c := nd.firstChild; c != 0; c = t.linksOf(c).nextSibling {
+			if c > 0 {
 				buf = append(buf, 'I')
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(rank[c]))
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
 			} else {
 				buf = append(buf, 'L')
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(len(t.seq)-int(t.nodes[c].depth)))
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(^c))
 			}
 		}
 		buf = append(buf, 'E') // end of child list
@@ -77,7 +107,7 @@ func TestTreeCanonicalPin(t *testing.T) {
 		fmt.Fprintf(&sb, "%s nodes=%d leaves=%d %s\n", in.name, tr.NumNodes(), tr.NumLeaves(), canonicalHash(tr))
 	}
 	golden := filepath.Join("testdata", "canonical.golden")
-	if *updateStructure {
+	if *updateCanonical {
 		if err := os.WriteFile(golden, []byte(sb.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -129,37 +129,113 @@ func TestLeafCountEdgeCases(t *testing.T) {
 // TestDepthAndCountsMatchWalk checks the depths set at node creation and
 // the leaf counts of the depth-ordered fold against a walk from the root:
 // a node's depth is its parent's plus its edge length, and its leaf count
-// is the sum over its children.
+// is the sum over its children (one for a leaf). The walk also checks the
+// links it follows: every child names its parent and its previous sibling
+// back, and every leaf is reached exactly once.
 func TestDepthAndCountsMatchWalk(t *testing.T) {
 	for _, seq := range [][]uint32{sym("banana$"), sym("mississippi$"), random16(3000), outlinerShaped(3000, 4)} {
 		tr := Build(seq)
+		n := int32(len(seq))
+		// depth, edge and count of a child reference, read the way the
+		// tree's users derive them.
+		depth := func(c int32) int32 {
+			if c < 0 {
+				return n - ^c
+			}
+			return tr.nodes[c].depth
+		}
+		edge := func(c int32) (int32, int32) {
+			if c < 0 {
+				return int32(tr.edgeStart(c)), n
+			}
+			return tr.nodes[c].start, tr.nodes[c].end
+		}
+		count := func(c int32) int32 {
+			if c < 0 {
+				return 1
+			}
+			return tr.nodes[c].leafCount
+		}
+		seen := make([]bool, len(tr.leaves))
 		stack := []int32{root}
 		for len(stack) > 0 {
 			idx := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			nd := &tr.nodes[idx]
 			if idx != root {
-				end := nd.end
-				if end == -1 {
-					end = int32(len(seq))
-				}
-				if want := tr.nodes[nd.parent].depth + end - nd.start; nd.depth != want {
-					t.Fatalf("node %d: depth %d, want %d", idx, nd.depth, want)
+				p := tr.linksOf(idx).parent
+				start, end := edge(idx)
+				if want := depth(p) + end - start; depth(idx) != want {
+					t.Fatalf("node %d: depth %d, want %d", idx, depth(idx), want)
 				}
 			}
-			if nd.firstChild == -1 {
-				if nd.leafCount != 1 {
-					t.Fatalf("leaf %d: count %d", idx, nd.leafCount)
+			if idx < 0 {
+				if seen[^idx] {
+					t.Fatalf("leaf %d reached twice", ^idx)
 				}
+				seen[^idx] = true
 				continue
 			}
-			sum := int32(0)
-			for c := nd.firstChild; c != -1; c = tr.nodes[c].nextSibling {
-				sum += tr.nodes[c].leafCount
+			sum, prev := int32(0), int32(0)
+			for c := tr.nodes[idx].firstChild; c != 0; c = tr.linksOf(c).nextSibling {
+				if l := tr.linksOf(c); l.parent != idx || l.prevSibling != prev {
+					t.Fatalf("node %d: child %d links back to parent %d, previous sibling %d; want %d, %d",
+						idx, c, l.parent, l.prevSibling, idx, prev)
+				}
+				sum += count(c)
 				stack = append(stack, c)
+				prev = c
 			}
-			if nd.leafCount != sum {
-				t.Fatalf("node %d: count %d, children sum %d", idx, nd.leafCount, sum)
+			if count(idx) != sum {
+				t.Fatalf("node %d: count %d, children sum %d", idx, count(idx), sum)
+			}
+		}
+		for i, ok := range seen {
+			if !ok {
+				t.Fatalf("leaf %d unreachable from the root", i)
+			}
+		}
+		if len(seen) != len(seq) {
+			t.Fatalf("%d leaves for %d suffixes", len(seen), len(seq))
+		}
+	}
+}
+
+// TestSweepMatchesOccurrences requires every Sweep list to equal the
+// sorted Occurrences walk of its repeat, over all repeats, over every
+// other repeat (so unlisted ancestors are skipped), and over none.
+func TestSweepMatchesOccurrences(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	inputs := [][]uint32{sym("banana$"), sym("mississippi$"), random16(5000), outlinerShaped(20000, 6)}
+	for trial := 0; trial < 20; trial++ {
+		seq := make([]uint32, 20+r.Intn(300))
+		alpha := 1 + r.Intn(4)
+		for i := range seq {
+			seq[i] = uint32(r.Intn(alpha))
+		}
+		inputs = append(inputs, append(seq, 0xFFFFFFFF))
+	}
+	for in, seq := range inputs {
+		tr := Build(seq)
+		all := tr.Repeats(1, 2)
+		var odd []Repeat
+		for i := 1; i < len(all); i += 2 {
+			odd = append(odd, all[i])
+		}
+		for _, reps := range [][]Repeat{all, odd, nil} {
+			lists := tr.Sweep(reps)
+			if len(lists) != len(reps) {
+				t.Fatalf("input %d: %d lists for %d repeats", in, len(lists), len(reps))
+			}
+			for k, rep := range reps {
+				want := tr.Occurrences(rep.Node)
+				sort.Ints(want)
+				got := make([]int, len(lists[k]))
+				for i, o := range lists[k] {
+					got[i] = int(o)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("input %d: repeat %v: sweep %v, occurrences %v", in, rep, got, want)
+				}
 			}
 		}
 	}

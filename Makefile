@@ -89,8 +89,9 @@ bench:
 # TestPaperTables keeps running. The suffix-tree construction benchmark
 # runs once per size, the image-only analysis, debloat and post-hoc
 # re-outlining benchmarks once per ladder app, and the cache-key,
-# image-marshal, dex-load, repeat-detection and IR-optimizer
-# (BenchmarkOptimize) kernels once each, so they keep compiling. Archived
+# image-marshal, dex-load, repeat detection and selection
+# (BenchmarkDetect) and IR-optimizer (BenchmarkOptimize) kernels once
+# each, so they keep compiling. Archived
 # measurements come from layerbench (`bash layerbench/run.sh`), not from
 # these runs.
 bench-smoke:

@@ -76,15 +76,16 @@ func Analyze(methods []*codegen.CompiledMethod, respectBoundaries bool) *Analysi
 	// clears the benefit bar, so a rejected family still blocks later
 	// ones; DESIGN.md records what that costs the Table 1 estimate.
 	rankCandidates(repeats)
+	worth := 0 // the ranked repeats with a positive benefit
+	for worth < len(repeats) && suffixtree.Benefit(repeats[worth].Length, repeats[worth].Count) >= 1 {
+		worth++
+	}
+	occs := tree.Sweep(repeats[:worth])
 	taken := make([]bool, len(pos))
-	for _, rep := range repeats {
-		if suffixtree.Benefit(rep.Length, rep.Count) < 1 {
-			break
-		}
-		occs := tree.Occurrences(rep.Node)
-		sort.Ints(occs)
+	for k, rep := range repeats[:worth] {
 		chosen, lastEnd := 0, -1
-		for _, o := range occs {
+		for _, o32 := range occs[k] {
+			o := int(o32)
 			if o < lastEnd {
 				continue
 			}

@@ -55,7 +55,7 @@ func TestNestedPoolsCancel(t *testing.T) {
 			t.Errorf("workers=%d: buildSequence = (%d symbols, %d positions, %v), want (nil, nil, context.Canceled)",
 				workers, len(seq), len(pos), err)
 		}
-		funcs, _, err := outlineGroup(ctx, units, group, opts)
+		funcs, _, _, err := outlineGroup(ctx, units, group, opts)
 		if !errors.Is(err, context.Canceled) || funcs != nil {
 			t.Errorf("workers=%d: outlineGroup = (%d functions, %v), want (nil, context.Canceled)",
 				workers, len(funcs), err)

@@ -11,10 +11,8 @@
 package outline
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/a64"
@@ -273,14 +271,15 @@ func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Option
 
 	type groupResult struct {
 		funcs []outlinedFunc
+		calls []callSite
 		stats Stats
 	}
 	observer := opts.Tracer.PoolObserver("outline.group", func(gi int) string {
 		return fmt.Sprintf("tree %d (%d methods)", gi, len(groups[gi]))
 	})
 	results, err := par.MapObsCtx(ctx, opts.Workers, k, observer, func(gi int) (groupResult, error) {
-		funcs, st, err := outlineGroup(ctx, units, groups[gi], opts)
-		return groupResult{funcs: funcs, stats: st}, err
+		funcs, calls, st, err := outlineGroup(ctx, units, groups[gi], opts)
+		return groupResult{funcs: funcs, calls: calls, stats: st}, err
 	})
 	if err != nil {
 		return nil, stats, err
@@ -288,14 +287,14 @@ func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Option
 
 	// The call-site rewrites, grouped by method in one backing array (a
 	// counting sort on the method index): method mi's splices are
-	// splices[first[mi]:first[mi+1]], in creation order. Every splice
-	// shares one bl word; the linker binds it through the splice's Sym.
+	// splices[first[mi]:first[mi+1]]. A method belongs to one group, whose
+	// call sites come in sequence order, so each method's splices are
+	// already sorted by Start. Every splice shares one bl word; the linker
+	// binds it through the splice's Sym.
 	first := make([]int, len(methods)+1)
 	for _, res := range results {
-		for _, f := range res.funcs {
-			for _, occ := range f.occurrences {
-				first[occ.method+1]++
-			}
+		for _, c := range res.calls {
+			first[c.method+1]++
 		}
 	}
 	for mi := range methods {
@@ -310,21 +309,18 @@ func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Option
 	for gi, res := range results {
 		stats.foldSlowest(&res.stats)
 		if opts.Tracer != nil {
-			occ := 0
-			for _, f := range res.funcs {
-				occ += len(f.occurrences)
-			}
 			opts.Tracer.Instant("outline.group", fmt.Sprintf("tree %d stats", gi), map[string]int64{
 				"methods":          int64(len(groups[gi])),
 				"sequence_symbols": int64(res.stats.SequenceSymbols),
 				"functions":        int64(len(res.funcs)),
-				"occurrences":      int64(occ),
+				"occurrences":      int64(len(res.calls)),
 				"sep_scan_us":      res.stats.SepScan.Microseconds(),
 				"symbolize_us":     res.stats.Symbolize.Microseconds(),
 				"tree_build_us":    res.stats.TreeBuild.Microseconds(),
 				"detect_us":        res.stats.Detect.Microseconds(),
 			})
 		}
+		base := len(blobs)
 		for _, f := range res.funcs {
 			sym := codegen.PackSym(opts.SymKind, int64(len(blobs)))
 			body := append(append([]uint32(nil), f.words...),
@@ -332,12 +328,13 @@ func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Option
 			blobs = append(blobs, oat.Blob{Sym: sym, Code: body})
 			stats.OutlinedFunctions++
 			stats.WordsAdded += len(body)
-			for _, occ := range f.occurrences {
-				stats.OutlinedOccurrences++
-				stats.WordsRemoved += len(f.words) - 1 // bl replaces the sequence
-				splices[next[occ.method]] = codegen.Splice{Start: occ.wordOff, Len: len(f.words), Words: bl, Sym: sym}
-				next[occ.method]++
-			}
+			stats.OutlinedOccurrences += f.calls
+			stats.WordsRemoved += f.calls * (len(f.words) - 1) // bl replaces the sequence
+		}
+		for _, c := range res.calls {
+			splices[next[c.method]] = codegen.Splice{Start: int(c.word), Len: len(res.funcs[c.fn].words), Words: bl,
+				Sym: codegen.PackSym(opts.SymKind, int64(base+int(c.fn)))}
+			next[c.method]++
 		}
 	}
 
@@ -358,9 +355,7 @@ func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Option
 	})
 	if err := par.EachObsCtx(ctx, opts.Workers, len(order), rwObserver, func(i int) error {
 		mi := order[i]
-		own := splices[first[mi]:first[mi+1]]
-		slices.SortFunc(own, func(a, b codegen.Splice) int { return cmp.Compare(a.Start, b.Start) })
-		if err := methods[mi].Rewrite(own); err != nil {
+		if err := methods[mi].Rewrite(splices[first[mi]:first[mi+1]]); err != nil {
 			return fmt.Errorf("outline: %s: %w", methods[mi].M.FullName(), err)
 		}
 		return nil
@@ -369,16 +364,4 @@ func runPass(ctx context.Context, methods []*codegen.CompiledMethod, opts Option
 	}
 	stats.Rewrite = time.Since(start)
 	return blobs, stats, nil
-}
-
-// occurrence locates one selected instance of a repeat.
-type occurrence struct {
-	method  int // index into methods
-	wordOff int // word index within the method's code
-}
-
-// outlinedFunc is one function the outliner will emit.
-type outlinedFunc struct {
-	words       []uint32
-	occurrences []occurrence
 }

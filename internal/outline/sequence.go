@@ -326,46 +326,77 @@ func wordsAt(units []Sequence, pos []position, start, length int) []uint32 {
 // rankCandidates sorts repeats by potential benefit, longest first among
 // ties, the tree node as the deterministic tie-break. The node is unique
 // per repeat, so this is a total order and the ranking cannot depend on
-// the sort algorithm.
+// the sort algorithm. Each benefit is computed once, into the key the
+// sort compares.
 func rankCandidates(repeats []suffixtree.Repeat) {
-	slices.SortFunc(repeats, func(a, b suffixtree.Repeat) int {
+	type ranked struct {
+		benefit int
+		rep     suffixtree.Repeat
+	}
+	keys := make([]ranked, len(repeats))
+	for i, r := range repeats {
+		keys[i] = ranked{suffixtree.Benefit(r.Length, r.Count), r}
+	}
+	slices.SortFunc(keys, func(a, b ranked) int {
 		return cmp.Or(
-			cmp.Compare(suffixtree.Benefit(b.Length, b.Count), suffixtree.Benefit(a.Length, a.Count)),
-			cmp.Compare(b.Length, a.Length),
-			cmp.Compare(a.Node, b.Node))
+			cmp.Compare(b.benefit, a.benefit),
+			cmp.Compare(b.rep.Length, a.rep.Length),
+			cmp.Compare(a.rep.Node, b.rep.Node))
 	})
+	for i, k := range keys {
+		repeats[i] = k.rep
+	}
+}
+
+// callSite is one chosen occurrence: where its bl goes, and which of its
+// group's functions it calls.
+type callSite struct {
+	method int32 // index into methods
+	word   int32 // word index within the method's code
+	fn     int32 // index into the group's functions
+}
+
+// outlinedFunc is one function the outliner will emit.
+type outlinedFunc struct {
+	words []uint32
+	calls int // chosen occurrences
 }
 
 // outlineGroup runs detection and selection over one unit group and
-// returns the functions to create (with their chosen occurrences): one
-// suffix tree per group, and one greedy selection over its repeats.
-func outlineGroup(ctx context.Context, units []Sequence, group []int, opts Options) ([]outlinedFunc, Stats, error) {
+// returns the functions to create and their call sites in sequence order,
+// so each method's sites come out in increasing word order: one suffix
+// tree per group, and one greedy selection over its repeats. Repeats
+// below opts.MinBenefit are dropped before ranking, and the survivors'
+// occurrence lists come sorted from one sweep of the tree.
+func outlineGroup(ctx context.Context, units []Sequence, group []int, opts Options) ([]outlinedFunc, []callSite, Stats, error) {
 	var st Stats
 	pos, tree, repeats, err := detectGroup(ctx, units, group, opts, &st)
-	if err != nil {
-		return nil, st, err
+	if err != nil || tree == nil {
+		return nil, nil, st, err
 	}
 	t1 := time.Now()
+	repeats = slices.DeleteFunc(repeats, func(r suffixtree.Repeat) bool {
+		return suffixtree.Benefit(r.Length, r.Count) < opts.MinBenefit
+	})
 	rankCandidates(repeats)
+	occs := tree.Sweep(repeats)
 
-	taken := make([]bool, len(pos))
+	// owner marks each position a chosen occurrence covers: its function
+	// plus one at its first position, -1 on the rest, 0 while free.
+	owner := make([]int32, len(pos))
 	var funcs []outlinedFunc
-	var chosen []int // reused across repeats
-	for _, rep := range repeats {
-		if suffixtree.Benefit(rep.Length, rep.Count) < opts.MinBenefit {
-			break // sorted by benefit: nothing below can qualify either
-		}
-		occs := tree.Occurrences(rep.Node)
-		slices.Sort(occs)
+	var chosen []int32 // reused across repeats
+	sites := 0
+	for k, rep := range repeats {
 		chosen = chosen[:0]
 		lastEnd := -1
-		for _, o := range occs {
-			if o < lastEnd {
+		for _, o := range occs[k] {
+			if int(o) < lastEnd {
 				continue // overlaps previous occurrence of this repeat
 			}
 			free := true
-			for p := o; p < o+rep.Length; p++ {
-				if taken[p] {
+			for p := int(o); p < int(o)+rep.Length; p++ {
+				if owner[p] != 0 {
 					free = false
 					break
 				}
@@ -374,26 +405,27 @@ func outlineGroup(ctx context.Context, units []Sequence, group []int, opts Optio
 				continue
 			}
 			chosen = append(chosen, o)
-			lastEnd = o + rep.Length
+			lastEnd = int(o) + rep.Length
 		}
 		if len(chosen) < 2 || suffixtree.Benefit(rep.Length, len(chosen)) < opts.MinBenefit {
 			continue
 		}
-		f := outlinedFunc{
-			words:       wordsAt(units, pos, chosen[0], rep.Length),
-			occurrences: make([]occurrence, 0, len(chosen)),
-		}
+		fn := int32(len(funcs))
 		for _, o := range chosen {
-			for p := o; p < o+rep.Length; p++ {
-				taken[p] = true
+			owner[o] = fn + 1
+			for p := int(o) + 1; p < int(o)+rep.Length; p++ {
+				owner[p] = -1
 			}
-			f.occurrences = append(f.occurrences, occurrence{
-				method:  int(pos[o].method),
-				wordOff: int(pos[o].word),
-			})
 		}
-		funcs = append(funcs, f)
+		funcs = append(funcs, outlinedFunc{words: wordsAt(units, pos, int(chosen[0]), rep.Length), calls: len(chosen)})
+		sites += len(chosen)
+	}
+	calls := make([]callSite, 0, sites)
+	for p, f := range owner {
+		if f > 0 {
+			calls = append(calls, callSite{method: pos[p].method, word: pos[p].word, fn: f - 1})
+		}
 	}
 	st.Detect += time.Since(t1)
-	return funcs, st, nil
+	return funcs, calls, st, nil
 }

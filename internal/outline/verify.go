@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/a64"
 	"repro/internal/codegen"
@@ -90,7 +91,10 @@ func verifyMethod(cm *codegen.CompiledMethod, mi int, before *Snapshot, bodyBySy
 	// re-outliner drove the rewrite); both kinds pack to a nonzero symbol,
 	// so zero marks a word that is no outlined call.
 	orig := before.codes[mi]
-	outlinedAt := make([]int, len(cm.Code)) // new word index -> symbol
+	sc := verifyScratch.Get().(*replayScratch)
+	defer verifyScratch.Put(sc)
+	outlinedAt := sc.outlinedAt.get(len(cm.Code)) // new word index -> symbol
+	clear(outlinedAt)
 	for _, e := range cm.Ext {
 		if kind, _ := codegen.UnpackSym(e.Symbol); kind == codegen.SymKindOutlined || kind == codegen.SymKindReoutlined {
 			w := e.InstOff / a64.WordSize
@@ -100,8 +104,8 @@ func verifyMethod(cm *codegen.CompiledMethod, mi int, before *Snapshot, bodyBySy
 			outlinedAt[w] = e.Symbol
 		}
 	}
-	rebuilt := make([]uint32, 0, len(orig))
-	newToOld := make([]int, len(cm.Code)) // new word index -> rebuilt (old) word index
+	rebuilt := sc.rebuilt.get(len(orig))[:0]
+	newToOld := sc.newToOld.get(len(cm.Code)) // new word index -> rebuilt (old) word index
 	for w := 0; w < len(cm.Code); w++ {
 		newToOld[w] = len(rebuilt)
 		if sym := outlinedAt[w]; sym != 0 {
@@ -114,11 +118,13 @@ func verifyMethod(cm *codegen.CompiledMethod, mi int, before *Snapshot, bodyBySy
 		}
 		rebuilt = append(rebuilt, cm.Code[w])
 	}
+	sc.rebuilt = rebuilt // keep a grown buffer
 	if len(rebuilt) != len(orig) {
 		return fmt.Errorf("outline: %s reconstructs to %d words, original %d", name, len(rebuilt), len(orig))
 	}
 	// Identify positions whose displacement was legitimately patched.
-	patched := make([]bool, len(rebuilt))
+	patched := sc.patched.get(len(rebuilt))
+	clear(patched)
 	for _, r := range cm.Meta.PCRel {
 		// An outlined call to an empty body at the method's end maps to
 		// len(rebuilt), past every word the loop below reads.
@@ -153,7 +159,7 @@ func verifyMethod(cm *codegen.CompiledMethod, mi int, before *Snapshot, bodyBySy
 	// (each instruction has at most one reloc) so the check is linear
 	// in the reloc count rather than quadratic. A mapped instruction
 	// index lies in [0, len(orig)], so the table covers every lookup.
-	origTarget := make([]int, len(orig)+1)
+	origTarget := sc.origTarget.get(len(orig) + 1)
 	for i := range origTarget {
 		origTarget[i] = noReloc
 	}
@@ -187,6 +193,33 @@ func verifyMethod(cm *codegen.CompiledMethod, mi int, before *Snapshot, bodyBySy
 		}
 	}
 	return nil
+}
+
+// replayScratch holds verifyMethod's per-method tables. Every replay
+// sizes and initializes each table it reads, so a recycled one carries
+// nothing over.
+type replayScratch struct {
+	outlinedAt scratch[int]
+	rebuilt    scratch[uint32]
+	newToOld   scratch[int]
+	patched    scratch[bool]
+	origTarget scratch[int]
+}
+
+// verifyScratch recycles replayScratch across method replays.
+var verifyScratch = sync.Pool{New: func() any { return new(replayScratch) }}
+
+// scratch is a reusable buffer.
+type scratch[T any] []T
+
+// get returns the buffer resized to n elements, growing it when it is
+// shorter; the contents are unspecified.
+func (s *scratch[T]) get(n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	*s = (*s)[:n]
+	return *s
 }
 
 // noReloc marks a word with no pre-state PC-relative record in

@@ -217,6 +217,13 @@ func Decode(w uint32) (Inst, bool) {
 // offset between pages). It returns the patched word. The word must decode
 // to a PC-relative instruction in the subset.
 func PatchRel(w uint32, newOff int64) (uint32, error) {
+	// B and BL, the common case, take the new imm26 in place when it
+	// encodes; any other word, and every refusal, goes through Encode.
+	if w&0x7C000000 == 0x14000000 && newOff%WordSize == 0 {
+		if words := newOff / WordSize; words >= -1<<25 && words < 1<<25 {
+			return w&0xFC000000 | uint32(words)&0x3FFFFFF, nil
+		}
+	}
 	i, ok := Decode(w)
 	if !ok || !i.Op.IsPCRel() {
 		return 0, errNotPCRel(w)

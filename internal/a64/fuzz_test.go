@@ -47,24 +47,34 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzPatchRel checks that displacement patching either fails cleanly or
-// produces a word whose decoded displacement is the requested one.
+// FuzzPatchRel checks displacement patching against its definition: the
+// word Encode makes of Decode(w) with the displacement replaced, or a
+// refusal exactly when w is no PC-relative instruction or Encode refuses.
+// Offsets are not masked, so misaligned and out-of-range ones are fuzzed
+// too.
 func FuzzPatchRel(f *testing.F) {
 	f.Add(uint32(0x14000000), int64(64))
+	f.Add(uint32(0x94000000), int64(-4))
+	f.Add(uint32(0x97FFFFFF), int64(1<<27))
+	f.Add(uint32(0x14000000), int64(-1<<27))
+	f.Add(uint32(0x94000000), int64(6))
 	f.Add(uint32(0x54000041), int64(-8))
 	f.Add(uint32(0xD503201F), int64(4))
 	f.Fuzz(func(t *testing.T, w uint32, off int64) {
-		off &^= 3 // word aligned
 		patched, err := PatchRel(w, off)
-		if err != nil {
-			return
+		var want uint32
+		var wantErr error
+		if inst, ok := Decode(w); !ok || !inst.Op.IsPCRel() {
+			wantErr = errNotPCRel(w)
+		} else {
+			inst.Imm = off
+			want, wantErr = Encode(inst)
 		}
-		inst, ok := Decode(patched)
-		if !ok {
-			t.Fatalf("patched word %#08x does not decode", patched)
+		if (err != nil) != (wantErr != nil) || err == nil && patched != want {
+			t.Fatalf("PatchRel(%#08x, %#x) = %#08x, %v; want %#08x, %v", w, off, patched, err, want, wantErr)
 		}
-		if inst.Imm != off {
-			t.Fatalf("patched displacement %#x, want %#x", inst.Imm, off)
+		if err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("PatchRel(%#08x, %#x) refused with %q, want %q", w, off, err, wantErr)
 		}
 	})
 }

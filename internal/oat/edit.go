@@ -90,6 +90,23 @@ func Rewrite(src *Image, edits []Edit) (*Image, error) {
 	for _, f := range append(append([]FuncRecord(nil), src.Thunks...), src.Outlined...) {
 		srcFuncs[f.Sym] = f
 	}
+	// Size the text once: the words each edit will place, as the layout
+	// pass resolves them (nothing for a body it will refuse).
+	total := 0
+	for _, e := range edits {
+		switch {
+		case e.Kind == EditMethod && e.Method != nil:
+			total += len(e.Method.Code)
+		case e.Kind == EditMethod:
+			total += len(src.MethodCode(e.ID))
+		case e.Code != nil:
+			total += len(e.Code)
+		default:
+			f := srcFuncs[e.Sym]
+			total += len(src.code(f.Offset, f.Size))
+		}
+	}
+	out.Text = make([]uint32, 0, total)
 
 	for _, e := range edits {
 		off := out.TextBytes()

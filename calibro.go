@@ -117,7 +117,8 @@ type (
 	ReoutlineConfig = core.ReoutlineConfig
 	// ReoutlineStats reports what a post-hoc re-outlining pass did.
 	ReoutlineStats = reoutline.Stats
-	// LintRule is one named verifier check in the oatlint rule registry.
+	// LintRule is one named verifier check in the oatlint rule registry: a
+	// struct whose Name, Doc and Interprocedural fields describe it.
 	LintRule = analysis.Rule
 	// LintRuleSpec selects which rules a lint run evaluates and at what
 	// severity (the oatlint -rules grammar).
@@ -257,8 +258,9 @@ func LintImage(img *Image) []Finding {
 // AnalyzeImage runs the same verifier and returns the full report,
 // including advisory findings and per-method CFG statistics.
 func AnalyzeImage(img *Image) *LintReport {
-	// A background context never cancels, so the error is impossible.
-	rep, _ := analysis.AnalyzeCtx(context.Background(), img, 0, nil)
+	// A background context never cancels and the zero RootSet names no
+	// method, so the error is impossible.
+	rep, _ := analysis.RunRulesPaired(context.Background(), img, nil, nil, RootSet{}, 0, nil)
 	return rep
 }
 
@@ -310,9 +312,10 @@ func ParseLintRules(spec string) (*LintRuleSpec, error) {
 // LintWithRules runs the pluggable rule engine over an image: the spec
 // selects and re-grades rules (nil means the legacy set, reproducing
 // AnalyzeImage exactly), and roots configures the interprocedural rules
-// (the zero RootSet means no-caller inference).
+// (the zero RootSet means no-caller inference; a root outside the method
+// table is an error).
 func LintWithRules(img *Image, spec *LintRuleSpec, roots RootSet) (*LintReport, error) {
-	return analysis.RunRules(context.Background(), img, spec, roots, 0, nil)
+	return analysis.RunRulesPaired(context.Background(), img, nil, spec, roots, 0, nil)
 }
 
 // MarshalImage serializes an image to the on-disk ELF OAT format.

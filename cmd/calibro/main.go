@@ -53,10 +53,9 @@ import (
 	"log"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dex"
@@ -299,18 +298,11 @@ func runDebloat(out io.Writer, inPath, rootsSpec, outPath string, reoutline bool
 	if err != nil {
 		return err
 	}
-	cfg := core.DebloatConfig{Workers: workers, Tracer: tracer}
-	for _, part := range strings.Split(rootsSpec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, err := strconv.ParseUint(part, 10, 32)
-		if err != nil {
-			return fmt.Errorf("bad -roots entry %q: %v", part, err)
-		}
-		cfg.Roots = append(cfg.Roots, dex.MethodID(id))
+	roots, err := analysis.ParseRoots(rootsSpec)
+	if err != nil {
+		return fmt.Errorf("-roots: %w", err)
 	}
+	cfg := core.DebloatConfig{Roots: roots, Workers: workers, Tracer: tracer}
 	res, stats, err := core.DebloatImageCtx(context.Background(), img, cfg)
 	if err != nil {
 		return err

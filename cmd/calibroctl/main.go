@@ -45,6 +45,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/fleet"
 )
 
@@ -216,15 +217,11 @@ func (c *client) submit(args []string) error {
 		}
 		req["oat"] = data
 	}
-	if *roots != "" {
-		var ids []uint32
-		for _, s := range strings.Split(*roots, ",") {
-			n, err := strconv.ParseUint(strings.TrimSpace(s), 10, 32)
-			if err != nil {
-				return fmt.Errorf("parsing -roots: %w", err)
-			}
-			ids = append(ids, uint32(n))
-		}
+	ids, err := analysis.ParseRoots(*roots)
+	if err != nil {
+		return fmt.Errorf("parsing -roots: %w", err)
+	}
+	if len(ids) > 0 {
 		req["roots"] = ids
 	}
 	// Every numeric flag the user set is forwarded as given, so the

@@ -79,10 +79,16 @@ func TestSubmitForwardsNegativeCounts(t *testing.T) {
 		s.Drain(ctx)
 	}()
 	addr := strings.TrimPrefix(ts.URL, "http://")
-	for _, flag := range []string{"-trees", "-runs", "-scale"} {
-		code, out, errOut := runCtl("-addr", addr, "submit", "-app", "Taobao", flag, "-1")
+	for _, tc := range []struct{ flag, value string }{
+		{"-trees", "-1"},
+		{"-runs", "-1"},
+		{"-scale", "-1"},
+		{"-j", "-1"},
+		{"-timeout", "-5ms"},
+	} {
+		code, out, errOut := runCtl("-addr", addr, "submit", "-app", "Taobao", tc.flag, tc.value)
 		if code == 0 || out != "" || !strings.Contains(errOut, "400") || !strings.Contains(errOut, "must not be negative") {
-			t.Errorf("submit %s -1: exit %d, stdout %q, stderr %q; want a 400 refusal", flag, code, out, errOut)
+			t.Errorf("submit %s %s: exit %d, stdout %q, stderr %q; want a 400 refusal", tc.flag, tc.value, code, out, errOut)
 		}
 	}
 }

@@ -17,16 +17,18 @@
 // Per-method checks run on -j worker goroutines (0 = all CPUs); findings
 // and their order are identical for every -j. -rules selects and
 // re-grades checks through the pluggable rule engine ("all", "legacy",
-// "interproc", NAME, -NAME, NAME=info|warn|error, comma-separated); its
-// default output is byte-identical to the classic path. -orig supplies
+// "interproc", NAME, -NAME, NAME=info|warn|error, comma-separated); by
+// default it runs the per-method rules of the shared verification pass,
+// the same findings calibro's build-time lint reports. -orig supplies
 // the pre-pass image for the paired equivalence rules
 // (reoutlined-body-equivalent, lift-frozen-untouched), which verify a
 // re-outlined image against the one it was produced from; without it
 // those rules have nothing to compare and stay silent. -roots supplies
 // the reachability root set for the interprocedural rules and reports as
 // comma-separated method IDs (default: every method with no recovered
-// caller). -callgraph prints the recovered whole-image call graph and
-// -reach the reachability report. -json emits the findings as a JSON
+// caller); an empty entry, or an ID outside the image's method table, is
+// a usage error. -callgraph prints the recovered whole-image call graph
+// and -reach the reachability report. -json emits the findings as a JSON
 // array (rule id, severity, method, pc) instead of text. -trace writes a
 // Chrome trace-event JSON of the analysis (per-method spans on worker
 // lanes; Perfetto-loadable), -metrics the aggregated metrics snapshot,
@@ -42,11 +44,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/dex"
 	"repro/internal/oat"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -111,10 +110,14 @@ func run(args []string, out, errOut io.Writer) int {
 		return 2
 	}
 
-	rootSet, err := parseRoots(*roots)
+	rootIDs, err := analysis.ParseRoots(*roots)
 	if err != nil {
-		fmt.Fprintln(errOut, "oatlint:", err)
+		fmt.Fprintln(errOut, "oatlint: -roots:", err)
 		return 2
+	}
+	rootSet := analysis.RootSet{Methods: rootIDs}
+	if len(rootIDs) == 0 {
+		rootSet = analysis.DefaultRoots()
 	}
 
 	var orig *oat.Image
@@ -138,9 +141,8 @@ func run(args []string, out, errOut io.Writer) int {
 		fmt.Fprintln(errOut, "oatlint:", err)
 		return 2
 	}
-	// One call serves every flag: the empty spec is the legacy rule set,
-	// byte-identical to AnalyzeCtx, and a nil orig silences the paired
-	// rules.
+	// One call serves every flag: the empty spec is the per-method rule
+	// set, and a nil orig silences the paired rules.
 	sp := tracer.Start("stage", "lint").Arg("methods", int64(len(img.Methods)))
 	rep, err := analysis.RunRulesPaired(context.Background(), img, orig, spec, rootSet, *workers, tracer)
 	if err != nil {
@@ -255,27 +257,6 @@ func writeTelemetry(tracer *obs.Tracer, tracePath, metricsPath string, stopProfi
 		}
 	}
 	return 0
-}
-
-// parseRoots parses the -roots flag: comma-separated method IDs. The
-// empty string selects the conservative default (no-caller inference).
-func parseRoots(s string) (analysis.RootSet, error) {
-	if strings.TrimSpace(s) == "" {
-		return analysis.DefaultRoots(), nil
-	}
-	var roots analysis.RootSet
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, err := strconv.ParseUint(part, 10, 32)
-		if err != nil {
-			return roots, fmt.Errorf("bad -roots entry %q: %v", part, err)
-		}
-		roots.Methods = append(roots.Methods, dex.MethodID(id))
-	}
-	return roots, nil
 }
 
 // findingJSON is one finding on the -json wire: the stable rule ID, the

@@ -219,6 +219,21 @@ func TestLintRulesFlag(t *testing.T) {
 		t.Errorf("unreachable finding missing or misattributed:\n%s", out.String())
 	}
 
+	// A root outside the method table is a usage error, not a root that
+	// drops silently and leaves every method unreachable.
+	out.Reset()
+	errOut.Reset()
+	if code := run([]string{"-rules", "interproc", "-roots", "99999", path}, &out, &errOut); code != 2 ||
+		!strings.Contains(errOut.String(), "root m99999 is outside the method table") {
+		t.Errorf("exit %d on -roots 99999, want 2; output:\n%s%s", code, out.String(), errOut.String())
+	}
+	out.Reset()
+	errOut.Reset()
+	if code := run([]string{"-roots", "1,,0", path}, &out, &errOut); code != 2 ||
+		!strings.Contains(errOut.String(), "empty entry") {
+		t.Errorf("exit %d on -roots 1,,0, want 2; output:\n%s%s", code, out.String(), errOut.String())
+	}
+
 	// A typo in the spec is a usage error, not a silently weaker lint.
 	out.Reset()
 	errOut.Reset()

@@ -62,32 +62,16 @@ func (r *Report) ErrorCount() int {
 	return n
 }
 
-// AnalyzeCtx verifies a linked image and returns the full report. It
-// never panics on malformed input: every structural defect becomes a
-// finding. Per-method passes run on at most workers goroutines (<= 0
-// selects GOMAXPROCS); each method gets its own finding sink, and
-// findings come back in canonical (method, offset, rule) order, so the
-// report is byte-identical for every width. A non-nil tracer records one
-// span per analyzed method (category "lint", on the worker lane that ran
-// it) plus finding counters; the report is byte-identical with or
-// without it. The per-method pool checks ctx before every method, so a
-// cancelled or deadline-expired context stops the analysis promptly and
-// returns (nil, ctx.Err()).
-func AnalyzeCtx(ctx context.Context, img *oat.Image, workers int, tracer *obs.Tracer) (*Report, error) {
-	an, err := analyzeImage(ctx, img, nil, workers, tracer)
-	if err != nil {
-		return nil, err
-	}
-	return an.rep, nil
-}
-
 // analyzeImage runs the full per-method verification and returns it with
-// the layout it was computed over, findings in canonical order. The rule
-// engine and the call-graph builder reuse the layout (and its decoded blob
-// index) so whole-image passes never re-derive or duplicate the structural
-// findings. A method whose result prev, the analysis of an earlier image,
-// holds under the reuse key (reuse.go) takes that result instead of being
-// analyzed again, counted as analysis.methods_reused; prev may be nil.
+// the layout it was computed over, findings in canonical order: the
+// shared pass behind RunRulesPaired's per-method rules and LintCtx. Each
+// method gets its own finding sink on the worker pool, so the result is
+// the same for every width. The rule engine and the call-graph builder
+// reuse the layout (and its decoded blob index) so whole-image passes
+// never re-derive or duplicate the structural findings. A method whose
+// result prev, the analysis of an earlier image, holds under the reuse
+// key (reuse.go) takes that result instead of being analyzed again,
+// counted as analysis.methods_reused; prev may be nil.
 func analyzeImage(ctx context.Context, img *oat.Image, prev *imageAnalysis, workers int, tracer *obs.Tracer) (*imageAnalysis, error) {
 	var fs findings
 	l := buildLayout(img, &fs)
@@ -169,16 +153,18 @@ func analyzeImage(ctx context.Context, img *oat.Image, prev *imageAnalysis, work
 }
 
 // LintCtx verifies a linked image and returns the findings that matter:
-// all warnings and errors, suppressing advisory (SevInfo) output. A
-// loader that wants a go/no-go answer checks for an empty result.
-// Workers, tracer, finding order and cancellation are as for AnalyzeCtx.
+// the warnings and errors of the per-method rules, suppressing advisory
+// (SevInfo) output. They are exactly the warn and error findings of
+// RunRulesPaired's default report. A loader that wants a go/no-go answer
+// checks for an empty result. Workers, tracer, finding order and
+// cancellation are as for RunRulesPaired.
 func LintCtx(ctx context.Context, img *oat.Image, workers int, tracer *obs.Tracer) ([]Finding, error) {
-	rep, err := AnalyzeCtx(ctx, img, workers, tracer)
+	an, err := analyzeImage(ctx, img, nil, workers, tracer)
 	if err != nil {
 		return nil, err
 	}
 	var out []Finding
-	for _, f := range rep.Findings {
+	for _, f := range an.rep.Findings {
 		if f.Severity >= SevWarn {
 			out = append(out, f)
 		}

@@ -22,10 +22,11 @@ func lint(t testing.TB, img *oat.Image) []analysis.Finding {
 	return fs
 }
 
-// analyze returns the image's full report at the given worker width.
+// analyze returns the image's full default-spec report at the given
+// worker width.
 func analyze(t testing.TB, img *oat.Image, workers int) *analysis.Report {
 	t.Helper()
-	rep, err := analysis.AnalyzeCtx(context.Background(), img, workers, nil)
+	rep, err := analysis.RunRulesPaired(context.Background(), img, nil, nil, analysis.RootSet{}, workers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,13 +18,13 @@ import (
 )
 
 // freshView analyzes a re-parse of img's bytes, which carries nothing:
-// AnalyzeCtx's report, BuildCallGraphCtx's graph, and the walk's own share
+// the default-spec RunRulesPaired report, BuildCallGraphCtx's graph, and the walk's own share
 // of BuildCallGraphCtx's findings (the rest are the layout and blob
 // findings the report already holds).
 func freshView(t *testing.T, img *oat.Image) *analysis.View {
 	t.Helper()
 	bare := reparse(t, img)
-	rep, err := analysis.AnalyzeCtx(context.Background(), bare, 0, nil)
+	rep, err := analysis.RunRulesPaired(context.Background(), bare, nil, nil, analysis.RootSet{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TestNestedLoopsConverge(t *testing.T) {
 	for _, depth := range []int{1, 12, 15, 19} {
 		t.Run(fmt.Sprint(depth), func(t *testing.T) {
 			img := nestedLoopImage(t, depth)
-			rep, err := AnalyzeCtx(context.Background(), img, 0, nil)
+			rep, err := RunRulesPaired(context.Background(), img, nil, nil, RootSet{}, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -61,14 +61,15 @@ type DebloatStats struct {
 // running the analysis on at most workers goroutines (<= 0 selects
 // GOMAXPROCS) and recording telemetry on tracer (nil records nothing):
 // one "debloat" stage span around the whole pass, plus the admission and
-// lint spans inside it. An empty root set selects DefaultRoots. It
-// honours ctx cancellation. The output image is byte-identical for every
-// worker width.
+// lint spans inside it. An empty root set selects DefaultRoots; a root
+// outside the method table is an error. It honours ctx cancellation. The
+// output image is byte-identical for every worker width.
 func DebloatCtx(ctx context.Context, img *oat.Image, roots RootSet, workers int, tracer *obs.Tracer) (*oat.Image, *DebloatStats, error) {
 	sp := tracer.Start("stage", "debloat").Arg("methods", int64(len(img.Methods)))
 	defer sp.End()
-	if len(roots.Methods) == 0 && !roots.NoCallers {
-		roots = DefaultRoots()
+	roots, err := roots.resolve(len(img.Methods))
+	if err != nil {
+		return nil, nil, err
 	}
 
 	in, cg, err := admit(ctx, img, workers, tracer)

@@ -3,7 +3,10 @@ package analysis_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -174,5 +177,66 @@ func TestDebloatRemovesUncalled(t *testing.T) {
 	}
 	if dstats.MethodsRemoved != 0 {
 		t.Errorf("default roots removed %d methods from a fully-rooted image", dstats.MethodsRemoved)
+	}
+}
+
+// TestDebloatRefusesUnknownRoot: a root naming no slot of the method table
+// is an error, not a root that silently drops and leaves nothing live, so
+// debloat never deletes a whole image over a typo. The rule engine refuses
+// the same root set.
+func TestDebloatRefusesUnknownRoot(t *testing.T) {
+	app, err := dex.ParseText(debloatText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.BuildCtx(context.Background(), app, core.CTOLTBO())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(res.Image.Methods)
+	for _, id := range []dex.MethodID{dex.MethodID(n), 99999} {
+		roots := analysis.RootSet{Methods: []dex.MethodID{0, id}}
+		want := fmt.Sprintf("root m%d is outside the method table (%d methods)", id, n)
+		out, stats, err := analysis.DebloatCtx(context.Background(), res.Image, roots, 0, nil)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("debloat rooted at m%d: err %v, want %q", id, err, want)
+		}
+		if out != nil || stats != nil {
+			t.Errorf("debloat rooted at m%d returned an image", id)
+		}
+		if _, err := analysis.RunRulesPaired(context.Background(), res.Image, nil, nil, roots, 0, nil); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("rule engine rooted at m%d: err %v, want %q", id, err, want)
+		}
+	}
+}
+
+// TestParseRoots pins the -roots grammar the commands share.
+func TestParseRoots(t *testing.T) {
+	for _, tc := range []struct {
+		in      string
+		want    []dex.MethodID
+		wantErr string
+	}{
+		{in: ""},
+		{in: "   "},
+		{in: "7", want: []dex.MethodID{7}},
+		{in: " 1, 2 ,3 ", want: []dex.MethodID{1, 2, 3}},
+		{in: "4294967295", want: []dex.MethodID{4294967295}},
+		{in: "1,,2", wantErr: "empty entry"},
+		{in: "1,", wantErr: "empty entry"},
+		{in: ",", wantErr: "empty entry"},
+		{in: "0,one", wantErr: `root "one" is not a method ID`},
+		{in: "-1", wantErr: `root "-1" is not a method ID`},
+		{in: "4294967296", wantErr: "value out of range"},
+	} {
+		got, err := analysis.ParseRoots(tc.in)
+		switch {
+		case tc.wantErr != "":
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("ParseRoots(%q) = %v, %v; want error %q", tc.in, got, err, tc.wantErr)
+			}
+		case err != nil || !slices.Equal(got, tc.want):
+			t.Errorf("ParseRoots(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
 	}
 }

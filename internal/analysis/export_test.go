@@ -34,12 +34,12 @@ func CarriedView(img *oat.Image) (*View, error) {
 // PairedView returns the analysis and call graph RunRulesPaired computes
 // for img when orig is the image it was derived from.
 func PairedView(img, orig *oat.Image) (*View, error) {
-	rc := &RuleContext{ctx: context.Background(), img: img, orig: orig, roots: DefaultRoots(), spec: DefaultRuleSpec()}
-	rep, err := rc.Analysis()
+	rc := &ruleContext{ctx: context.Background(), img: img, orig: orig, roots: DefaultRoots(), spec: DefaultRuleSpec()}
+	rep, err := rc.analysis()
 	if err != nil {
 		return nil, err
 	}
-	cg, cgfs, err := rc.CallGraph()
+	cg, cgfs, err := rc.callGraph()
 	if err != nil {
 		return nil, err
 	}
@@ -55,8 +55,8 @@ func PairedView(img, orig *oat.Image) (*View, error) {
 // takes from the analysis orig carries (analysis.methods_reused).
 func PairedReused(img, orig *oat.Image) (int64, error) {
 	tracer := obs.New()
-	rc := &RuleContext{ctx: context.Background(), img: img, orig: orig, roots: DefaultRoots(), spec: DefaultRuleSpec(), tracer: tracer}
-	if _, err := rc.Analysis(); err != nil {
+	rc := &ruleContext{ctx: context.Background(), img: img, orig: orig, roots: DefaultRoots(), spec: DefaultRuleSpec(), tracer: tracer}
+	if _, err := rc.analysis(); err != nil {
 		return 0, err
 	}
 	return tracer.Snapshot().Counters["analysis.methods_reused"], nil

@@ -150,8 +150,7 @@ func (fs *findings) add(sev Severity, m dex.MethodID, off int, rule, format stri
 // (method, offset, rule, severity, message). Image-level findings
 // (NoMethod, the all-ones ID) sort last by comparing IDs as unsigned.
 // Every public entry point sorts at the boundary, which is what makes
-// reports byte-identical across worker widths and across the legacy and
-// rule-engine paths.
+// reports byte-identical across worker widths and rule-run orders.
 func sortFindings(list []Finding) {
 	sort.Slice(list, func(a, b int) bool {
 		x, y := &list[a], &list[b]

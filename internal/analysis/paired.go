@@ -142,31 +142,23 @@ func flattenMethod(lay *layout, mi int) ([]flatTok, bool) {
 	return out, true
 }
 
-// reoutlinedBodyRule proves flatten-equivalence of every method across a
+// reoutlinedBodies proves flatten-equivalence of every method across a
 // paired run: expanding outlined calls and normalizing PC-relative
 // displacements must reproduce the original stream exactly. This is the
 // interprocedural analogue of outline.VerifyRewriteCtx — it needs no
 // compile-time snapshot, only the two images.
-type reoutlinedBodyRule struct{}
-
-func (reoutlinedBodyRule) Name() string { return RuleReoutlinedBody }
-func (reoutlinedBodyRule) Doc() string {
-	return "a rewritten method does not flatten to its original instruction stream (paired runs only)"
-}
-func (reoutlinedBodyRule) Interprocedural() bool { return true }
-func (reoutlinedBodyRule) Run(rc *RuleContext) {
+func reoutlinedBodies(rc *ruleContext, _ string) error {
 	if rc.orig == nil {
-		return
+		return nil
 	}
-	if _, err := rc.Analysis(); err != nil {
-		rc.fail(err)
-		return
+	if _, err := rc.analysis(); err != nil {
+		return err
 	}
 	newLay, origLay := rc.an.lay, rc.origLayout()
 	if len(rc.img.Methods) != len(rc.orig.Methods) {
 		rc.emit(Finding{Severity: SevError, Method: NoMethod, Off: -1, Rule: RuleReoutlinedBody,
 			Msg: fmt.Sprintf("method table changed size: %d -> %d", len(rc.orig.Methods), len(rc.img.Methods))})
-		return
+		return nil
 	}
 	results, err := par.MapCtx(rc.ctx, rc.workers, len(rc.img.Methods), func(i int) (*findings, error) {
 		fs := &findings{}
@@ -174,14 +166,14 @@ func (reoutlinedBodyRule) Run(rc *RuleContext) {
 		return fs, nil
 	})
 	if err != nil {
-		rc.fail(err)
-		return
+		return err
 	}
 	for _, fs := range results {
 		for _, f := range fs.list {
 			rc.emit(f)
 		}
 	}
+	return nil
 }
 
 // compareFlattened checks flatten-equivalence of one method slot.
@@ -208,35 +200,26 @@ func compareFlattened(origLay, newLay *layout, mi int, fs *findings) {
 	}
 }
 
-// liftFrozenRule proves the freeze contract of a paired run: every method
-// the lift legality mask (LiftFrozen) froze on the original image is
-// byte-identical in the new image, except that a bl word may differ when
-// both the old and new displacement resolve to the head of the same
+// liftFrozenUntouched proves the freeze contract of a paired run: every
+// method the lift legality mask (LiftFrozen) froze on the original image
+// is byte-identical in the new image, except that a bl word may differ
+// when both the old and new displacement resolve to the head of the same
 // region — the re-binding a relayout forces on even untouched callers.
-type liftFrozenRule struct{}
-
-func (liftFrozenRule) Name() string { return RuleLiftFrozen }
-func (liftFrozenRule) Doc() string {
-	return "a lift-frozen method was modified beyond bl re-binding (paired runs only)"
-}
-func (liftFrozenRule) Interprocedural() bool { return true }
-func (liftFrozenRule) Run(rc *RuleContext) {
+func liftFrozenUntouched(rc *ruleContext, _ string) error {
 	if rc.orig == nil {
-		return
+		return nil
 	}
 	origCG, err := rc.origCallGraph()
 	if err != nil {
-		rc.fail(err)
-		return
+		return err
 	}
-	if _, err := rc.Analysis(); err != nil {
-		rc.fail(err)
-		return
+	if _, err := rc.analysis(); err != nil {
+		return err
 	}
 	if len(rc.img.Methods) != len(rc.orig.Methods) {
 		rc.emit(Finding{Severity: SevError, Method: NoMethod, Off: -1, Rule: RuleLiftFrozen,
 			Msg: fmt.Sprintf("method table changed size: %d -> %d", len(rc.orig.Methods), len(rc.img.Methods))})
-		return
+		return nil
 	}
 	newLay, origLay := rc.an.lay, rc.origLayout()
 	frozen := LiftFrozen(rc.orig, origCG)
@@ -270,6 +253,7 @@ func (liftFrozenRule) Run(rc *RuleContext) {
 			}
 		}
 	}
+	return nil
 }
 
 // sameBlRebinding reports whether a changed word is a bl in both images

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/codegen"
 	"repro/internal/dex"
@@ -30,6 +32,45 @@ type RootSet struct {
 // methods that are themselves unreachable — which is exactly the orphaned
 // cluster a prior rewrite leaves behind.
 func DefaultRoots() RootSet { return RootSet{NoCallers: true} }
+
+// ParseRoots parses the -roots grammar every command shares: decimal
+// method IDs separated by commas, with spaces allowed around each. A
+// blank string is the empty list, which callers read as DefaultRoots; an
+// empty entry, a non-number and a value above uint32 are errors.
+func ParseRoots(s string) ([]dex.MethodID, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, nil
+	}
+	var ids []dex.MethodID
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			return nil, fmt.Errorf("empty entry in root list %q", s)
+		}
+		id, err := strconv.ParseUint(part, 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("root %q is not a method ID: %w", part, err)
+		}
+		ids = append(ids, dex.MethodID(id))
+	}
+	return ids, nil
+}
+
+// resolve readies rs for an n-method table: a root that names no slot is
+// an error, since Reachable would drop it silently and a root set that
+// roots nothing deletes the whole image, and the zero RootSet selects
+// DefaultRoots.
+func (rs RootSet) resolve(n int) (RootSet, error) {
+	for _, id := range rs.Methods {
+		if int(id) >= n {
+			return rs, fmt.Errorf("analysis: root m%d is outside the method table (%d methods)", id, n)
+		}
+	}
+	if len(rs.Methods) == 0 && !rs.NoCallers {
+		return DefaultRoots(), nil
+	}
+	return rs, nil
+}
 
 // Reachability classifies every image region as live or dead under a
 // root set.

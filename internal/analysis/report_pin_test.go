@@ -17,7 +17,7 @@ import (
 	"repro/internal/workload"
 )
 
-// TestAnalyzeReportPin pins the full AnalyzeCtx report — every finding's
+// TestAnalyzeReportPin pins the full default-spec RunRulesPaired report — every finding's
 // severity, method, offset, rule and message, every MethodSummary, and
 // the image-level counts — over the six ladder apps at scale 0.03 under
 // CTO-only and CTO+LTBO, their debloat (roots = the manifest's drivers)

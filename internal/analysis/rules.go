@@ -3,7 +3,6 @@ package analysis
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/codegen"
@@ -12,32 +11,63 @@ import (
 )
 
 // The rule engine makes oatlint pluggable: every check is a named Rule in
-// a registry, enabled and re-graded per run by a RuleSpec (the -rules
-// flag). The legacy per-method checks are ported as filter rules over ONE
-// shared verification pass, so the engine with its default spec produces
-// byte-identical output to the legacy AnalyzeCtx path — the parity the
-// determinism tests pin. The interprocedural rules (unreachable-method,
-// dead-outline-body, call-into-removed-range, recursive-outline-cycle)
-// are engine-only: they need the whole-image call graph, which the
-// RuleContext builds lazily over the same shared layout so structural
-// findings are never duplicated.
+// one table, enabled and re-graded per run by a RuleSpec (the -rules
+// flag), and RunRulesPaired is the one call that evaluates a spec. The
+// fifteen per-method checks select their findings out of ONE shared
+// verification pass, so the default spec's report is that pass's report.
+// The interprocedural rules need the whole-image call graph, which the
+// rule context builds lazily over the same shared layout so structural
+// findings are never duplicated: callgraph and call-into-removed-range
+// select the call-graph walk's own findings, and the rest compute theirs
+// from the graph, its reachability, or (paired runs) the original image.
 
 // Rule is one verifier check, addressable by name.
-type Rule interface {
+type Rule struct {
 	// Name is the stable rule ID findings carry in their Rule field.
-	Name() string
-	// Doc is a one-line description for -rules=help output.
-	Doc() string
+	Name string
+	// Doc is a one-line description of the check.
+	Doc string
 	// Interprocedural reports whether the rule needs the whole-image call
 	// graph; such rules are off by default and enabled via -rules.
-	Interprocedural() bool
-	// Run evaluates the rule, emitting findings through the context.
-	Run(rc *RuleContext)
+	Interprocedural bool
+
+	// run evaluates the rule, emitting findings through the context; name
+	// is the rule's own Name.
+	run func(rc *ruleContext, name string) error
 }
 
-// RuleContext is what a Rule sees: the image under analysis plus lazily
+// registry holds every known rule; the engine runs enabled rules in this
+// order (findings are sorted at the boundary, so the order affects only
+// lazy-artifact build timing, not output). The per-method rules come
+// first, in report-section order.
+var registry = []Rule{
+	{RuleRecord, "a record is out of bounds, misaligned, overlapping, or out of order", false, fromPass},
+	{RuleDecode, "a non-data word does not decode as a modeled A64 instruction", false, fromPass},
+	{RuleBranchTarget, "a branch leaves its method or misses an instruction boundary", false, fromPass},
+	{RuleCallTarget, "a bl does not land on a method, thunk, or outlined-function head", false, fromPass},
+	{RuleBlobEntry, "control enters the middle of an outlined function", false, fromPass},
+	{RuleIndirect, "a computed branch does not match the switch-table idiom", false, fromPass},
+	{RuleBlobShape, "an outlined function is not straight-line code ending in br x30", false, fromPass},
+	{RuleSPBalance, "the stack pointer is unbalanced on some path", false, fromPass},
+	{RuleStackProbe, "a calling method performs no stack-overflow probe", false, fromPass},
+	{RuleCalleeSaved, "a callee-saved register is clobbered across a ret path", false, fromPass},
+	{RuleLinkReg, "ret executes without the caller's return address in x30", false, fromPass},
+	{RuleSafepoint, "a stack map entry does not sit on a call instruction", false, fromPass},
+	{RuleMetadata, "the LTBO metadata disagrees with the code it describes", false, fromPass},
+	{RuleLiteral, "a literal access targets bytes outside embedded data", false, fromPass},
+	{RuleDeadCode, "instruction words unreachable from the method entry", false, fromPass},
+	{RuleCallGraph, "call sites the interprocedural walk could not resolve", true, fromWalk},
+	{RuleCallRemoved, "a call targets a removed range or leaves the text segment", true, fromWalk},
+	{RuleUnreachable, "a method is unreachable from the root set", true, unreachableMethods},
+	{RuleDeadOutline, "an outlined function is called by no live method", true, deadOutlineBodies},
+	{RuleOutlineCycle, "the call graph cycles through an outlined function", true, outlineCycles},
+	{RuleReoutlinedBody, "a rewritten method does not flatten to its original instruction stream (paired runs only)", true, reoutlinedBodies},
+	{RuleLiftFrozen, "a lift-frozen method was modified beyond bl re-binding (paired runs only)", true, liftFrozenUntouched},
+}
+
+// ruleContext is what a rule sees: the image under analysis plus lazily
 // built, memoized whole-image artifacts shared by every rule in the run.
-type RuleContext struct {
+type ruleContext struct {
 	ctx     context.Context
 	img     *oat.Image
 	workers int
@@ -46,7 +76,6 @@ type RuleContext struct {
 
 	an     *imageAnalysis // the shared pass; held here, not attached to img
 	repErr error
-	ran    bool
 
 	reach *Reachability
 
@@ -63,20 +92,13 @@ type RuleContext struct {
 
 	spec *RuleSpec
 	out  findings
-	err  error
 }
-
-// Image returns the image under analysis.
-func (rc *RuleContext) Image() *oat.Image { return rc.img }
-
-// Orig returns the original (pre-pass) image of a paired run, or nil.
-func (rc *RuleContext) Orig() *oat.Image { return rc.orig }
 
 // origLayout returns the memoized layout of the original image, with blob
 // bodies decoded. Structural findings on the original image are not the
 // paired rules' business — the original was linted in its own run — so
 // they are discarded here.
-func (rc *RuleContext) origLayout() *layout {
+func (rc *ruleContext) origLayout() *layout {
 	if rc.origLay == nil && rc.orig != nil {
 		if an := rc.origAnalysis(); an != nil {
 			rc.origLay = an.lay
@@ -95,7 +117,7 @@ func (rc *RuleContext) origLayout() *layout {
 
 // origAnalysis returns the analysis the original image carries (counted
 // as analysis.reused), or nil.
-func (rc *RuleContext) origAnalysis() *imageAnalysis {
+func (rc *ruleContext) origAnalysis() *imageAnalysis {
 	if !rc.origLooked {
 		rc.origLooked = true
 		if rc.origAn = attachedAnalysis(rc.orig); rc.origAn != nil {
@@ -106,7 +128,7 @@ func (rc *RuleContext) origAnalysis() *imageAnalysis {
 }
 
 // origCallGraph returns the memoized call graph of the original image.
-func (rc *RuleContext) origCallGraph() (*CallGraph, error) {
+func (rc *ruleContext) origCallGraph() (*CallGraph, error) {
 	if rc.origCG == nil && rc.orig != nil {
 		var cg *CallGraph
 		var err error
@@ -124,14 +146,13 @@ func (rc *RuleContext) origCallGraph() (*CallGraph, error) {
 	return rc.origCG, nil
 }
 
-// Analysis returns the shared per-method verification pass (layout,
+// analysis returns the shared per-method verification pass (layout,
 // thunk/blob checks, CFG recovery, dataflow), running it on first use. On
 // a paired run whose original carries its analysis, every method the
 // rewrite left alone apart from its bl displacements takes its result
 // from that analysis (reuse.go).
-func (rc *RuleContext) Analysis() (*Report, error) {
-	if !rc.ran {
-		rc.ran = true
+func (rc *ruleContext) analysis() (*Report, error) {
+	if rc.an == nil && rc.repErr == nil {
 		var prev *imageAnalysis
 		if rc.orig != nil {
 			prev = rc.origAnalysis()
@@ -144,19 +165,19 @@ func (rc *RuleContext) Analysis() (*Report, error) {
 	return rc.an.rep, nil
 }
 
-// CallGraph returns the whole-image call graph and the walk's own
+// callGraph returns the whole-image call graph and the walk's own
 // findings, built on first use over the shared layout.
-func (rc *RuleContext) CallGraph() (*CallGraph, []Finding, error) {
-	if _, err := rc.Analysis(); err != nil {
+func (rc *ruleContext) callGraph() (*CallGraph, []Finding, error) {
+	if _, err := rc.analysis(); err != nil {
 		return nil, nil, err
 	}
 	return rc.an.callGraph(rc.ctx, rc.workers)
 }
 
-// Reachability returns the closure of the run's root set over the call
+// reachability returns the closure of the run's root set over the call
 // graph, computed on first use.
-func (rc *RuleContext) Reachability() (*Reachability, *CallGraph, error) {
-	cg, _, err := rc.CallGraph()
+func (rc *ruleContext) reachability() (*Reachability, *CallGraph, error) {
+	cg, _, err := rc.callGraph()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -167,102 +188,48 @@ func (rc *RuleContext) Reachability() (*Reachability, *CallGraph, error) {
 }
 
 // emit records one finding, applying the spec's severity override.
-func (rc *RuleContext) emit(f Finding) {
-	if rc.spec != nil {
-		if sev, ok := rc.spec.severity[f.Rule]; ok {
-			f.Severity = sev
-		}
+func (rc *ruleContext) emit(f Finding) {
+	if sev, ok := rc.spec.severity[f.Rule]; ok {
+		f.Severity = sev
 	}
 	rc.out.list = append(rc.out.list, f)
 }
 
-// fail records a rule-infrastructure error (context cancellation).
-func (rc *RuleContext) fail(err error) {
-	if rc.err == nil {
-		rc.err = err
-	}
-}
-
-// filterRule ports one legacy check onto the engine: it selects that
-// rule's findings out of the shared pass. The union of all filter rules
-// is exactly the legacy report.
-type filterRule struct {
-	name string
-	doc  string
-}
-
-func (r filterRule) Name() string          { return r.name }
-func (r filterRule) Doc() string           { return r.doc }
-func (r filterRule) Interprocedural() bool { return false }
-func (r filterRule) Run(rc *RuleContext) {
-	rep, err := rc.Analysis()
+// fromPass emits the rule's findings from the shared per-method pass.
+func fromPass(rc *ruleContext, name string) error {
+	rep, err := rc.analysis()
 	if err != nil {
-		rc.fail(err)
-		return
+		return err
 	}
 	for _, f := range rep.Findings {
-		if f.Rule == r.name {
+		if f.Rule == name {
 			rc.emit(f)
 		}
 	}
+	return nil
 }
 
-// callgraphRule surfaces the call-graph walk's advisory notes:
-// unresolved call targets and malformed ArtMethod constants.
-type callgraphRule struct{}
-
-func (callgraphRule) Name() string { return RuleCallGraph }
-func (callgraphRule) Doc() string {
-	return "call sites the interprocedural walk could not resolve"
-}
-func (callgraphRule) Interprocedural() bool { return true }
-func (callgraphRule) Run(rc *RuleContext) {
-	_, cgfs, err := rc.CallGraph()
+// fromWalk emits the rule's findings from the call-graph walk: unresolved
+// call targets and malformed ArtMethod constants (callgraph), and calls
+// whose target lies in no recorded region (call-into-removed-range).
+func fromWalk(rc *ruleContext, name string) error {
+	_, cgfs, err := rc.callGraph()
 	if err != nil {
-		rc.fail(err)
-		return
+		return err
 	}
 	for _, f := range cgfs {
-		if f.Rule == RuleCallGraph {
+		if f.Rule == name {
 			rc.emit(f)
 		}
 	}
+	return nil
 }
 
-// callRemovedRule reports calls whose target lies in no recorded region.
-type callRemovedRule struct{}
-
-func (callRemovedRule) Name() string { return RuleCallRemoved }
-func (callRemovedRule) Doc() string {
-	return "a call targets a removed range or leaves the text segment"
-}
-func (callRemovedRule) Interprocedural() bool { return true }
-func (callRemovedRule) Run(rc *RuleContext) {
-	_, cgfs, err := rc.CallGraph()
+// unreachableMethods reports methods no root can reach.
+func unreachableMethods(rc *ruleContext, _ string) error {
+	reach, cg, err := rc.reachability()
 	if err != nil {
-		rc.fail(err)
-		return
-	}
-	for _, f := range cgfs {
-		if f.Rule == RuleCallRemoved {
-			rc.emit(f)
-		}
-	}
-}
-
-// unreachableRule reports methods no root can reach.
-type unreachableRule struct{}
-
-func (unreachableRule) Name() string { return RuleUnreachable }
-func (unreachableRule) Doc() string {
-	return "a method is unreachable from the root set"
-}
-func (unreachableRule) Interprocedural() bool { return true }
-func (unreachableRule) Run(rc *RuleContext) {
-	reach, cg, err := rc.Reachability()
-	if err != nil {
-		rc.fail(err)
-		return
+		return err
 	}
 	for _, id := range reach.DeadMethods(cg) {
 		rc.emit(Finding{
@@ -270,21 +237,14 @@ func (unreachableRule) Run(rc *RuleContext) {
 			Msg: fmt.Sprintf("unreachable from the root set; %d bytes removable", cg.Nodes[id].Size),
 		})
 	}
+	return nil
 }
 
-// deadOutlineRule reports outlined functions no live method calls.
-type deadOutlineRule struct{}
-
-func (deadOutlineRule) Name() string { return RuleDeadOutline }
-func (deadOutlineRule) Doc() string {
-	return "an outlined function is called by no live method"
-}
-func (deadOutlineRule) Interprocedural() bool { return true }
-func (deadOutlineRule) Run(rc *RuleContext) {
-	reach, cg, err := rc.Reachability()
+// deadOutlineBodies reports outlined functions no live method calls.
+func deadOutlineBodies(rc *ruleContext, _ string) error {
+	reach, cg, err := rc.reachability()
 	if err != nil {
-		rc.fail(err)
-		return
+		return err
 	}
 	for _, bi := range reach.DeadBlobs() {
 		b := cg.Blobs[bi]
@@ -293,24 +253,17 @@ func (deadOutlineRule) Run(rc *RuleContext) {
 			Msg: fmt.Sprintf("%s has no live caller; %d bytes removable", codegen.SymName(b.Sym), b.Size),
 		})
 	}
+	return nil
 }
 
-// outlineCycleRule reports call-graph cycles that pass through an
-// outlined function. A well-formed blob is straight-line code, so such a
-// cycle implies a blob that calls — re-entering it recursively would run
-// with a clobbered return address.
-type outlineCycleRule struct{}
-
-func (outlineCycleRule) Name() string { return RuleOutlineCycle }
-func (outlineCycleRule) Doc() string {
-	return "the call graph cycles through an outlined function"
-}
-func (outlineCycleRule) Interprocedural() bool { return true }
-func (outlineCycleRule) Run(rc *RuleContext) {
-	cg, _, err := rc.CallGraph()
+// outlineCycles reports call-graph cycles that pass through an outlined
+// function. A well-formed blob is straight-line code, so such a cycle
+// implies a blob that calls — re-entering it recursively would run with a
+// clobbered return address.
+func outlineCycles(rc *ruleContext, _ string) error {
+	cg, _, err := rc.callGraph()
 	if err != nil {
-		rc.fail(err)
-		return
+		return err
 	}
 	for bi, b := range cg.Blobs {
 		if len(b.Edges) == 0 {
@@ -323,6 +276,7 @@ func (outlineCycleRule) Run(rc *RuleContext) {
 			})
 		}
 	}
+	return nil
 }
 
 // blobOnCycle reports whether blob bi can reach itself through the call
@@ -373,48 +327,6 @@ func succs(cg *CallGraph, n int) []int {
 	return out
 }
 
-// legacyRules lists every rule ID the per-method pass can produce, in
-// report-section order, with its one-line doc.
-var legacyRules = []filterRule{
-	{RuleRecord, "a record is out of bounds, misaligned, overlapping, or out of order"},
-	{RuleDecode, "a non-data word does not decode as a modeled A64 instruction"},
-	{RuleBranchTarget, "a branch leaves its method or misses an instruction boundary"},
-	{RuleCallTarget, "a bl does not land on a method, thunk, or outlined-function head"},
-	{RuleBlobEntry, "control enters the middle of an outlined function"},
-	{RuleIndirect, "a computed branch does not match the switch-table idiom"},
-	{RuleBlobShape, "an outlined function is not straight-line code ending in br x30"},
-	{RuleSPBalance, "the stack pointer is unbalanced on some path"},
-	{RuleStackProbe, "a calling method performs no stack-overflow probe"},
-	{RuleCalleeSaved, "a callee-saved register is clobbered across a ret path"},
-	{RuleLinkReg, "ret executes without the caller's return address in x30"},
-	{RuleSafepoint, "a stack map entry does not sit on a call instruction"},
-	{RuleMetadata, "the LTBO metadata disagrees with the code it describes"},
-	{RuleLiteral, "a literal access targets bytes outside embedded data"},
-	{RuleDeadCode, "instruction words unreachable from the method entry"},
-}
-
-// registry holds every known rule in registration order; the engine runs
-// enabled rules in this order (findings are sorted at the boundary, so
-// the order affects only lazy-artifact build timing, not output).
-var registry = buildRegistry()
-
-func buildRegistry() []Rule {
-	var rs []Rule
-	for _, r := range legacyRules {
-		rs = append(rs, r)
-	}
-	rs = append(rs,
-		callgraphRule{},
-		callRemovedRule{},
-		unreachableRule{},
-		deadOutlineRule{},
-		outlineCycleRule{},
-		reoutlinedBodyRule{},
-		liftFrozenRule{},
-	)
-	return rs
-}
-
 // Rules returns the registered rules in registration order.
 func Rules() []Rule {
 	out := make([]Rule, len(registry))
@@ -422,30 +334,30 @@ func Rules() []Rule {
 	return out
 }
 
-// ruleByName looks up a registered rule.
-func ruleByName(name string) (Rule, bool) {
+// isRule reports whether name is a registered rule.
+func isRule(name string) bool {
 	for _, r := range registry {
-		if r.Name() == name {
-			return r, true
+		if r.Name == name {
+			return true
 		}
 	}
-	return nil, false
+	return false
 }
 
 // RuleSpec selects which rules a run evaluates and at what severity.
-// The zero value (and DefaultRuleSpec) enables exactly the legacy rules,
-// reproducing the classic AnalyzeCtx output.
+// Build one with DefaultRuleSpec or ParseRuleSpec; RunRulesPaired takes
+// nil to mean DefaultRuleSpec.
 type RuleSpec struct {
 	enabled  map[string]bool
 	severity map[string]Severity
 }
 
-// DefaultRuleSpec enables the legacy per-method rules only.
+// DefaultRuleSpec enables the per-method (legacy) rules only.
 func DefaultRuleSpec() *RuleSpec {
 	s := &RuleSpec{enabled: map[string]bool{}, severity: map[string]Severity{}}
 	for _, r := range registry {
-		if !r.Interprocedural() {
-			s.enabled[r.Name()] = true
+		if !r.Interprocedural {
+			s.enabled[r.Name] = true
 		}
 	}
 	return s
@@ -480,30 +392,25 @@ func ParseRuleSpec(spec string) (*RuleSpec, error) {
 		case item == "":
 		case item == "all":
 			for _, r := range registry {
-				s.enabled[r.Name()] = true
+				s.enabled[r.Name] = true
 			}
 		case item == "legacy":
-			s.enabled = map[string]bool{}
-			for _, r := range registry {
-				if !r.Interprocedural() {
-					s.enabled[r.Name()] = true
-				}
-			}
+			s.enabled = DefaultRuleSpec().enabled
 		case item == "interproc":
 			for _, r := range registry {
-				if r.Interprocedural() {
-					s.enabled[r.Name()] = true
+				if r.Interprocedural {
+					s.enabled[r.Name] = true
 				}
 			}
 		case strings.HasPrefix(item, "-"):
 			name := item[1:]
-			if _, ok := ruleByName(name); !ok {
+			if !isRule(name) {
 				return nil, fmt.Errorf("unknown rule %q", name)
 			}
 			delete(s.enabled, name)
 		case strings.Contains(item, "="):
 			name, sevName, _ := strings.Cut(item, "=")
-			if _, ok := ruleByName(name); !ok {
+			if !isRule(name) {
 				return nil, fmt.Errorf("unknown rule %q", name)
 			}
 			var sev Severity
@@ -520,7 +427,7 @@ func ParseRuleSpec(spec string) (*RuleSpec, error) {
 			s.enabled[name] = true
 			s.severity[name] = sev
 		default:
-			if _, ok := ruleByName(item); !ok {
+			if !isRule(item) {
 				return nil, fmt.Errorf("unknown rule %q", item)
 			}
 			s.enabled[item] = true
@@ -537,65 +444,65 @@ func ParseRuleSpec(spec string) (*RuleSpec, error) {
 func (s *RuleSpec) String() string {
 	var parts []string
 	for _, r := range registry {
-		if !s.enabled[r.Name()] {
+		if !s.enabled[r.Name] {
 			continue
 		}
-		p := r.Name()
-		if sev, ok := s.severity[r.Name()]; ok {
+		p := r.Name
+		if sev, ok := s.severity[r.Name]; ok {
 			p += "=" + sev.String()
 		}
 		parts = append(parts, p)
 	}
 	for _, r := range registry {
-		if !r.Interprocedural() && !s.enabled[r.Name()] {
-			parts = append(parts, "-"+r.Name())
+		if !r.Interprocedural && !s.enabled[r.Name] {
+			parts = append(parts, "-"+r.Name)
 		}
 	}
 	return strings.Join(parts, ",")
 }
 
-// RunRules evaluates the spec's enabled rules against an image and
-// returns the combined report in canonical finding order. A nil spec
-// means DefaultRuleSpec — the legacy rule set, whose output is
-// byte-identical to AnalyzeCtx. Roots configures the interprocedural
-// rules; the zero RootSet means DefaultRoots (no-caller inference).
-func RunRules(ctx context.Context, img *oat.Image, spec *RuleSpec, roots RootSet, workers int, tracer *obs.Tracer) (*Report, error) {
-	return RunRulesPaired(ctx, img, nil, spec, roots, workers, tracer)
-}
-
-// RunRulesPaired is RunRules over a pair of images: the image under
-// analysis plus the original it was derived from by a binary rewrite
-// (debloat, re-outline). The paired rules — reoutlined-body-equivalent
-// and lift-frozen-untouched — compare the two and prove the rewrite
-// preserved every method's flattened instruction stream and every frozen
-// method's bytes; on a nil orig they emit nothing, which keeps
-// single-image runs (and their goldens) unchanged.
+// RunRulesPaired is the one call that returns a full report: it
+// evaluates the spec's enabled rules against img and returns every
+// finding at every severity in canonical (method, offset, rule) order,
+// plus per-method summaries and image-level statistics. A nil spec means
+// DefaultRuleSpec, the per-method rules, whose findings are exactly the
+// shared verification pass's. Roots configures the interprocedural rules;
+// the zero RootSet means DefaultRoots (no-caller inference), and a root
+// outside img's method table is an error.
+//
+// Orig, when non-nil, is the original img was derived from by a binary
+// rewrite (debloat, re-outline). The paired rules — reoutlined-body-
+// equivalent and lift-frozen-untouched — compare the two and prove the
+// rewrite preserved every method's flattened instruction stream and every
+// frozen method's bytes; on a nil orig they emit nothing, so enabling
+// them leaves single-image reports unchanged.
+//
+// It never panics on malformed input: every structural defect becomes a
+// finding. Per-method passes run on at most workers goroutines (<= 0
+// selects GOMAXPROCS) and the report is byte-identical for every width.
+// A non-nil tracer records one span per analyzed method (category
+// "lint", on the worker lane that ran it) plus finding counters; the
+// report is byte-identical with or without it. The per-method pool
+// checks ctx before every method, so a cancelled or deadline-expired
+// context stops the analysis promptly and returns (nil, ctx.Err()).
 func RunRulesPaired(ctx context.Context, img, orig *oat.Image, spec *RuleSpec, roots RootSet, workers int, tracer *obs.Tracer) (*Report, error) {
 	if spec == nil {
 		spec = DefaultRuleSpec()
 	}
-	if len(roots.Methods) == 0 && !roots.NoCallers {
-		roots = DefaultRoots()
+	roots, err := roots.resolve(len(img.Methods))
+	if err != nil {
+		return nil, err
 	}
-	rc := &RuleContext{
+	rc := &ruleContext{
 		ctx: ctx, img: img, workers: workers, tracer: tracer,
 		roots: roots, spec: spec, orig: orig,
 	}
-	names := make([]string, 0, len(spec.enabled))
-	for name, on := range spec.enabled {
-		if on {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		r, ok := ruleByName(name)
-		if !ok {
+	for _, r := range registry {
+		if !spec.enabled[r.Name] {
 			continue
 		}
-		r.Run(rc)
-		if rc.err != nil {
-			return nil, rc.err
+		if err := r.run(rc, r.Name); err != nil {
+			return nil, err
 		}
 	}
 	rep := &Report{
@@ -603,7 +510,7 @@ func RunRulesPaired(ctx context.Context, img, orig *oat.Image, spec *RuleSpec, r
 		Outlined:  len(img.Outlined),
 		TextBytes: img.TextBytes(),
 	}
-	if rc.ran && rc.repErr == nil {
+	if rc.an != nil {
 		rep.Methods = rc.an.rep.Methods
 	}
 	sortFindings(rc.out.list)

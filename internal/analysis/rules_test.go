@@ -2,6 +2,12 @@ package analysis_test
 
 import (
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/a64"
@@ -11,36 +17,101 @@ import (
 	"repro/internal/oat"
 )
 
-// TestRuleEngineParity pins the engine's compatibility contract: under the
-// default spec (the legacy rule set) RunRules produces findings identical
-// to the classic AnalyzeCtx path, on clean and on corrupt images alike.
-func TestRuleEngineParity(t *testing.T) {
+// TestLintMatchesDefaultReport pins LintCtx, the go/no-go filter, to the
+// one full-report call: on clean and on corrupt images its findings are
+// exactly the warn and error findings of the default-spec RunRulesPaired
+// report, in the same order. The corrupt image draws both: two stomped
+// words are errors, and dropping every PC-relative record turns the
+// instructions they covered into metadata warnings.
+func TestLintMatchesDefaultReport(t *testing.T) {
 	clean := buildApp(t, core.CTOLTBO())
 	corrupt := buildApp(t, core.CTOLTBO())
 	corrupt.Text[len(corrupt.Text)/2] = 0xFFFFFFFF
 	corrupt.Text[len(corrupt.Text)/3] = 0xFFFFFFFF
+	for i := range corrupt.Methods {
+		corrupt.Methods[i].Meta.PCRel = nil
+	}
 	for _, tc := range []struct {
 		name string
 		img  *oat.Image
 	}{{"clean", clean}, {"corrupt", corrupt}} {
 		t.Run(tc.name, func(t *testing.T) {
-			legacy := analyze(t, tc.img, 3)
-			rep, err := analysis.RunRules(t.Context(), tc.img, nil, analysis.RootSet{}, 3, nil)
+			var want []analysis.Finding
+			for _, f := range analyze(t, tc.img, 3).Findings {
+				if f.Severity >= analysis.SevWarn {
+					want = append(want, f)
+				}
+			}
+			got, err := analysis.LintCtx(t.Context(), tc.img, 3, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rep.Findings) != len(legacy.Findings) {
-				t.Fatalf("engine found %d, legacy found %d", len(rep.Findings), len(legacy.Findings))
+			if !slices.Equal(got, want) {
+				t.Errorf("LintCtx found %d, the report's warn and error findings are %d:\n%v\n%v", len(got), len(want), got, want)
 			}
-			for i := range legacy.Findings {
-				if rep.Findings[i] != legacy.Findings[i] {
-					t.Errorf("finding %d: engine %v, legacy %v", i, rep.Findings[i], legacy.Findings[i])
+			if tc.name == "corrupt" {
+				sevs := map[analysis.Severity]bool{}
+				for _, f := range want {
+					sevs[f.Severity] = true
+				}
+				if !sevs[analysis.SevWarn] || !sevs[analysis.SevError] {
+					t.Errorf("corrupt image drew severities %v, want warn and error", sevs)
 				}
 			}
-			if len(rep.Methods) != len(legacy.Methods) {
-				t.Errorf("engine report covers %d methods, legacy %d", len(rep.Methods), len(legacy.Methods))
-			}
 		})
+	}
+}
+
+// TestRuleTable keeps the registry and the Rule* constants of finding.go
+// in step: every registered rule has a unique Name that one constant
+// holds and a non-empty Doc, and every constant names a registered rule.
+func TestRuleTable(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "finding.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consts := map[string]string{} // rule ID -> constant name
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, name := range vs.Names {
+				if !strings.HasPrefix(name.Name, "Rule") || i >= len(vs.Values) {
+					continue
+				}
+				if lit, ok := vs.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					id, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					consts[id] = name.Name
+				}
+			}
+		}
+	}
+	if len(consts) == 0 {
+		t.Fatal("finding.go declares no Rule* constants")
+	}
+	seen := map[string]bool{}
+	for _, r := range analysis.Rules() {
+		if seen[r.Name] {
+			t.Errorf("rule %q registered twice", r.Name)
+		}
+		seen[r.Name] = true
+		if consts[r.Name] == "" {
+			t.Errorf("rule %q is not the value of a Rule* constant", r.Name)
+		}
+		if strings.TrimSpace(r.Doc) == "" {
+			t.Errorf("rule %q has no Doc", r.Name)
+		}
+	}
+	for id, name := range consts {
+		if !seen[id] {
+			t.Errorf("%s (%q) names no registered rule", name, id)
+		}
 	}
 }
 
@@ -119,7 +190,7 @@ func TestInterprocRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := analysis.RunRules(t.Context(), img, spec, roots, 0, nil)
+	rep, err := analysis.RunRulesPaired(t.Context(), img, nil, spec, roots, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +224,7 @@ func TestInterprocRules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := analysis.RunRules(t.Context(), img, spec, roots, 0, nil)
+		rep, err := analysis.RunRulesPaired(t.Context(), img, nil, spec, roots, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +249,7 @@ func TestInterprocRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drep, err := analysis.RunRules(t.Context(), stomped, dspec, analysis.RootSet{}, 0, nil)
+	drep, err := analysis.RunRulesPaired(t.Context(), stomped, nil, dspec, analysis.RootSet{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +284,7 @@ func TestOutlineCycleRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := analysis.RunRules(t.Context(), img, spec, analysis.RootSet{}, 0, nil)
+	rep, err := analysis.RunRulesPaired(t.Context(), img, nil, spec, analysis.RootSet{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

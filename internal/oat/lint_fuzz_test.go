@@ -37,7 +37,7 @@ func lintFuzzImage(f *testing.F) *oat.Image {
 }
 
 // FuzzUnmarshalLint feeds mutated serialized images through the parser
-// and the full static analyzer: whatever Unmarshal accepts, AnalyzeCtx must
+// and the full static analyzer: whatever Unmarshal accepts, RunRulesPaired must
 // process without panicking — every structural defect has to surface as
 // a finding, not a crash. This is the analyzer's core robustness
 // contract, since its whole purpose is vetting untrusted images.
@@ -63,7 +63,7 @@ func FuzzUnmarshalLint(f *testing.F) {
 		if err != nil {
 			return
 		}
-		rep, err := analysis.AnalyzeCtx(context.Background(), parsed, 0, nil)
+		rep, err := analysis.RunRulesPaired(context.Background(), parsed, nil, nil, analysis.RootSet{}, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -115,8 +115,8 @@ const (
 
 // validate rejects a request before it takes a queue slot.
 func (r JobRequest) validate() error {
-	if r.Trees < 0 || r.Runs < 0 || r.Scale < 0 {
-		return errors.New("trees, runs and scale must not be negative")
+	if r.Trees < 0 || r.Runs < 0 || r.Scale < 0 || r.Workers < 0 || r.TimeoutMS < 0 {
+		return errors.New("trees, runs, scale, workers and timeout_ms must not be negative")
 	}
 	switch r.Kind {
 	case KindBuild:

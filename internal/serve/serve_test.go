@@ -231,6 +231,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"negative trees", JobRequest{App: "Taobao", Config: "plopti", Trees: -1}},
 		{"negative runs", JobRequest{App: "Taobao", Config: "hfopti", Runs: -1}},
 		{"negative scale", JobRequest{App: "Taobao", Config: "plopti", Scale: -1}},
+		{"negative workers", JobRequest{App: "Taobao", Config: "plopti", Workers: -1}},
+		{"negative timeout", JobRequest{App: "Taobao", Config: "plopti", TimeoutMS: -5}},
+		{"debloat negative workers", JobRequest{Kind: KindDebloat, Oat: []byte("x"), Workers: -1}},
 		{"reoutline negative trees", JobRequest{Kind: KindReoutline, Oat: []byte("x"), Trees: -1}},
 	}
 	for _, tc := range cases {

@@ -138,7 +138,7 @@ func TestLintDeterministicAcrossWorkers(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, j := range []int{1, 2, 8} {
-		rep, err := analysis.AnalyzeCtx(ctx, img, j, nil)
+		rep, err := analysis.RunRulesPaired(ctx, img, nil, nil, analysis.RootSet{}, j, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

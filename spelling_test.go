@@ -18,7 +18,8 @@ import (
 // TestOneSpellingPerOperation keeps every operation to one exported
 // spelling. Internal packages export the ctx-first function only, and the
 // root package exports one convenience form, so no package may export a
-// ...Parallel or ...Traced variant, or both X and XCtx.
+// ...Parallel or ...Traced variant, both X and XCtx, or both X and
+// XPaired (a paired call with a nil partner is the single-image form).
 func TestOneSpellingPerOperation(t *testing.T) {
 	dirs := append([]string{"."}, internalDirs(t)...)
 	var twins []string
@@ -30,6 +31,8 @@ func TestOneSpellingPerOperation(t *testing.T) {
 				twins = append(twins, dir+": "+name)
 			case funcs[name+"Ctx"] != "":
 				twins = append(twins, dir+": "+name+" and "+name+"Ctx")
+			case funcs[name+"Paired"] != "":
+				twins = append(twins, dir+": "+name+" and "+name+"Paired")
 			}
 		}
 	}
